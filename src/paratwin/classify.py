@@ -63,10 +63,13 @@ class ClassificationResult:
 
 def _gw(metric: TensorDense, form: TensorDense) -> TensorDense:
     """g(x,y) w(z) as a (0,3) tensor with slot order (x, y, z)."""
-    n = metric.dim
-    return TensorDense.from_function(
-        n, ("d", "d", "d"),
-        lambda i, j, k: metric[i, j] * form[k])
+    out = []
+    for a in metric.data:
+        if a:
+            out.extend(a * b if b else ZERO for b in form.data)
+        else:
+            out.extend([ZERO] * form.dim)
+    return TensorDense(metric.dim, ("d", "d", "d"), out)
 
 
 def classify_phi(m: WManifold, sp: StructurePack) -> set[ClassLabel]:

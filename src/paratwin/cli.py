@@ -8,8 +8,9 @@ Three commands on exact-rational manifold documents:
 
 A manifold document is a JSON object with fields dim, basis, brackets,
 metric and P; indices are 1-based and every number is a rational string
-"p" or "p/q" (decimals are rejected).  Exit codes: 0 success, 2 parse
-error, 3 validation failure, 4 check failure.
+"p" or "p/q" (decimals are rejected).  dim is at most MAX_DIM, and each
+unordered pair {i, j} may appear in at most one bracket entry.  Exit
+codes: 0 success, 2 parse error, 3 validation failure, 4 check failure.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .classify import classify
 from .errors import ParatwinError, ValidationError
 from .family import (DEFAULT_GRID, FamilyParams, build_family, grid_points,
                      grid_verification)
-from .manifold import (LieAlgebraModel, ValidationReport, WManifold,
+from .manifold import (CheckItem, LieAlgebraModel, WManifold,
                        build_manifold, validate_lie_algebra)
 from .scalar import ZERO, format_rational, rational
 from .tensor import DOWN, UP, TensorDense
@@ -32,6 +33,12 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_INVALID = 3
 EXIT_CHECK = 4
+
+#: largest accepted document dimension, the size of the largest direct sums
+#: the engine is checked on.  It is tested before the dim^3 bracket slots are
+#: allocated, so a small document cannot ask for 10^9 of them; work and
+#: memory grow as dim^4 to dim^5 beyond it.
+MAX_DIM = 16
 
 
 class DocumentError(ValueError):
@@ -94,6 +101,8 @@ def parse_document(doc, name: str = "manifold") -> tuple[LieAlgebraModel, Tensor
     n = doc.get("dim")
     if not isinstance(n, int) or isinstance(n, bool) or n <= 0:
         raise DocumentError(f"dim: expected a positive integer, got {n!r}")
+    if n > MAX_DIM:
+        raise DocumentError(f"dim: {n} exceeds the maximum dimension {MAX_DIM}")
     basis = doc.get("basis")
     if not isinstance(basis, list) or len(basis) != n or any(
             not isinstance(b, str) for b in basis):
@@ -104,12 +113,18 @@ def parse_document(doc, name: str = "manifold") -> tuple[LieAlgebraModel, Tensor
         raise DocumentError("brackets: expected a list of {i, j, coeffs} objects")
     shape = TensorDense.zeros(n, (UP, DOWN, DOWN))
     data = [ZERO] * n ** 3
+    named: dict[frozenset, int] = {}            # unordered pair -> first entry
     for pos, entry in enumerate(entries):
         where = f"brackets[{pos}]"
         if not isinstance(entry, dict):
             raise DocumentError(f"{where}: expected an object")
         i = _index_field(entry.get("i"), n, f"{where}.i")
         j = _index_field(entry.get("j"), n, f"{where}.j")
+        first = named.setdefault(frozenset((i, j)), pos)
+        if first != pos:
+            raise DocumentError(
+                f"{where}: bracket of X_{i + 1} and X_{j + 1} is already "
+                f"given by brackets[{first}]")
         coeffs = entry.get("coeffs")
         if not isinstance(coeffs, dict):
             raise DocumentError(f"{where}.coeffs: expected a map basis-index -> rational")
@@ -164,9 +179,13 @@ def build_report(m: WManifold) -> dict:
         },
         "isotropic_w0": sp.snorm == ZERO,
         "scalar_flat": tp.curv.tau == ZERO and tp.curv_twin.tau == ZERO,
-        "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail}
-                   for c in suite.checks],
+        "checks": _check_records(suite.checks),
     }
+
+
+def _check_records(items: tuple[CheckItem, ...]) -> list[dict]:
+    """CheckItems as the report's JSON-ready check records."""
+    return [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in items]
 
 
 def _print_check_lines(checks, out):
@@ -203,12 +222,7 @@ def cmd_validate(args, out, err) -> int:
     doc = load_document(args.file)
     alg, P, g, name = parse_document(doc)
     report = validate_lie_algebra(alg)
-    for c in report.checks:
-        mark = "pass" if c.passed else "FAIL"
-        line = f"  [{mark}] {c.name}"
-        if c.detail:
-            line += f": {c.detail}"
-        print(line, file=out)
+    _print_check_lines(_check_records(report.checks), out)
     if not report.valid:
         print("invalid: Lie algebra axioms violated", file=err)
         return EXIT_INVALID
@@ -267,12 +281,7 @@ def cmd_theorem(args, out, err) -> int:
         print("self-test FAILED: perturbed expectation went unnoticed", file=err)
         return EXIT_CHECK
     report = grid_verification(points)
-    for c in report.checks:
-        mark = "pass" if c.passed else "FAIL"
-        line = f"  [{mark}] {c.name}"
-        if c.detail:
-            line += f": {c.detail}"
-        print(line, file=out)
+    _print_check_lines(_check_records(report.checks), out)
     print(f"{len(points)} grid points, "
           f"{len(report.checks) - len(report.failures())} of {len(report.checks)} checks pass",
           file=out)
@@ -304,8 +313,21 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_grid_values(argv: list[str]) -> list[str]:
+    """Join "--grid V" into "--grid=V", so that a grid starting with a
+    negative value such as -2/3 is not read by argparse as an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--grid" and arg.startswith("-") and arg[1:2].isdigit():
+            out[-1] = f"--grid={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None, out=sys.stdout, err=sys.stderr) -> int:
-    args = make_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = make_parser().parse_args(_attach_grid_values(argv))
     if args.command == "report" and (args.file is None) == (args.family is None):
         print("report: exactly one of <file> or --family is required", file=err)
         return EXIT_PARSE

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from .errors import ConsistencyError, ValidationError
 from .manifold import LieAlgebraModel
 from .scalar import ZERO, Q
-from .tensor import DOWN, UP, TensorDense
+from .tensor import DOWN, UP, TensorDense, _transpose_map
 
 
 @dataclass(frozen=True)
@@ -35,7 +34,8 @@ class Connection:
 
     def derive(self, i: int, j: int) -> list[Fraction]:
         """Components of nabla_{X_i} X_j."""
-        return [self.gamma[k, i, j] for k in range(self.dim)]
+        n = self.dim
+        return list(self.gamma.data[i * n + j::n * n])
 
     def derive_vector(self, i: int, y: list[Fraction]) -> list[Fraction]:
         """nabla_{X_i} y for a constant coefficient vector y."""
@@ -44,8 +44,7 @@ class Connection:
         for j in range(n):
             if not y[j]:
                 continue
-            for k in range(n):
-                v = self.gamma[k, i, j]
+            for k, v in enumerate(self.derive(i, j)):
                 if v:
                     out[k] += y[j] * v
         return out
@@ -61,25 +60,32 @@ def koszul(alg: LieAlgebraModel, metric: TensorDense, metric_inv: TensorDense) -
     means the inputs are inconsistent and raises ConsistencyError.
     """
     n = alg.dim
+    n2 = n * n
     gm = metric.matrix()
     ginv = metric_inv.matrix()
 
-    def pair(x: list[Fraction], k: int) -> Fraction:
-        return sum((x[a] * gm[a][k] for a in range(n) if x[a]), ZERO)
-
+    # lowered brackets C[(i, j)][k] = g([X_i, X_j], X_k), nonzero entries only
+    lowered: dict[tuple[int, int], dict[int, Fraction]] = {}
+    for p, v in enumerate(alg.c.data):
+        if v:
+            a, ij = divmod(p, n2)
+            row = lowered.setdefault(divmod(ij, n), {})
+            for k in range(n):
+                if gm[a][k]:
+                    _accumulate(row, k, v * gm[a][k])
+    # rhs[(i, j)][k] = g([X_i,X_j],X_k) + g([X_k,X_i],X_j) + g([X_k,X_j],X_i)
+    rhs: dict[tuple[int, int], dict[int, Fraction]] = {}
+    for (a, b), row in lowered.items():
+        for c, v in row.items():
+            _accumulate(rhs.setdefault((a, b), {}), c, v)
+            _accumulate(rhs.setdefault((b, c), {}), a, v)
+            _accumulate(rhs.setdefault((c, b), {}), a, v)
     data = [ZERO] * n ** 3
-    gamma = TensorDense.zeros(n, (UP, DOWN, DOWN))
-    flat = gamma.flat
-    for i, j in product(range(n), repeat=2):
-        rhs = []
-        b_ij = alg.bracket(i, j)
-        for k in range(n):
-            b_ki = alg.bracket(k, i)
-            b_kj = alg.bracket(k, j)
-            rhs.append((pair(b_ij, k) + pair(b_ki, j) + pair(b_kj, i)) / 2)
+    for (i, j), row in rhs.items():
         for l in range(n):
-            v = sum((ginv[l][k] * rhs[k] for k in range(n) if rhs[k]), ZERO)
-            data[flat((l, i, j))] = v
+            v = sum((ginv[l][k] * w for k, w in row.items() if w and ginv[l][k]), ZERO)
+            if v:
+                data[l * n2 + i * n + j] = v / 2
     conn = Connection(n, TensorDense(n, (UP, DOWN, DOWN), data))
 
     if not torsion(conn, alg).is_zero():
@@ -93,10 +99,16 @@ def torsion(conn: Connection, alg: LieAlgebraModel) -> TensorDense:
     """T^k_{ij} = Gamma^k_{ij} - Gamma^k_{ji} - c^k_{ij}."""
     if conn.dim != alg.dim:
         raise ValidationError("connection and algebra dimensions differ")
-    n = conn.dim
-    return TensorDense.from_function(
-        n, (UP, DOWN, DOWN),
-        lambda k, i, j: conn.gamma[k, i, j] - conn.gamma[k, j, i] - alg.c[k, i, j])
+    gamma = conn.gamma
+    swapped = TensorDense(conn.dim, gamma.variance,
+                          [gamma.data[p] for p in _transpose_map(conn.dim, 3, (0, 2, 1))])
+    return gamma - swapped - alg.c
+
+
+def _accumulate(row: dict, key, value) -> None:
+    """row[key] += value, without adding to an absent (zero) entry."""
+    old = row.get(key)
+    row[key] = value if old is None else old + value
 
 
 def covariant_derivative(conn: Connection, t: TensorDense) -> TensorDense:
@@ -110,30 +122,33 @@ def covariant_derivative(conn: Connection, t: TensorDense) -> TensorDense:
     if t.dim != conn.dim:
         raise ValidationError("connection and tensor dimensions differ")
     n = t.dim
-    out = [ZERO] * n ** (t.nslots + 1)
-    gdata = conn.gamma.data
     n2 = n * n
     nslots = t.nslots
-    strides = [n ** (nslots - k) for k in range(nslots)]    # in the output layout
-    for idx in t.indices():
-        v = t.data[t.flat(idx)]
-        if not v:
+    gdata = conn.gamma.data
+    # terms[a] lists the nonzero (b, i, w): a component with value a in one
+    # slot adds w times itself to the output with b in that slot and the
+    # derivative index i; w = Gamma^b_{ia} on a contravariant slot and
+    # w = -Gamma^a_{ib} on a covariant one
+    up_terms = [[(b, i, gdata[b * n2 + i * n + a])
+                 for b in range(n) for i in range(n) if gdata[b * n2 + i * n + a]]
+                for a in range(n)]
+    down_terms = [[(b, i, -gdata[a * n2 + i * n + b])
+                   for b in range(n) for i in range(n) if gdata[a * n2 + i * n + b]]
+                  for a in range(n)]
+    in_strides = [n ** (nslots - 1 - k) for k in range(nslots)]
+    out = [ZERO] * n ** (nslots + 1)
+    for p, v in enumerate(t.data):
+        if v is ZERO:
             continue
-        base = sum(s * a for s, a in zip(strides, idx))
-        for slot, (var, a) in enumerate(zip(t.variance, idx)):
-            stride = strides[slot]
-            root = base - stride * a
-            for b in range(n):
-                pos = root + stride * b
-                for i in range(n):
-                    if var == UP:
-                        w = gdata[b * n2 + i * n + a]        # Gamma^b_{ia} t^{..a..}
-                        if w:
-                            out[pos + i] += w * v
-                    else:
-                        w = gdata[a * n2 + i * n + b]        # -Gamma^a_{ib} t_{..b..}
-                        if w:
-                            out[pos + i] -= w * v
+        base = p * n                    # output index (.., i) with i last
+        for var, s in zip(t.variance, in_strides):
+            a = p // s % n
+            root = base - s * n * a
+            for b, i, w in (up_terms if var == UP else down_terms)[a]:
+                pos = root + s * n * b + i
+                x = w * v
+                o = out[pos]
+                out[pos] = x if o is ZERO else o + x or ZERO
     return TensorDense(n, tuple(t.variance) + (DOWN,), out)
 
 
@@ -144,33 +159,40 @@ def curvature_operator(conn: Connection, alg: LieAlgebraModel) -> TensorDense:
                         = nabla_i nabla_j X_k - nabla_j nabla_i X_k - nabla_{[X_i,X_j]} X_k.
     """
     n = conn.dim
+    n2, n3 = n * n, n ** 3
+    gdata = conn.gamma.data
+    # by_pair[i][m] lists the nonzero (l n^3, Gamma^l_{im})
+    by_pair = [[[(l * n3, gdata[l * n2 + i * n + m]) for l in range(n)
+                 if gdata[l * n2 + i * n + m]] for m in range(n)] for i in range(n)]
     out = [ZERO] * n ** 4
-    shape = TensorDense.zeros(n, (UP, DOWN, DOWN, DOWN))
-    flat = shape.flat
-    for i, j, k in product(range(n), repeat=3):
+
+    def add(pos, x):
+        o = out[pos]
+        out[pos] = x if o is ZERO else o + x or ZERO
+
+    for p, w in enumerate(gdata):
+        if w is ZERO:
+            continue
+        m, jk = divmod(p, n2)
+        j, k = divmod(jk, n)
+        for i in range(n):
+            if i == j:
+                continue
+            # Gamma^m_{jk} Gamma^l_{im} enters R^l_{ijk} with + and, with i
+            # and j swapped, R^l_{jik} with -
+            for lpos, v in by_pair[i][m]:
+                x = w * v
+                add(lpos + i * n2 + jk, x)
+                add(lpos + j * n2 + i * n + k, -x)
+    for p, c in enumerate(alg.c.data):
+        if c is ZERO:
+            continue
+        m, ij = divmod(p, n2)
+        i, j = divmod(ij, n)
         if i == j:
             continue
-        acc = [ZERO] * n
-        for m in range(n):
-            gjk = conn.gamma[m, j, k]
-            if gjk:
-                for l in range(n):
-                    v = conn.gamma[l, i, m]
-                    if v:
-                        acc[l] += gjk * v
-            gik = conn.gamma[m, i, k]
-            if gik:
-                for l in range(n):
-                    v = conn.gamma[l, j, m]
-                    if v:
-                        acc[l] -= gik * v
-            cij = alg.c[m, i, j]
-            if cij:
-                for l in range(n):
-                    v = conn.gamma[l, m, k]
-                    if v:
-                        acc[l] -= cij * v
-        for l in range(n):
-            if acc[l]:
-                out[flat((l, i, j, k))] = acc[l]
+        # -c^m_{ij} Gamma^l_{mk}
+        for k in range(n):
+            for lpos, v in by_pair[m][k]:
+                add(lpos + ij * n + k, -(c * v))
     return TensorDense(n, (UP, DOWN, DOWN, DOWN), out)

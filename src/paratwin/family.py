@@ -23,7 +23,8 @@ from .errors import ValidationError
 from .manifold import (CheckItem, LieAlgebraModel, ValidationReport, WManifold,
                        build_manifold)
 from .scalar import ZERO, Q, format_rational, rational
-from .tensor import DOWN, UP, TensorDense, lower_index, tensor_equal, transpose
+from .tensor import (DOWN, UP, TensorDense, apply_endo, lower_index, tensor_equal,
+                     transpose)
 from .twin import build_twin_pack, w1_closed_forms
 
 
@@ -191,7 +192,7 @@ def theorem_checks(p: FamilyParams, perturb_curvature: bool = False) -> Validati
     check("table: fundamental tensor", detail == "", detail)
     check("identity: twin F = eps F", tensor_equal(spt.F, sp.F.scale(e)))
     check("identity: twin F(x,y,z) = F(Px,y,z)",
-          tensor_equal(spt.F, tables_apply_P_first(m, sp.F)))
+          tensor_equal(spt.F, apply_endo(sp.F, 0, m.P)))
 
     # square norms
     snorm_t, snorm_twin_t = tables.square_norm_table(p)
@@ -269,12 +270,6 @@ def theorem_checks(p: FamilyParams, perturb_curvature: bool = False) -> Validati
         check("identity: H = 0 and closed-form Q, B reconstruction", False, str(exc))
 
     return ValidationReport(tuple(checks))
-
-
-def tables_apply_P_first(m: WManifold, F: TensorDense) -> TensorDense:
-    """F(Px, y, z) as a tensor in (x, y, z)."""
-    from .tensor import apply_endo
-    return apply_endo(F, 0, m.P)
 
 
 def grid_verification(points=None, perturb_curvature: bool = False) -> ValidationReport:

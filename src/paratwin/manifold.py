@@ -8,14 +8,14 @@ associated twin metric is g~(x, y) = g(x, Py).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
 from .errors import ValidationError
 from .scalar import ZERO, Q
 from .tensor import (DOWN, UP, TensorDense, matrix_determinant, matrix_inverse,
-                     symmetric_signature, tensor_equal)
+                     symmetric_signature)
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,8 @@ class LieAlgebraModel:
 
     def bracket(self, i: int, j: int) -> list[Fraction]:
         """Components of [X_i, X_j] in the basis."""
-        return [self.c[k, i, j] for k in range(self.dim)]
+        n = self.dim
+        return list(self.c.data[i * n + j::n * n])
 
     def bracket_of(self, x: list[Fraction], y: list[Fraction]) -> list[Fraction]:
         """[x, y] for arbitrary coefficient vectors x, y."""
@@ -51,8 +52,7 @@ class LieAlgebraModel:
                 if not y[j]:
                     continue
                 s = x[i] * y[j]
-                for k in range(n):
-                    v = self.c[k, i, j]
+                for k, v in enumerate(self.bracket(i, j)):
                     if v:
                         out[k] += s * v
         return out
@@ -84,10 +84,13 @@ def validate_lie_algebra(alg: LieAlgebraModel) -> ValidationReport:
     every offending index combination at once.
     """
     n = alg.dim
+    n2 = n * n
+    cd = alg.c.data
     items: list[CheckItem] = []
     anti_ok = True
     for i, j, k in product(range(n), repeat=3):
-        if alg.c[k, i, j] != -alg.c[k, j, i]:
+        a, b = cd[k * n2 + i * n + j], cd[k * n2 + j * n + i]
+        if (a or b) and a != -b:
             anti_ok = False
             items.append(CheckItem(
                 "antisymmetry", False,
@@ -95,22 +98,25 @@ def validate_lie_algebra(alg: LieAlgebraModel) -> ValidationReport:
     if anti_ok:
         items.append(CheckItem("antisymmetry", True))
 
+    # pairs[a][b] lists the nonzero (s, c^s_{ab})
+    pairs = [[[(s, v) for s, v in enumerate(alg.bracket(a, b)) if v] for b in range(n)]
+             for a in range(n)]
     jacobi_ok = True
     for i, j, l in product(range(n), repeat=3):
         # cyclic sum [[X_i,X_j],X_l] + [[X_j,X_l],X_i] + [[X_l,X_i],X_j]
-        for m in range(n):
-            total = ZERO
-            for a, b, c_ in ((i, j, l), (j, l, i), (l, i, j)):
-                for s in range(n):
-                    v = alg.c[s, a, b]
-                    if v:
-                        total += v * alg.c[m, s, c_]
-            if total:
+        total: dict[int, Fraction] = {}
+        for a, b, c_ in ((i, j, l), (j, l, i), (l, i, j)):
+            for s, v in pairs[a][b]:
+                for m, w in pairs[s][c_]:
+                    old = total.get(m)
+                    total[m] = v * w if old is None else old + v * w
+        for m in sorted(total):
+            if total[m]:
                 jacobi_ok = False
                 items.append(CheckItem(
                     "jacobi", False,
                     f"cyclic sum for (X_{i + 1}, X_{j + 1}, X_{l + 1}) has nonzero "
-                    f"X_{m + 1} component {total}"))
+                    f"X_{m + 1} component {total[m]}"))
     if jacobi_ok:
         items.append(CheckItem("jacobi", True))
     return ValidationReport(tuple(items))
@@ -134,7 +140,8 @@ class WManifold:
 
     def apply_P(self, x: list[Fraction]) -> list[Fraction]:
         n = self.dim
-        return [sum((self.P[k, i] * x[i] for i in range(n) if x[i]), ZERO)
+        rows = self.P.matrix()
+        return [sum((rows[k][i] * x[i] for i in range(n) if x[i] and rows[k][i]), ZERO)
                 for k in range(n)]
 
     def twin_view(self) -> "WManifold":
@@ -164,7 +171,9 @@ def build_manifold(alg: LieAlgebraModel, P: TensorDense, g: TensorDense,
     Pm = P.matrix()
     gm = g.matrix()
 
-    p2 = [[sum(Pm[i][k] * Pm[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    Pcols = [[(a, Pm[a][j]) for a in range(n) if Pm[a][j]] for j in range(n)]
+    p2 = [[sum((Pm[i][k] * v for k, v in Pcols[j] if Pm[i][k]), ZERO) for j in range(n)]
+          for i in range(n)]
     if any(p2[i][j] != Q(i == j) for i in range(n) for j in range(n)):
         raise ValidationError("P^2 is not the identity")
     if sum(Pm[i][i] for i in range(n)):
@@ -175,14 +184,13 @@ def build_manifold(alg: LieAlgebraModel, P: TensorDense, g: TensorDense,
         raise ValidationError("metric is degenerate")
     # g(Px, Py) = g(x, y) on basis pairs: P^T g P = g
     for i, j in product(range(n), repeat=2):
-        lhs = sum(Pm[a][i] * gm[a][b] * Pm[b][j]
-                  for a in range(n) for b in range(n) if Pm[a][i] and Pm[b][j])
+        lhs = sum((pa * gm[a][b] * pb for a, pa in Pcols[i] for b, pb in Pcols[j]), ZERO)
         if lhs != gm[i][j]:
             raise ValidationError(
                 f"metric is not P-compatible: g(PX_{i + 1},PX_{j + 1}) != g(X_{i + 1},X_{j + 1})")
 
     # twin metric g~(x, y) = g(x, Py)
-    twin = [[sum(gm[i][a] * Pm[a][j] for a in range(n) if Pm[a][j]) for j in range(n)]
+    twin = [[sum((gm[i][a] * v for a, v in Pcols[j]), ZERO) for j in range(n)]
             for i in range(n)]
     g_twin = TensorDense.from_matrix(twin, (DOWN, DOWN))
     g_inv = TensorDense.from_matrix(matrix_inverse(gm), (UP, UP))

@@ -29,19 +29,21 @@ def rational(value) -> Fraction:
     Decimal strings are rejected: the file formats of this engine carry
     rationals as "p" or "p/q" only.
     """
-    if isinstance(value, RATIONAL_TYPES):
-        return Q(value)
-    if isinstance(value, int):
-        return Q(value)
-    if isinstance(value, str):
+    if isinstance(value, Q):
+        q = value                       # immutable, so safe to share
+    elif isinstance(value, (*RATIONAL_TYPES, int)):
+        q = Q(value)
+    elif isinstance(value, str):
         text = value.strip()
         if "." in text or "e" in text or "E" in text:
             raise ValueError(f"decimal notation is not accepted: {value!r}")
         try:
-            return Q(text)
+            q = Q(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a rational: {value!r}") from exc
-    raise TypeError(f"cannot interpret {value!r} as an exact rational")
+    else:
+        raise TypeError(f"cannot interpret {value!r} as an exact rational")
+    return q if q else ZERO             # one shared zero, see paratwin.tensor
 
 
 def format_rational(value) -> str:

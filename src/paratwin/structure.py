@@ -11,13 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from .connection import Connection, covariant_derivative, koszul
 from .errors import ConsistencyError
 from .manifold import WManifold
 from .scalar import ZERO, Q
-from .tensor import (DOWN, UP, TensorDense, apply_endo, contract, lower_index,
+from .tensor import (DOWN, TensorDense, apply_endo, contract, lower_index,
                      raise_index, tensor_equal, transpose)
 
 
@@ -43,17 +42,18 @@ def fundamental_F(m: WManifold, conn: Connection) -> TensorDense:
     nabla_p = covariant_derivative(conn, m.P)       # [a, j, i]: (nabla_{X_i} P)^a_j
     n = m.dim
     gm = m.g.matrix()
-    shape = TensorDense.zeros(n, (DOWN, DOWN, DOWN))
-    flat = shape.flat
     out = [ZERO] * n ** 3
-    for a, j, i in nabla_p.indices():
-        v = nabla_p[a, j, i]
-        if not v:
+    for p, v in enumerate(nabla_p.data):
+        if v is ZERO:
             continue
+        a, ji = divmod(p, n * n)
+        j, i = divmod(ji, n)
         for k in range(n):
             w = gm[k][a]
             if w:
-                out[flat((i, j, k))] += w * v
+                pos = (i * n + j) * n + k
+                o = out[pos]
+                out[pos] = w * v if o is ZERO else o + w * v or ZERO
     F = TensorDense(n, (DOWN, DOWN, DOWN), out)
 
     # F(x,y,z) = F(x,z,y) = -F(x,Py,Pz) and F(x,Py,z) = -F(x,y,Pz)
@@ -132,16 +132,14 @@ def potential_phi(m: WManifold, F: TensorDense, conn: Connection):
     return Phi, Phi_vec, f, f_star, f_sharp
 
 
-def _vector_valued_bilinear(dim, pairing, P=None):
-    """Assemble a (1,2) tensor from a bilinear map on basis vectors."""
-    shape = TensorDense.zeros(dim, (UP, DOWN, DOWN))
-    out = [ZERO] * dim ** 3
-    for i, j in product(range(dim), repeat=2):
-        vec = pairing(i, j)
-        for k in range(dim):
-            if vec[k]:
-                out[shape.flat((k, i, j))] = vec[k]
-    return TensorDense(dim, (UP, DOWN, DOWN), out)
+def _nijenhuis_form(T: TensorDense, P: TensorDense, parity: int) -> TensorDense:
+    """T(Px,Py) + T(x,y) - P T(Px,y) - P T(x,Py) for a (1,2) tensor T with
+    T(x,y) = parity * T(y,x), so that P T(x,Py) = parity * P T(Py,x)."""
+    TP = apply_endo(T, 1, P)                    # T(Px, y)
+    PTP = apply_endo(TP, 0, P)                  # P T(Px, y)
+    swapped = transpose(PTP, (0, 2, 1))         # P T(Py, x)
+    rest = apply_endo(TP, 2, P) + T - PTP
+    return rest - swapped if parity > 0 else rest + swapped
 
 
 def nijenhuis(m: WManifold, conn: Connection, Phi: TensorDense):
@@ -152,39 +150,9 @@ def nijenhuis(m: WManifold, conn: Connection, Phi: TensorDense):
     against their expressions through the potential Phi.
     Returns (N_vec, Nhat_vec, N, Nhat).
     """
-    n = m.dim
-    Pm = m.P.matrix()
-    alg = m.algebra
-
-    def basis(i):
-        return [Q(k == i) for k in range(n)]
-
-    def braces(x, y):
-        out = [ZERO] * n
-        for i in range(n):
-            if x[i]:
-                d = conn.derive_vector(i, y)
-                for k in range(n):
-                    if d[k]:
-                        out[k] += x[i] * d[k]
-            if y[i]:
-                d = conn.derive_vector(i, x)
-                for k in range(n):
-                    if d[k]:
-                        out[k] += y[i] * d[k]
-        return out
-
-    def combo(i, j, pair):
-        xi, xj = basis(i), basis(j)
-        Pi, Pj = m.apply_P(xi), m.apply_P(xj)
-        a = pair(Pi, Pj)
-        b = pair(xi, xj)
-        c = m.apply_P(pair(Pi, xj))
-        d = m.apply_P(pair(xi, Pj))
-        return [a[k] + b[k] - c[k] - d[k] for k in range(n)]
-
-    N_vec = _vector_valued_bilinear(n, lambda i, j: combo(i, j, alg.bracket_of))
-    Nhat_vec = _vector_valued_bilinear(n, lambda i, j: combo(i, j, braces))
+    braces = conn.gamma + transpose(conn.gamma, (0, 2, 1))     # {X_i, X_j}^k
+    N_vec = _nijenhuis_form(m.algebra.c, m.P, -1)
+    Nhat_vec = _nijenhuis_form(braces, m.P, 1)
 
     N = transpose(lower_index(N_vec, 0, m.g), (1, 2, 0))
     Nhat = transpose(lower_index(Nhat_vec, 0, m.g), (1, 2, 0))
@@ -208,12 +176,10 @@ def square_norm(m: WManifold, F: TensorDense,
     """||nabla P|| = g^{ij} g^{kl} g^{st} F_{iks} F_{jlt}."""
     ginv = metric_inv if metric_inv is not None else m.g_inv
     raised = raise_index(raise_index(raise_index(F, 0, ginv), 1, ginv), 2, ginv)
-    n = m.dim
     total = ZERO
-    for idx in F.indices():
-        v = F.data[F.flat(idx)]
-        if v:
-            total += v * raised.data[raised.flat(idx)]
+    for v, r in zip(F.data, raised.data):
+        if v is not ZERO:
+            total += v * r
     return total
 
 

@@ -7,6 +7,12 @@ raising or lowering flips the flag of a slot in place, so a raise followed
 by a lower of the same slot is the exact identity.
 
 All values are immutable after construction and safe to share.
+
+Kernels skip structural zeros, which they recognise by identity with the
+shared ZERO: rational() returns it for every zero, and the kernels fill
+unset slots with it and store it for sums that cancel.  Identity is only
+a fast path; a zero that is another object goes through the rational
+arithmetic and still gives the exact result.
 """
 
 from __future__ import annotations
@@ -70,9 +76,6 @@ class TensorDense:
             idx = (idx,)
         return self.data[self.flat(idx)]
 
-    def indices(self):
-        return product(range(self.dim), repeat=self.nslots)
-
     def item(self) -> Fraction:
         """The single component of a rank-(0,0) tensor."""
         if self.nslots != 0:
@@ -117,25 +120,34 @@ class TensorDense:
             raise ValidationError(
                 f"shape mismatch: dim {self.dim} {self.variance} vs dim {other.dim} {other.variance}")
 
+    # A structural zero passes through instead of entering rational
+    # arithmetic: on sparse tensors most components are 0 + 0 or s * 0.
+
     def __add__(self, other: "TensorDense") -> "TensorDense":
         self._check_same_shape(other)
         return TensorDense(self.dim, self.variance,
-                           [a + b for a, b in zip(self.data, other.data)])
+                           [b if a is ZERO else a if b is ZERO else a + b or ZERO
+                            for a, b in zip(self.data, other.data)])
 
     def __sub__(self, other: "TensorDense") -> "TensorDense":
         self._check_same_shape(other)
         return TensorDense(self.dim, self.variance,
-                           [a - b for a, b in zip(self.data, other.data)])
+                           [a if b is ZERO else -b if a is ZERO else a - b or ZERO
+                            for a, b in zip(self.data, other.data)])
 
     def __neg__(self) -> "TensorDense":
-        return TensorDense(self.dim, self.variance, [-a for a in self.data])
+        return TensorDense(self.dim, self.variance,
+                           [a if a is ZERO else -a for a in self.data])
 
     def scale(self, s) -> "TensorDense":
         s = rational(s)
-        return TensorDense(self.dim, self.variance, [s * a for a in self.data])
+        if s is ZERO:
+            return TensorDense.zeros(self.dim, self.variance)
+        return TensorDense(self.dim, self.variance,
+                           [a if a is ZERO else s * a for a in self.data])
 
     def is_zero(self) -> bool:
-        return all(not a for a in self.data)
+        return all(a is ZERO or not a for a in self.data)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TensorDense):
@@ -174,21 +186,58 @@ def contract(t: TensorDense, slot_a: int, slot_b: int) -> TensorDense:
             f"(got {t.variance[slot_a]!r} at {slot_a}, {t.variance[slot_b]!r} at {slot_b})")
     keep = [k for k in range(n) if k not in (slot_a, slot_b)]
     variance = tuple(t.variance[k] for k in keep)
-    dim = t.dim
-    out = []
-    for idx in product(range(dim), repeat=len(keep)):
-        full = [0] * n
-        for k, i in zip(keep, idx):
-            full[k] = i
-        total = ZERO
-        for m in range(dim):
-            full[slot_a] = m
-            full[slot_b] = m
-            v = t.data[t.flat(full)]
-            if v:
-                total += v
-        out.append(total)
-    return TensorDense(dim, variance, out)
+    data = t.data
+    out = [ZERO] * t.dim ** len(keep)
+    for src, dst in _diagonal_map(t.dim, n, slot_a, slot_b):
+        v = data[src]
+        if v is not ZERO:
+            o = out[dst]
+            out[dst] = v if o is ZERO else o + v or ZERO
+    return TensorDense(t.dim, variance, out)
+
+
+_DIAGONAL_MAPS: dict[tuple, tuple] = {}
+
+
+def _diagonal_map(dim: int, nslots: int, slot_a: int, slot_b: int) -> tuple:
+    """(flat source, flat target) for each index whose slot_a and slot_b
+    entries agree; the target position drops both slots.  Cached."""
+    key = (dim, nslots, slot_a, slot_b)
+    cached = _DIAGONAL_MAPS.get(key)
+    if cached is None:
+        pairs = []
+        for src, idx in enumerate(product(range(dim), repeat=nslots)):
+            if idx[slot_a] == idx[slot_b]:
+                dst = 0
+                for k, i in enumerate(idx):
+                    if k != slot_a and k != slot_b:
+                        dst = dst * dim + i
+                pairs.append((src, dst))
+        cached = _DIAGONAL_MAPS[key] = tuple(pairs)
+    return cached
+
+
+def _slot_map(t: TensorDense, slot: int, columns) -> list:
+    """Components of t after a linear map acts on one slot.
+
+    columns[j] lists the nonzero entries (i, w) of the map's column j:
+    each t[.., j, ..] adds w * t[.., j, ..] to out[.., i, ..].  Only the
+    nonzero components of t are visited.
+    """
+    n = t.dim
+    stride = n ** (t.nslots - 1 - slot)
+    cols = [[(i * stride, w) for i, w in col] for col in columns]
+    out = [ZERO] * len(t.data)
+    for p, v in enumerate(t.data):
+        if v is ZERO:
+            continue
+        j = p // stride % n
+        base = p - j * stride
+        for shift, w in cols[j]:
+            x = w * v
+            o = out[base + shift]
+            out[base + shift] = x if o is ZERO else o + x or ZERO
+    return out
 
 
 def _metric_apply(t: TensorDense, slot: int, mat: TensorDense, want: str) -> TensorDense:
@@ -196,23 +245,12 @@ def _metric_apply(t: TensorDense, slot: int, mat: TensorDense, want: str) -> Ten
         raise ValidationError(f"slot {slot} out of range")
     if mat.dim != t.dim or mat.nslots != 2:
         raise ValidationError("metric tensor must be a two-slot tensor of matching dimension")
-    dim = t.dim
+    n = t.dim
     rows = mat.matrix()
-    out = [ZERO] * len(t.data)
-    for idx in t.indices():
-        v = t.data[t.flat(idx)]
-        if not v:
-            continue
-        j = idx[slot]
-        new = list(idx)
-        for i in range(dim):
-            w = rows[i][j]
-            if w:
-                new[slot] = i
-                out[t.flat(new)] += w * v
+    columns = [[(i, rows[i][j]) for i in range(n) if rows[i][j]] for j in range(n)]
     variance = list(t.variance)
     variance[slot] = want
-    return TensorDense(dim, variance, out)
+    return TensorDense(n, variance, _slot_map(t, slot, columns))
 
 
 def raise_index(t: TensorDense, slot: int, inverse_metric: TensorDense) -> TensorDense:
@@ -269,20 +307,11 @@ def apply_endo(t: TensorDense, slot: int, endo: TensorDense) -> TensorDense:
         raise ValidationError("endomorphism must be a (1,1) tensor of matching dimension")
     n = t.dim
     em = endo.matrix()
-    out = [ZERO] * len(t.data)
-    cov = t.variance[slot] == DOWN
-    for idx in t.indices():
-        v = t.data[t.flat(idx)]
-        if not v:
-            continue
-        m = idx[slot]
-        new = list(idx)
-        for i in range(n):
-            w = em[m][i] if cov else em[i][m]
-            if w:
-                new[slot] = i
-                out[t.flat(new)] += w * v
-    return TensorDense(n, t.variance, out)
+    if t.variance[slot] == DOWN:
+        columns = [[(i, em[m][i]) for i in range(n) if em[m][i]] for m in range(n)]
+    else:
+        columns = [[(i, em[i][m]) for i in range(n) if em[i][m]] for m in range(n)]
+    return TensorDense(n, t.variance, _slot_map(t, slot, columns))
 
 
 # -- exact matrix helpers --------------------------------------------------

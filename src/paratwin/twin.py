@@ -11,7 +11,6 @@ invariance / anti-invariance verification suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
 from .classify import ClassLabel, classify_f, classify_phi
@@ -101,16 +100,21 @@ def average_connection(conn: Connection, conn_twin: Connection) -> Connection:
 def _phi_compose(Phi_vec: TensorDense) -> TensorDense:
     """(1,3) tensor C[k,x,y,z] = Phi(x, Phi(y,z))^k."""
     n = Phi_vec.dim
-    shape = TensorDense.zeros(n, (UP, DOWN, DOWN, DOWN))
+    n2 = n * n
+    data = Phi_vec.data
+    # inner[m] lists the nonzero (y n + z, Phi^m_{yz})
+    inner = [[(yz, v) for yz, v in enumerate(data[m * n2:(m + 1) * n2]) if v is not ZERO]
+             for m in range(n)]
     out = [ZERO] * n ** 4
-    for k, x, m_ in product(range(n), repeat=3):
-        outer = Phi_vec[k, x, m_]
-        if not outer:
+    for p, outer in enumerate(data):
+        if outer is ZERO:
             continue
-        for y, z in product(range(n), repeat=2):
-            inner = Phi_vec[m_, y, z]
-            if inner:
-                out[shape.flat((k, x, y, z))] += outer * inner
+        kx, m = divmod(p, n)
+        base = kx * n2
+        for yz, v in inner[m]:
+            x = outer * v
+            o = out[base + yz]
+            out[base + yz] = x if o is ZERO else o + x or ZERO
     return TensorDense(n, (UP, DOWN, DOWN, DOWN), out)
 
 

@@ -2,13 +2,14 @@
 
 import io
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from paratwin import cli
 from paratwin.family import FamilyParams, build_family
-from paratwin.manifold import build_manifold
+from paratwin.manifold import abelian_manifold, build_manifold, direct_sum
 from paratwin.scalar import Q
 from paratwin.tensor import tensor_equal
 
@@ -162,3 +163,85 @@ def test_theorem_self_test():
 def test_theorem_bad_grid():
     code, _, err = run(["theorem", "--grid", "1,0.5"])
     assert code == cli.EXIT_PARSE
+
+
+def _write(tmp_path, doc, name="doc.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_conflicting_bracket_rejected(tmp_path):
+    """A (j, i) entry ahead of the (i, j) entry for the same pair is a parse
+    error, not a silent last write."""
+    doc = json.loads(FIXTURE.read_text())
+    entry = doc["brackets"][0]
+    wrong = {k: str(Q(v) + 1) for k, v in entry["coeffs"].items()}
+    doc["brackets"].insert(0, {"i": entry["j"], "j": entry["i"], "coeffs": wrong})
+    for command in ("validate", "report"):
+        code, out, err = run([command, _write(tmp_path, doc)])
+        assert code == cli.EXIT_PARSE
+        assert out == ""
+        assert "brackets[1]" in err and "already given by brackets[0]" in err
+
+
+def test_duplicate_bracket_rejected(tmp_path):
+    doc = json.loads(FIXTURE.read_text())
+    doc["brackets"].append(dict(doc["brackets"][0]))     # same pair, same values
+    code, _, err = run(["validate", _write(tmp_path, doc)])
+    assert code == cli.EXIT_PARSE
+    assert "already given" in err
+
+
+def test_oversized_dim_rejected_before_allocation(tmp_path):
+    """A few bytes claiming dim = 10^6 (10^18 bracket slots) fail fast."""
+    doc = {"dim": 10 ** 6, "basis": [], "brackets": [], "metric": [], "P": []}
+    tracemalloc.start()
+    try:
+        with pytest.raises(cli.DocumentError, match="maximum dimension"):
+            cli.parse_document(doc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    code, _, err = run(["validate", _write(tmp_path, doc)])
+    assert code == cli.EXIT_PARSE
+    assert f"exceeds the maximum dimension {cli.MAX_DIM}" in err
+
+
+def test_dim_cap_admits_its_own_value():
+    doc = {"dim": cli.MAX_DIM, "basis": [f"X{i}" for i in range(cli.MAX_DIM)],
+           "brackets": [], "P": [["0"] * cli.MAX_DIM] * cli.MAX_DIM,
+           "metric": [["0"] * cli.MAX_DIM] * cli.MAX_DIM}
+    alg, _, _, _ = cli.parse_document(doc)
+    assert alg.dim == cli.MAX_DIM
+
+
+@pytest.mark.parametrize("argv", [["theorem", "--grid", "-2/3,1"],
+                                  ["theorem", "--grid=-2/3,1"]])
+def test_theorem_negative_grid_value(argv):
+    """Both spellings take a grid that starts with a negative value."""
+    code, out, err = run(argv)
+    assert code == cli.EXIT_CHECK, err
+    assert "8 grid points" in out
+    assert "(e.g. family(l1=-2/3, l2=1, e=1))" in out
+    assert out == run(["theorem", "--grid=-2/3,1"])[1]
+
+
+def test_direct_sum_report_adds_block_scalars():
+    """A dim-8 direct sum passes the whole suite, and its scalar curvatures
+    are the sums of the blocks' closed forms tau = 48 d, tau~ = -48 eps d
+    with d = l1^2 - l2^2."""
+    blocks = [FamilyParams(Q(1), Q(2), Q(1)), FamilyParams(Q(-1), Q(1, 2), Q(-1))]
+    m = direct_sum(build_family(blocks[0]), build_family(blocks[1]))
+    report = cli.build_report(m)
+    assert report["manifold"]["dim"] == 8
+    assert len(report["checks"]) >= 21
+    assert all(c["passed"] for c in report["checks"])
+    d = [p.lambda1 ** 2 - p.lambda2 ** 2 for p in blocks]
+    assert Q(report["scalars"]["tau"]) == sum(48 * x for x in d)
+    assert Q(report["scalars"]["tau_twin"]) == sum(-48 * p.epsilon * x for p, x in zip(blocks, d))
+
+    flat = cli.build_report(direct_sum(build_family(blocks[0]), abelian_manifold(4)))
+    assert all(c["passed"] for c in flat["checks"])
+    assert Q(flat["scalars"]["tau"]) == 48 * d[0]

@@ -3,13 +3,17 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paratwin.connection import (Connection, covariant_derivative,
                                  curvature_operator, koszul, torsion)
 from paratwin.errors import ValidationError
-from paratwin.manifold import abelian_manifold
+from paratwin.manifold import LieAlgebraModel, abelian_manifold
 from paratwin.scalar import Q
 from paratwin.tensor import DOWN, UP, TensorDense, tensor_equal, transpose
+
+from strategies import V3, tensor_pairs
 
 
 def test_koszul_is_torsion_free_and_metric(family121):
@@ -70,3 +74,63 @@ def test_connection_shape_validation():
 def test_average_of_connection_with_itself(family121):
     _, tp = family121
     assert tensor_equal(tp.conn.average(tp.conn).gamma, tp.conn.gamma)
+
+
+# -- zero-aware kernels against naive loops ----------------------------------
+
+def naive_curvature(gamma, c):
+    """R^l_{ijk} = Gamma^m_{jk} Gamma^l_{im} - Gamma^m_{ik} Gamma^l_{jm}
+    - c^m_{ij} Gamma^l_{mk}, summed over m at every index."""
+    n = gamma.dim
+    return [sum((gamma[m, j, k] * gamma[l, i, m] - gamma[m, i, k] * gamma[l, j, m]
+                 - c[m, i, j] * gamma[l, m, k] for m in range(n)), Q(0))
+            for l, i, j, k in product(range(n), repeat=4)]
+
+
+def naive_covariant_derivative(gamma, t):
+    """(nabla_i t)[idx] with i last: +Gamma^a_{im} t[..m..] on a
+    contravariant slot holding a, -Gamma^m_{ib} t[..m..] on a covariant
+    slot holding b."""
+    n = t.dim
+    out = []
+    for idx in product(range(n), repeat=t.nslots):
+        for i in range(n):
+            total = Q(0)
+            for slot, var in enumerate(t.variance):
+                a = idx[slot]
+                for m in range(n):
+                    src = idx[:slot] + (m,) + idx[slot + 1:]
+                    if var == UP:
+                        total += gamma[a, i, m] * t[src]
+                    else:
+                        total -= gamma[m, i, a] * t[src]
+            out.append(total)
+    return out
+
+
+def _antisymmetric(t):
+    n = t.dim
+    return TensorDense(n, V3, [t[k, i, j] - t[k, j, i]
+                               for k, i, j in product(range(n), repeat=3)])
+
+
+@given(tensor_pairs(V3, V3))
+@settings(max_examples=40)
+def test_curvature_operator_matches_naive(pair):
+    gamma, raw = pair
+    n = gamma.dim
+    alg = LieAlgebraModel(n, tuple(f"X{i + 1}" for i in range(n)), _antisymmetric(raw))
+    R = curvature_operator(Connection(n, gamma), alg)
+    assert list(R.data) == naive_curvature(gamma, alg.c)
+
+
+TENSOR_VARIANCES = st.sampled_from(((UP, DOWN), (DOWN, DOWN), V3, (DOWN, DOWN, DOWN)))
+
+
+@given(TENSOR_VARIANCES.flatmap(lambda var: tensor_pairs(V3, var)))
+@settings(max_examples=40)
+def test_covariant_derivative_matches_naive(pair):
+    gamma, t = pair
+    d = covariant_derivative(Connection(gamma.dim, gamma), t)
+    assert d.variance == t.variance + (DOWN,)
+    assert list(d.data) == naive_covariant_derivative(gamma, t)

@@ -1,6 +1,10 @@
 """Structural validation of algebras, P, metrics, and combinators."""
 
+from itertools import product
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paratwin.errors import ValidationError
 from paratwin.family import FamilyParams, build_family
@@ -10,6 +14,8 @@ from paratwin.manifold import (LieAlgebraModel, abelian_manifold,
                                metric_signature, validate_lie_algebra)
 from paratwin.scalar import Q, ZERO
 from paratwin.tensor import DOWN, UP, TensorDense, tensor_equal
+
+from strategies import V3, any_tensors
 
 P4 = TensorDense.from_matrix([[0, 1, 0, 0], [1, 0, 0, 0],
                               [0, 0, 0, 1], [0, 0, 1, 0]], (UP, DOWN))
@@ -117,3 +123,44 @@ def test_twin_view_swaps_metrics(family121):
     mt = m.twin_view()
     assert tensor_equal(mt.g, m.g_twin) and tensor_equal(mt.g_twin, m.g)
     assert tensor_equal(mt.twin_view().g, m.g)
+
+
+def reference_validation(alg):
+    """validate_lie_algebra's items by the full loops over every index."""
+    n, c = alg.dim, alg.c
+    items = []
+    for i, j, k in product(range(n), repeat=3):
+        if c[k, i, j] != -c[k, j, i]:
+            items.append(("antisymmetry", False,
+                          f"c^{k + 1}_{{{i + 1},{j + 1}}} != -c^{k + 1}_{{{j + 1},{i + 1}}}"))
+    if not items:
+        items.append(("antisymmetry", True, ""))
+    jacobi = []
+    for i, j, l in product(range(n), repeat=3):
+        for m in range(n):
+            total = sum((c[s, a, b] * c[m, s, e]
+                         for a, b, e in ((i, j, l), (j, l, i), (l, i, j))
+                         for s in range(n)), Q(0))
+            if total:
+                jacobi.append(("jacobi", False,
+                               f"cyclic sum for (X_{i + 1}, X_{j + 1}, X_{l + 1}) has "
+                               f"nonzero X_{m + 1} component {total}"))
+    return items + (jacobi or [("jacobi", True, "")])
+
+
+def _antisymmetrized(t):
+    n = t.dim
+    return TensorDense(n, V3, [t[k, i, j] - t[k, j, i]
+                               for k, i, j in product(range(n), repeat=3)])
+
+
+@given(any_tensors(V3), st.booleans())
+@settings(max_examples=40)
+def test_validation_items_match_reference(c, antisymmetrize):
+    """A broken algebra gets the reference's items, in the reference's order."""
+    if antisymmetrize:
+        c = _antisymmetrized(c)          # only Jacobi can fail
+    alg = LieAlgebraModel(c.dim, tuple(f"X{i + 1}" for i in range(c.dim)), c)
+    report = validate_lie_algebra(alg)
+    assert [(it.name, it.passed, it.detail) for it in report.checks] == \
+        reference_validation(alg)

@@ -13,7 +13,8 @@ from paratwin.tensor import (DOWN, UP, TensorDense, apply_endo, contract,
                              raise_index, symmetric_signature, tensor_equal,
                              transpose)
 
-rationals = st.builds(Q, st.integers(-9, 9), st.integers(1, 5))
+from strategies import V3, V4, any_tensors, rationals, tensor_pairs
+
 
 
 def tensors(dim=2, nslots=3):
@@ -131,3 +132,84 @@ def test_signature_neutral_metric():
           [ZERO, ZERO, ZERO, Q(-1)],
           [ZERO, ZERO, Q(-1), ZERO]]
     assert symmetric_signature(gt) == (2, 2, 0)
+
+
+# -- zero-aware kernels against naive loops ----------------------------------
+#
+# The kernels skip structural zeros and recognise them by identity with the
+# shared ZERO.  The references below walk every index with product(range(n))
+# and do the full arithmetic; the strategies mix ZERO with other zero
+# objects, so the identity fast path and its fallback both run.
+
+def naive_elementwise(a, b, op):
+    return [op(x, y) for x, y in zip(a.data, b.data)]
+
+
+def naive_slot_map(t, slot, weight):
+    """out[.., i, ..] = sum_j weight(i, j) t[.., j, ..]."""
+    n = t.dim
+    out = []
+    for idx in product(range(n), repeat=t.nslots):
+        total = Q(0)
+        for j in range(n):
+            src = idx[:slot] + (j,) + idx[slot + 1:]
+            total += weight(idx[slot], j) * t[src]
+        out.append(total)
+    return out
+
+
+def naive_contract(t, slot_a, slot_b):
+    n = t.dim
+    keep = [k for k in range(t.nslots) if k not in (slot_a, slot_b)]
+    out = []
+    for idx in product(range(n), repeat=len(keep)):
+        total = Q(0)
+        for m in range(n):
+            full = [0] * t.nslots
+            for k, i in zip(keep, idx):
+                full[k] = i
+            full[slot_a] = full[slot_b] = m
+            total += t[tuple(full)]
+        out.append(total)
+    return out
+
+
+@given(tensor_pairs(V3, V3), rationals)
+@settings(max_examples=60)
+def test_elementwise_ops_match_naive(pair, s):
+    a, b = pair
+    assert list((a + b).data) == naive_elementwise(a, b, lambda x, y: x + y)
+    assert list((a - b).data) == naive_elementwise(a, b, lambda x, y: x - y)
+    assert list((-a).data) == [-x for x in a.data]
+    assert list(a.scale(s).data) == [s * x for x in a.data]
+    assert (a - a).is_zero() and a.scale(0).is_zero()
+
+
+@given(tensor_pairs(V3, (UP, DOWN)))
+@settings(max_examples=40)
+def test_apply_endo_matches_naive(pair):
+    t, e = pair
+    for slot in range(t.nslots):
+        if t.variance[slot] == DOWN:
+            want = naive_slot_map(t, slot, lambda i, m: e[m, i])
+        else:
+            want = naive_slot_map(t, slot, lambda i, m: e[i, m])
+        assert list(apply_endo(t, slot, e).data) == want
+
+
+@given(tensor_pairs(V3, (DOWN, DOWN)))
+@settings(max_examples=40)
+def test_raise_lower_match_naive(pair):
+    t, g = pair
+    for slot in range(1, t.nslots):
+        raised = raise_index(t, slot, g)
+        assert raised.variance[slot] == UP
+        assert list(raised.data) == naive_slot_map(t, slot, lambda i, j: g[i, j])
+    assert list(lower_index(t, 0, g).data) == naive_slot_map(t, 0, lambda i, j: g[i, j])
+
+
+@given(st.one_of(any_tensors(V3), any_tensors(V4)))
+@settings(max_examples=40)
+def test_contract_matches_naive(t):
+    for slot_b in range(1, t.nslots):
+        assert list(contract(t, 0, slot_b).data) == naive_contract(t, 0, slot_b)
