@@ -11,11 +11,11 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .errors import ConsistencyError, ValidationError
+from .errors import ValidationError, require
 from .manifold import LieAlgebraModel, WManifold
 from .scalar import ZERO, Q
 from .structure import StructurePack
-from .tensor import TensorDense, apply_endo, tensor_equal, transpose
+from .tensor import TensorDense, tensor_equal, transpose
 
 
 class ClassLabel(str, Enum):
@@ -76,7 +76,7 @@ def classify_phi(m: WManifold, sp: StructurePack) -> set[ClassLabel]:
     """Label set from the Phi-based class identities."""
     n2 = Q(m.dim)          # 2n
     Phi, f, f_star = sp.Phi, sp.f, sp.f_star
-    PhiPP = apply_endo(apply_endo(Phi, 0, m.P), 1, m.P)    # Phi(Px,Py,z)
+    PhiPP = sp.Phi_P["xy"]                                  # Phi(Px,Py,z)
     f_zero = f.is_zero()
 
     labels: set[ClassLabel] = {ClassLabel.FULL}
@@ -99,11 +99,11 @@ def classify_phi(m: WManifold, sp: StructurePack) -> set[ClassLabel]:
     return labels
 
 
-def classify_f(m: WManifold, sp: StructurePack) -> set[ClassLabel]:
+def classify_f(m: WManifold, sp: StructurePack, by_phi: set[ClassLabel]) -> set[ClassLabel]:
     """Label set from the F-based class identities.
 
-    Must coincide with classify_phi on every input; a disagreement raises
-    ConsistencyError.
+    Must coincide with by_phi, the classify_phi labels of the same pack; a
+    disagreement raises ConsistencyError.
     """
     n2 = Q(m.dim)
     F, theta, theta_star = sp.F, sp.theta, sp.theta_star
@@ -122,7 +122,7 @@ def classify_f(m: WManifold, sp: StructurePack) -> set[ClassLabel]:
     if tensor_equal(F, w1_rhs):
         labels.add(ClassLabel.W1)
 
-    cyc_P = cyc(apply_endo(F, 2, m.P))      # F(x,y,Pz) + cyclic
+    cyc_P = cyc(sp.F_P["z"])                # F(x,y,Pz) + cyclic
     if cyc_P.is_zero():
         labels.add(ClassLabel.W12)
         if theta_zero:
@@ -139,8 +139,7 @@ def classify_f(m: WManifold, sp: StructurePack) -> set[ClassLabel]:
     if theta_zero:
         labels.add(ClassLabel.W23)
 
-    if labels != classify_phi(m, sp):
-        raise ConsistencyError("F-based and Phi-based classifications disagree")
+    require(labels == by_phi, "F-based and Phi-based classifications disagree")
     return labels
 
 
@@ -160,7 +159,7 @@ def minimal_class(satisfied: set[ClassLabel]) -> ClassLabel:
 
 def classify(m: WManifold, sp: StructurePack) -> ClassificationResult:
     by_phi = classify_phi(m, sp)
-    by_f = classify_f(m, sp)    # raises on disagreement
+    by_f = classify_f(m, sp, by_phi)    # raises on disagreement
     return ClassificationResult(satisfied=frozenset(by_phi),
                                 minimal=minimal_class(by_phi),
                                 agreement=by_phi == by_f)

@@ -19,11 +19,10 @@ import argparse
 import json
 import sys
 
-from .classify import classify
 from .errors import ParatwinError, ValidationError
 from .family import (DEFAULT_GRID, FamilyParams, build_family, grid_points,
                      grid_verification)
-from .manifold import (CheckItem, LieAlgebraModel, WManifold,
+from .manifold import (CheckItem, LieAlgebraModel, WManifold, assemble_manifold,
                        build_manifold, validate_lie_algebra)
 from .scalar import ZERO, format_rational, rational
 from .tensor import DOWN, UP, TensorDense
@@ -158,7 +157,7 @@ def load_document(path: str) -> dict:
 def build_report(m: WManifold) -> dict:
     """All classification data, scalars and suite outcomes for one manifold."""
     tp = build_twin_pack(m)
-    cls = classify(m, tp.sp)
+    cls = tp.cls
     sp = tp.sp
     suite = invariance_suite(m, tp)
     return {
@@ -227,7 +226,7 @@ def cmd_validate(args, out, err) -> int:
         print("invalid: Lie algebra axioms violated", file=err)
         return EXIT_INVALID
     try:
-        build_manifold(alg, P, g, name=name)
+        assemble_manifold(alg, P, g, name=name)
     except ValidationError as exc:
         print(f"invalid: {exc}", file=err)
         return EXIT_INVALID

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ConsistencyError, ValidationError
+from .errors import ValidationError, require
 from .manifold import LieAlgebraModel
 from .scalar import ZERO, Q
 from .tensor import DOWN, UP, TensorDense, _transpose_map
@@ -88,10 +88,9 @@ def koszul(alg: LieAlgebraModel, metric: TensorDense, metric_inv: TensorDense) -
                 data[l * n2 + i * n + j] = v / 2
     conn = Connection(n, TensorDense(n, (UP, DOWN, DOWN), data))
 
-    if not torsion(conn, alg).is_zero():
-        raise ConsistencyError("Koszul output has torsion")
-    if not covariant_derivative(conn, metric).is_zero():
-        raise ConsistencyError("Koszul output is not metric-compatible")
+    require(torsion(conn, alg).is_zero(), "Koszul output has torsion")
+    require(covariant_derivative(conn, metric).is_zero(),
+            "Koszul output is not metric-compatible")
     return conn
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .connection import Connection, curvature_operator
-from .errors import ConsistencyError, ValidationError
+from .errors import ValidationError, require
 from .manifold import LieAlgebraModel, WManifold
 from .scalar import ZERO
 from .tensor import (DOWN, TensorDense, contract, lower_index, raise_index,
@@ -27,13 +27,12 @@ class CurvaturePack:
 
 def check_curvature_like(R: TensorDense):
     """Both antisymmetries and the first Bianchi identity, exactly."""
-    if not tensor_equal(R, -transpose(R, (1, 0, 2, 3))):
-        raise ConsistencyError("curvature tensor is not antisymmetric in (x, y)")
-    if not tensor_equal(R, -transpose(R, (0, 1, 3, 2))):
-        raise ConsistencyError("curvature tensor is not antisymmetric in (z, w)")
+    require(tensor_equal(R, -transpose(R, (1, 0, 2, 3))),
+            "curvature tensor is not antisymmetric in (x, y)")
+    require(tensor_equal(R, -transpose(R, (0, 1, 3, 2))),
+            "curvature tensor is not antisymmetric in (z, w)")
     bianchi = R + transpose(R, (2, 0, 1, 3)) + transpose(R, (1, 2, 0, 3))
-    if not bianchi.is_zero():
-        raise ConsistencyError("first Bianchi identity fails")
+    require(bianchi.is_zero(), "first Bianchi identity fails")
 
 
 def riemann(conn: Connection, alg: LieAlgebraModel,

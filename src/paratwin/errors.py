@@ -1,4 +1,10 @@
-"""Exception types shared across the engine."""
+"""Exception types shared across the engine, and the route cross-check."""
+
+from __future__ import annotations
+
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import Iterator
 
 
 class ParatwinError(Exception):
@@ -12,3 +18,31 @@ class ValidationError(ParatwinError):
 class ConsistencyError(ParatwinError):
     """Two independent computation routes disagree; the engine is unsound
     for this input and results must not be trusted."""
+
+
+#: the records of the open recording() blocks, innermost last
+_RECORDS: ContextVar[tuple[list[str], ...]] = ContextVar("paratwin_checks", default=())
+
+
+def require(ok: bool, what: str) -> None:
+    """One route cross-check: raise ConsistencyError(what) unless ok.
+
+    Inside recording(), what is also appended to every open record,
+    passed or not, so the checks that ran can be listed and counted.
+    """
+    for record in _RECORDS.get():
+        record.append(what)
+    if not ok:
+        raise ConsistencyError(what)
+
+
+@contextmanager
+def recording() -> Iterator[list[str]]:
+    """Collect the name of every require() call made inside the block,
+    including those of nested blocks."""
+    record: list[str] = []
+    token = _RECORDS.set(_RECORDS.get() + (record,))
+    try:
+        yield record
+    finally:
+        _RECORDS.reset(token)

@@ -18,13 +18,13 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .classify import ClassLabel, classify
+from . import tables
+from .classify import ClassLabel, lee_forms_closed
 from .errors import ValidationError
 from .manifold import (CheckItem, LieAlgebraModel, ValidationReport, WManifold,
                        build_manifold)
 from .scalar import ZERO, Q, format_rational, rational
-from .tensor import (DOWN, UP, TensorDense, apply_endo, lower_index, tensor_equal,
-                     transpose)
+from .tensor import DOWN, UP, TensorDense, lower_index, tensor_equal, transpose
 from .twin import build_twin_pack, w1_closed_forms
 
 
@@ -118,8 +118,6 @@ def theorem_checks(p: FamilyParams, perturb_curvature: bool = False) -> Validati
     one expected curvature component; it exists as a self-test that a wrong
     expectation is actually detected.
     """
-    from . import tables
-
     m, tp = family_pack(p)
     sp, spt = tp.sp, tp.sp_twin
     n = m.dim
@@ -137,11 +135,10 @@ def theorem_checks(p: FamilyParams, perturb_curvature: bool = False) -> Validati
         return ""
 
     # structural claims
-    cls = classify(m, sp)
+    cls = tp.cls
     want_min = ClassLabel.W0 if (not l1 and not l2) else ClassLabel.W1
     check("claim: minimal class", cls.minimal == want_min,
           f"got {cls.minimal}, expected {want_min}")
-    from .classify import lee_forms_closed
     check("claim: Lee forms closed",
           lee_forms_closed(m.algebra, sp.theta, sp.theta_star)
           and lee_forms_closed(m.algebra, spt.theta, spt.theta_star))
@@ -191,8 +188,7 @@ def theorem_checks(p: FamilyParams, perturb_curvature: bool = False) -> Validati
         for i, j, k in product(range(n), repeat=3))
     check("table: fundamental tensor", detail == "", detail)
     check("identity: twin F = eps F", tensor_equal(spt.F, sp.F.scale(e)))
-    check("identity: twin F(x,y,z) = F(Px,y,z)",
-          tensor_equal(spt.F, apply_endo(sp.F, 0, m.P)))
+    check("identity: twin F(x,y,z) = F(Px,y,z)", tensor_equal(spt.F, sp.F_P["x"]))
 
     # square norms
     snorm_t, snorm_twin_t = tables.square_norm_table(p)
@@ -263,8 +259,7 @@ def theorem_checks(p: FamilyParams, perturb_curvature: bool = False) -> Validati
     check("identity: Nhat = -4 Phi (vector-valued)",
           tensor_equal(sp.Nhat_vec, sp.Phi_vec.scale(Q(-4))))
     try:
-        _, _, H, _, _ = w1_closed_forms(m, tp.conn, sp,
-                                        expect_Q=tp.Q_vec, expect_B=tp.B_vec)
+        _, _, H, _, _ = w1_closed_forms(m, tp)
         check("identity: H = 0 and closed-form Q, B reconstruction", H.is_zero())
     except Exception as exc:                         # noqa: BLE001
         check("identity: H = 0 and closed-form Q, B reconstruction", False, str(exc))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 from .errors import ValidationError
 from .scalar import ZERO, Q
@@ -101,22 +101,41 @@ def validate_lie_algebra(alg: LieAlgebraModel) -> ValidationReport:
     # pairs[a][b] lists the nonzero (s, c^s_{ab})
     pairs = [[[(s, v) for s, v in enumerate(alg.bracket(a, b)) if v] for b in range(n)]
              for a in range(n)]
-    jacobi_ok = True
-    for i, j, l in product(range(n), repeat=3):
-        # cyclic sum [[X_i,X_j],X_l] + [[X_j,X_l],X_i] + [[X_l,X_i],X_j]
+
+    def cyclic_sum(i: int, j: int, l: int) -> list[tuple[int, Fraction]]:
+        """Nonzero components, by index, of [[X_i,X_j],X_l] + [[X_j,X_l],X_i]
+        + [[X_l,X_i],X_j]."""
         total: dict[int, Fraction] = {}
         for a, b, c_ in ((i, j, l), (j, l, i), (l, i, j)):
             for s, v in pairs[a][b]:
                 for m, w in pairs[s][c_]:
                     old = total.get(m)
                     total[m] = v * w if old is None else old + v * w
-        for m in sorted(total):
-            if total[m]:
-                jacobi_ok = False
-                items.append(CheckItem(
-                    "jacobi", False,
-                    f"cyclic sum for (X_{i + 1}, X_{j + 1}, X_{l + 1}) has nonzero "
-                    f"X_{m + 1} component {total[m]}"))
+        return [(m, total[m]) for m in sorted(total) if total[m]]
+
+    if anti_ok:
+        # the cyclic sum is then alternating in (i, j, l): it vanishes on a
+        # repeated index and changes sign under a transposition, so it is
+        # computed on i < j < l only
+        sums = {t: comps for t in combinations(range(n), 3) if (comps := cyclic_sum(*t))}
+        triples = product(range(n), repeat=3) if sums else ()
+
+        def failing(i: int, j: int, l: int) -> list[tuple[int, Fraction]]:
+            comps = sums.get(tuple(sorted((i, j, l))), [])
+            if (i < j) + (j < l) + (l < i) == 2:     # an even permutation
+                return comps
+            return [(m, -v) for m, v in comps]
+    else:
+        triples, failing = product(range(n), repeat=3), cyclic_sum
+
+    jacobi_ok = True
+    for i, j, l in triples:
+        for m, v in failing(i, j, l):
+            jacobi_ok = False
+            items.append(CheckItem(
+                "jacobi", False,
+                f"cyclic sum for (X_{i + 1}, X_{j + 1}, X_{l + 1}) has nonzero "
+                f"X_{m + 1} component {v}"))
     if jacobi_ok:
         items.append(CheckItem("jacobi", True))
     return ValidationReport(tuple(items))
@@ -155,13 +174,23 @@ def build_manifold(alg: LieAlgebraModel, P: TensorDense, g: TensorDense,
                    name: str = "manifold") -> WManifold:
     """Assemble and fully validate a WManifold.
 
-    Raises ValidationError naming the first violated axiom: P^2 != id,
-    tr P != 0, g not symmetric, g degenerate, or g not P-compatible.
+    Raises ValidationError naming the first violated axiom: the Lie algebra
+    axioms, then those checked by assemble_manifold.
     """
     report = validate_lie_algebra(alg)
     if not report.valid:
         first = report.failures()[0]
         raise ValidationError(f"invalid Lie algebra: {first.name}: {first.detail}")
+    return assemble_manifold(alg, P, g, name=name)
+
+
+def assemble_manifold(alg: LieAlgebraModel, P: TensorDense, g: TensorDense,
+                      name: str = "manifold") -> WManifold:
+    """The part of build_manifold after the Lie algebra is validated.
+
+    Raises ValidationError naming the first violated axiom: P^2 != id,
+    tr P != 0, g not symmetric, g degenerate, or g not P-compatible.
+    """
     n = alg.dim
     if P.dim != n or P.variance != (UP, DOWN):
         raise ValidationError("P must be a (1,1) tensor of matching dimension")

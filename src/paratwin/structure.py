@@ -13,17 +13,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .connection import Connection, covariant_derivative, koszul
-from .errors import ConsistencyError
+from .errors import require
 from .manifold import WManifold
 from .scalar import ZERO, Q
 from .tensor import (DOWN, TensorDense, apply_endo, contract, lower_index,
                      raise_index, tensor_equal, transpose)
 
+#: a (0,3) tensor with P substituted into some arguments, keyed by those
+#: arguments: "z" is t(x,y,Pz), "yz" is t(x,Py,Pz), see p_substitutions
+PSubs = dict[str, TensorDense]
+
 
 @dataclass(frozen=True)
 class StructurePack:
     F: TensorDense            # (0,3)
+    F_P: PSubs                # keys "x", "y", "z", "yz"
     Phi: TensorDense          # (0,3), Phi(x,y,z) = g(Phi(x,y), z)
+    Phi_P: PSubs              # keys "y", "z", "yz", "xy"
     Phi_vec: TensorDense      # (1,2), [k,i,j]
     theta: TensorDense        # (0,1)
     theta_star: TensorDense   # (0,1)
@@ -37,8 +43,24 @@ class StructurePack:
     snorm: Fraction
 
 
-def fundamental_F(m: WManifold, conn: Connection) -> TensorDense:
-    """F(x,y,z) = g((nabla_x P) y, z), post-checked against its symmetries."""
+def p_substitutions(t: TensorDense, P: TensorDense, *keys: str) -> PSubs:
+    """The (0,3) tensor t with P substituted into the arguments each key names.
+
+    A key of two letters is built on the key of its second letter, which
+    must come earlier, so each substitution is formed once.
+    """
+    out: PSubs = {}
+    for key in keys:
+        base = out[key[1:]] if len(key) > 1 else t
+        out[key] = apply_endo(base, "xyz".index(key[0]), P)
+    return out
+
+
+def fundamental_F(m: WManifold, conn: Connection) -> tuple[TensorDense, PSubs]:
+    """F(x,y,z) = g((nabla_x P) y, z), post-checked against its symmetries.
+
+    Returns F and its P-substitutions "x", "y", "z" and "yz".
+    """
     nabla_p = covariant_derivative(conn, m.P)       # [a, j, i]: (nabla_{X_i} P)^a_j
     n = m.dim
     gm = m.g.matrix()
@@ -55,16 +77,14 @@ def fundamental_F(m: WManifold, conn: Connection) -> TensorDense:
                 o = out[pos]
                 out[pos] = w * v if o is ZERO else o + w * v or ZERO
     F = TensorDense(n, (DOWN, DOWN, DOWN), out)
+    F_P = p_substitutions(F, m.P, "x", "y", "z", "yz")
 
     # F(x,y,z) = F(x,z,y) = -F(x,Py,Pz) and F(x,Py,z) = -F(x,y,Pz)
-    if not tensor_equal(F, transpose(F, (0, 2, 1))):
-        raise ConsistencyError("F is not symmetric in its last two arguments")
-    FPP = apply_endo(apply_endo(F, 1, m.P), 2, m.P)
-    if not tensor_equal(F, -FPP):
-        raise ConsistencyError("F(x,Py,Pz) != -F(x,y,z)")
-    if not tensor_equal(apply_endo(F, 1, m.P), -apply_endo(F, 2, m.P)):
-        raise ConsistencyError("F(x,Py,z) != -F(x,y,Pz)")
-    return F
+    require(tensor_equal(F, transpose(F, (0, 2, 1))),
+            "F is not symmetric in its last two arguments")
+    require(tensor_equal(F, -F_P["yz"]), "F(x,Py,Pz) != -F(x,y,z)")
+    require(tensor_equal(F_P["y"], -F_P["z"]), "F(x,Py,z) != -F(x,y,Pz)")
+    return F, F_P
 
 
 def _metric_trace(t: TensorDense, metric_inv: TensorDense) -> TensorDense:
@@ -73,63 +93,56 @@ def _metric_trace(t: TensorDense, metric_inv: TensorDense) -> TensorDense:
     return contract(raised, 0, 1)
 
 
-def lee_forms(m: WManifold, F: TensorDense,
-              metric_inv: TensorDense | None = None) -> tuple[TensorDense, TensorDense]:
+def lee_forms(m: WManifold, F: TensorDense, F_P: PSubs) -> tuple[TensorDense, TensorDense]:
     """Lee forms theta(z) = g^{ij} F(e_i,e_j,z), theta*(z) = g^{ij} F(e_i,Pe_j,z)."""
-    ginv = metric_inv if metric_inv is not None else m.g_inv
-    theta = _metric_trace(F, ginv)
-    theta_star = _metric_trace(apply_endo(F, 1, m.P), ginv)
-    if not tensor_equal(theta_star, -apply_endo(theta, 0, m.P)):
-        raise ConsistencyError("theta* != -theta o P")
+    theta = _metric_trace(F, m.g_inv)
+    theta_star = _metric_trace(F_P["y"], m.g_inv)
+    require(tensor_equal(theta_star, -apply_endo(theta, 0, m.P)), "theta* != -theta o P")
     return theta, theta_star
 
 
-def potential_phi(m: WManifold, F: TensorDense, conn: Connection):
+def potential_phi(m: WManifold, F: TensorDense, F_P: PSubs, conn: Connection,
+                  theta: TensorDense, theta_star: TensorDense):
     """Potential of the twin connection, from F.
 
     Phi(x,y,z) = (1/2){F(x,y,Pz) + F(y,x,Pz) - F(Pz,x,y)}, together with
     its vector form and associated 1-forms.  Cross-checked against the
-    independent route Phi = (Levi-Civita of g~) - (Levi-Civita of g).
-    Returns (Phi, Phi_vec, f, f_star, f_sharp).
+    independent route Phi = (Levi-Civita of g~) - (Levi-Civita of g), and
+    its 1-forms against the Lee forms theta, theta* of F.
+    Returns (Phi, Phi_P, Phi_vec, f, f_star, f_sharp), with Phi_P the
+    P-substitutions "y", "z", "yz" and "xy" of Phi.
     """
-    F_last_P = apply_endo(F, 2, m.P)                        # F(x,y,Pz)
-    term1 = F_last_P
-    term2 = transpose(F_last_P, (1, 0, 2))                  # F(y,x,Pz)
-    term3 = transpose(apply_endo(F, 0, m.P), (1, 2, 0))     # F(Pz,x,y) -> slots (x,y,z)
+    term1 = F_P["z"]                                    # F(x,y,Pz)
+    term2 = transpose(F_P["z"], (1, 0, 2))              # F(y,x,Pz)
+    term3 = transpose(F_P["x"], (1, 2, 0))              # F(Pz,x,y) -> slots (x,y,z)
     Phi = (term1 + term2 - term3).scale(Q(1, 2))
+    Phi_P = p_substitutions(Phi, m.P, "y", "z", "yz", "xy")
 
     # reconstruction: F(x,y,z) = Phi(x,y,Pz) + Phi(x,z,Py)
-    rebuilt = apply_endo(Phi, 2, m.P) + transpose(apply_endo(Phi, 2, m.P), (0, 2, 1))
-    if not tensor_equal(rebuilt, F):
-        raise ConsistencyError("F reconstruction from Phi failed")
+    rebuilt = Phi_P["z"] + transpose(Phi_P["z"], (0, 2, 1))
+    require(tensor_equal(rebuilt, F), "F reconstruction from Phi failed")
     # Phi(x,y,z) + Phi(x,z,y) + Phi(x,Py,Pz) + Phi(x,Pz,Py) = 0
-    PhiPP = apply_endo(apply_endo(Phi, 1, m.P), 2, m.P)
+    PhiPP = Phi_P["yz"]
     total = Phi + transpose(Phi, (0, 2, 1)) + PhiPP + transpose(PhiPP, (0, 2, 1))
-    if not total.is_zero():
-        raise ConsistencyError("four-term Phi identity failed")
+    require(total.is_zero(), "four-term Phi identity failed")
 
     # vector form: Phi^k_{ij} = g^{kl} Phi_{ijl}
     Phi_vec = transpose(raise_index(Phi, 2, m.g_inv), (2, 0, 1))
-    if not tensor_equal(Phi_vec, transpose(Phi_vec, (0, 2, 1))):
-        raise ConsistencyError("Phi is not symmetric")
+    require(tensor_equal(Phi_vec, transpose(Phi_vec, (0, 2, 1))), "Phi is not symmetric")
 
     # independent route: Phi = nabla~ - nabla
     conn_twin = koszul(m.algebra, m.g_twin, m.g_twin_inv)
     diff = conn_twin.gamma - conn.gamma                     # [k, i, j]
-    if not tensor_equal(Phi_vec, diff):
-        raise ConsistencyError("Phi from F disagrees with (nabla~ - nabla)")
+    require(tensor_equal(Phi_vec, diff), "Phi from F disagrees with (nabla~ - nabla)")
 
     f = _metric_trace(Phi, m.g_inv)
-    f_star = _metric_trace(apply_endo(Phi, 1, m.P), m.g_inv)
-    if not tensor_equal(f, -apply_endo(f_star, 0, m.P)):
-        raise ConsistencyError("f != -f* o P")
-
-    theta, theta_star = lee_forms(m, F)
-    if not tensor_equal(f, -theta_star) or not tensor_equal(f_star, -theta):
-        raise ConsistencyError("f = -theta*, f* = -theta failed")
+    f_star = _metric_trace(Phi_P["y"], m.g_inv)
+    require(tensor_equal(f, -apply_endo(f_star, 0, m.P)), "f != -f* o P")
+    require(tensor_equal(f, -theta_star) and tensor_equal(f_star, -theta),
+            "f = -theta*, f* = -theta failed")
 
     f_sharp = raise_index(f, 0, m.g_inv)
-    return Phi, Phi_vec, f, f_star, f_sharp
+    return Phi, Phi_P, Phi_vec, f, f_star, f_sharp
 
 
 def _nijenhuis_form(T: TensorDense, P: TensorDense, parity: int) -> TensorDense:
@@ -142,12 +155,13 @@ def _nijenhuis_form(T: TensorDense, P: TensorDense, parity: int) -> TensorDense:
     return rest - swapped if parity > 0 else rest + swapped
 
 
-def nijenhuis(m: WManifold, conn: Connection, Phi: TensorDense):
+def nijenhuis(m: WManifold, conn: Connection, Phi: TensorDense, Phi_P: PSubs):
     """Nijenhuis tensor N and associated tensor N^ of P.
 
     N uses Lie brackets, N^ the symmetric braces {x,y} = nabla_x y +
     nabla_y x of the Levi-Civita connection of g.  Both are cross-checked
-    against their expressions through the potential Phi.
+    against their expressions through the potential Phi and its
+    P-substitutions Phi_P.
     Returns (N_vec, Nhat_vec, N, Nhat).
     """
     braces = conn.gamma + transpose(conn.gamma, (0, 2, 1))     # {X_i, X_j}^k
@@ -160,21 +174,16 @@ def nijenhuis(m: WManifold, conn: Connection, Phi: TensorDense):
     # cross-checks through Phi:
     #   N(x,y,z)  =  2 Phi(z,x,y) + 2 Phi(z,Px,Py)
     #   N^(x,y,z) = -2 Phi(x,y,z) - 2 Phi(Px,Py,z)
-    PhiPP12 = apply_endo(apply_endo(Phi, 1, m.P), 2, m.P)
-    expect_N = (transpose(Phi, (1, 2, 0)) + transpose(PhiPP12, (1, 2, 0))).scale(2)
-    if not tensor_equal(N, expect_N):
-        raise ConsistencyError("N disagrees with its Phi expression")
-    PhiPP01 = apply_endo(apply_endo(Phi, 0, m.P), 1, m.P)
-    expect_Nhat = (Phi + PhiPP01).scale(-2)
-    if not tensor_equal(Nhat, expect_Nhat):
-        raise ConsistencyError("N^ disagrees with its Phi expression")
+    expect_N = (transpose(Phi, (1, 2, 0)) + transpose(Phi_P["yz"], (1, 2, 0))).scale(2)
+    require(tensor_equal(N, expect_N), "N disagrees with its Phi expression")
+    expect_Nhat = (Phi + Phi_P["xy"]).scale(-2)
+    require(tensor_equal(Nhat, expect_Nhat), "N^ disagrees with its Phi expression")
     return N_vec, Nhat_vec, N, Nhat
 
 
-def square_norm(m: WManifold, F: TensorDense,
-                metric_inv: TensorDense | None = None) -> Fraction:
+def square_norm(m: WManifold, F: TensorDense) -> Fraction:
     """||nabla P|| = g^{ij} g^{kl} g^{st} F_{iks} F_{jlt}."""
-    ginv = metric_inv if metric_inv is not None else m.g_inv
+    ginv = m.g_inv
     raised = raise_index(raise_index(raise_index(F, 0, ginv), 1, ginv), 2, ginv)
     total = ZERO
     for v, r in zip(F.data, raised.data):
@@ -185,12 +194,13 @@ def square_norm(m: WManifold, F: TensorDense,
 
 def build_structure_pack(m: WManifold, conn: Connection) -> StructurePack:
     """Compute every structure tensor of (m, conn) with all cross-checks."""
-    F = fundamental_F(m, conn)
-    theta, theta_star = lee_forms(m, F)
-    Phi, Phi_vec, f, f_star, f_sharp = potential_phi(m, F, conn)
-    N_vec, Nhat_vec, N, Nhat = nijenhuis(m, conn, Phi)
+    F, F_P = fundamental_F(m, conn)
+    theta, theta_star = lee_forms(m, F, F_P)
+    Phi, Phi_P, Phi_vec, f, f_star, f_sharp = potential_phi(m, F, F_P, conn,
+                                                             theta, theta_star)
+    N_vec, Nhat_vec, N, Nhat = nijenhuis(m, conn, Phi, Phi_P)
     snorm = square_norm(m, F)
-    return StructurePack(F=F, Phi=Phi, Phi_vec=Phi_vec,
+    return StructurePack(F=F, F_P=F_P, Phi=Phi, Phi_P=Phi_P, Phi_vec=Phi_vec,
                          theta=theta, theta_star=theta_star,
                          f=f, f_star=f_star, f_sharp=f_sharp,
                          N_vec=N_vec, Nhat_vec=Nhat_vec, N=N, Nhat=Nhat,

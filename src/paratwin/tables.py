@@ -13,10 +13,13 @@ basis labels X1..X4.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import ConsistencyError
-from .family import FamilyParams
 from .scalar import ZERO, Q
+
+if TYPE_CHECKING:
+    from .family import FamilyParams
 
 Vec = tuple[Fraction, Fraction, Fraction, Fraction]
 

@@ -5,19 +5,18 @@ connections.  This module builds every tilde-side object twice (directly
 and through the identities relating it to the untilde side), the average
 connection D, the curvature correction Q, its quadratic part B, the
 average curvature A and the curvature K of D, and runs the full
-invariance / anti-invariance verification suite.
+invariance / anti-invariance verification suite.  Each quantity is
+computed once per route and reused by every comparison that needs it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
-from .classify import ClassLabel, classify_f, classify_phi
-from .connection import (Connection, covariant_derivative, curvature_operator,
-                         koszul)
+from .classify import ClassificationResult, ClassLabel, classify, classify_phi
+from .connection import Connection, covariant_derivative, curvature_operator, koszul
 from .curvature import CurvaturePack, riemann_metric, riemann_twin
-from .errors import ConsistencyError, ValidationError
+from .errors import ValidationError, recording, require
 from .manifold import CheckItem, ValidationReport, WManifold
 from .scalar import ZERO, Q
 from .structure import StructurePack, build_structure_pack
@@ -34,10 +33,14 @@ class TwinPack:
     curv: CurvaturePack
     curv_twin: CurvaturePack
     D: Connection
-    Q_vec: TensorDense          # (1,3)
+    curl: TensorDense           # (1,3), (nabla_x Phi)(y,z) - (nabla_y Phi)(x,z)
+    Q_vec: TensorDense          # (1,3), curl + B
     B_vec: TensorDense          # (1,3)
     A_vec: TensorDense          # (1,3)
-    K_vec: TensorDense          # (1,3)
+    K_vec: TensorDense          # (1,3), curvature of D
+    cls: ClassificationResult   # classify(m, sp)
+    classes_twin: frozenset[ClassLabel]   # classify_phi labels of the twin side
+    checks: tuple[str, ...]     # every route cross-check run while building, in order
 
 
 def twin_connection(m: WManifold, conn: Connection, Phi_vec: TensorDense) -> Connection:
@@ -46,48 +49,9 @@ def twin_connection(m: WManifold, conn: Connection, Phi_vec: TensorDense) -> Con
         raise ValidationError("potential is not symmetric")
     candidate = Connection(m.dim, conn.gamma + Phi_vec)
     independent = koszul(m.algebra, m.g_twin, m.g_twin_inv)
-    if not tensor_equal(candidate.gamma, independent.gamma):
-        raise ConsistencyError("nabla + Phi disagrees with the Koszul connection of g~")
+    require(tensor_equal(candidate.gamma, independent.gamma),
+            "nabla + Phi disagrees with the Koszul connection of g~")
     return candidate
-
-
-def twin_F(m: WManifold, F: TensorDense, conn_twin: Connection) -> TensorDense:
-    """F~ from the interchange formula
-
-        F~(x,y,z) = (1/2){F(Py,z,x) - F(y,Pz,x) + F(Pz,y,x) - F(z,Py,x)},
-
-    cross-checked against the definition F~(x,y,z) = g~((nabla~_x P)y, z).
-    """
-    FP1 = apply_endo(F, 0, m.P)         # F(P., ., .)
-    FP2 = apply_endo(F, 1, m.P)         # F(., P., .)
-    # slot order of each summand brought to (x, y, z)
-    t1 = transpose(FP1, (2, 0, 1))      # F(Py,z,x)
-    t2 = transpose(FP2, (2, 0, 1))      # F(y,Pz,x)
-    t3 = transpose(FP1, (2, 1, 0))      # F(Pz,y,x)
-    t4 = transpose(FP2, (2, 1, 0))      # F(z,Py,x)
-    Ftw = (t1 - t2 + t3 - t4).scale(Q(1, 2))
-
-    from .structure import fundamental_F
-    direct = fundamental_F(m.twin_view(), conn_twin)
-    if not tensor_equal(Ftw, direct):
-        raise ConsistencyError("F~ interchange formula disagrees with its definition")
-    return Ftw
-
-
-def twin_phi(m: WManifold, Phi: TensorDense, Phi_vec: TensorDense) -> tuple[TensorDense, TensorDense]:
-    """Phi~ from Phi~(x,y,z) = -Phi(x,y,Pz); vector form must be -Phi_vec.
-
-    The (0,3) form is the g~-lowering of the vector form, matching the
-    definition Phi~(x,y,z) = g~(Phi~(x,y), z).
-    """
-    Phi_tilde = -apply_endo(Phi, 2, m.P)
-    vec = -Phi_vec
-    # g~(vec(x,y), z) must reproduce Phi_tilde
-    from .tensor import lower_index
-    lowered = transpose(lower_index(vec, 0, m.g_twin), (1, 2, 0))
-    if not tensor_equal(lowered, Phi_tilde):
-        raise ConsistencyError("Phi~ lowering is inconsistent")
-    return Phi_tilde, vec
 
 
 def average_connection(conn: Connection, conn_twin: Connection) -> Connection:
@@ -124,11 +88,16 @@ def tensor_B(Phi_vec: TensorDense) -> TensorDense:
     return C - transpose(C, (0, 2, 1, 3))
 
 
-def tensor_Q(conn: Connection, Phi_vec: TensorDense) -> TensorDense:
-    """Q(x,y)z = (nabla_x Phi)(y,z) - (nabla_y Phi)(x,z) + B(x,y)z."""
+def tensor_Q(conn: Connection, Phi_vec: TensorDense):
+    """Q(x,y)z = (nabla_x Phi)(y,z) - (nabla_y Phi)(x,z) + B(x,y)z.
+
+    Returns (curl, B, Q), with curl the antisymmetrised gradient of Phi.
+    """
     dPhi = covariant_derivative(conn, Phi_vec)     # [k, y, z, x]
     grad = transpose(dPhi, (0, 3, 1, 2))           # [k, x, y, z]
-    return grad - transpose(grad, (0, 2, 1, 3)) + tensor_B(Phi_vec)
+    curl = grad - transpose(grad, (0, 2, 1, 3))
+    B = tensor_B(Phi_vec)
+    return curl, B, curl + B
 
 
 def tensor_A(R_vec: TensorDense, Q_vec: TensorDense) -> TensorDense:
@@ -136,54 +105,52 @@ def tensor_A(R_vec: TensorDense, Q_vec: TensorDense) -> TensorDense:
     return R_vec + Q_vec.scale(Q(1, 2))
 
 
-def tensor_K(conn_D: Connection, alg, R_vec: TensorDense, Q_vec: TensorDense,
-             B_vec: TensorDense) -> TensorDense:
-    """Curvature of the average connection D, computed two ways.
+def tensor_K(K_vec: TensorDense, R_vec: TensorDense, Q_vec: TensorDense,
+             A_vec: TensorDense, B_vec: TensorDense) -> TensorDense:
+    """Check K, the curvature of an average connection, against its formulas.
 
-    Route (a): curvature of D directly; route (b): R + Q/2 - B/4.  The two
-    must agree exactly, and K must equal A - B/4.
+    Route (a) is the curvature of D itself, K_vec; route (b) is R + Q/2 -
+    B/4.  The two must agree exactly, and K must equal A - B/4.
     """
-    direct = curvature_operator(conn_D, alg)
-    formula = R_vec + Q_vec.scale(Q(1, 2)) - B_vec.scale(Q(1, 4))
-    if not tensor_equal(direct, formula):
-        raise ConsistencyError("curvature of D disagrees with R + Q/2 - B/4")
-    if not tensor_equal(direct, tensor_A(R_vec, Q_vec) - B_vec.scale(Q(1, 4))):
-        raise ConsistencyError("K != A - B/4")
-    return direct
+    quarter_B = B_vec.scale(Q(1, 4))
+    require(tensor_equal(K_vec, R_vec + Q_vec.scale(Q(1, 2)) - quarter_B),
+            "curvature of D disagrees with R + Q/2 - B/4")
+    require(tensor_equal(K_vec, A_vec - quarter_B), "K != A - B/4")
+    return K_vec
 
 
 def build_twin_pack(m: WManifold) -> TwinPack:
     """Compute both sides of the twin interchange with all route checks."""
-    conn = koszul(m.algebra, m.g, m.g_inv)
-    sp = build_structure_pack(m, conn)
-    conn_twin = twin_connection(m, conn, sp.Phi_vec)
-    sp_twin = build_structure_pack(m.twin_view(), conn_twin)
+    with recording() as checks:
+        conn = koszul(m.algebra, m.g, m.g_inv)
+        sp = build_structure_pack(m, conn)
+        conn_twin = twin_connection(m, conn, sp.Phi_vec)
+        mt = m.twin_view()
+        sp_twin = build_structure_pack(mt, conn_twin)
 
-    curv = riemann_metric(m, conn)
-    curv_twin = riemann_twin(m, conn_twin)
+        curv = riemann_metric(m, conn)
+        curv_twin = riemann_twin(m, conn_twin)
 
-    D = average_connection(conn, conn_twin)
-    # rebuilding D from the tilde side must give the same coefficients
-    D_tilde = Connection(m.dim, conn_twin.gamma + sp_twin.Phi_vec.scale(Q(1, 2)))
-    if not tensor_equal(D.gamma, D_tilde.gamma):
-        raise ConsistencyError("average connection is not twin-invariant")
+        D = average_connection(conn, conn_twin)
+        # rebuilding D from the tilde side must give the same coefficients
+        D_tilde = Connection(m.dim, conn_twin.gamma + sp_twin.Phi_vec.scale(Q(1, 2)))
+        require(tensor_equal(D.gamma, D_tilde.gamma), "average connection is not twin-invariant")
 
-    Q_vec = tensor_Q(conn, sp.Phi_vec)
-    if not tensor_equal(curv_twin.R_vec, curv.R_vec + Q_vec):
-        raise ConsistencyError("R~ != R + Q")
-    B_vec = tensor_B(sp.Phi_vec)
-    A_vec = tensor_A(curv.R_vec, Q_vec)
-    if not tensor_equal(A_vec, (curv.R_vec + curv_twin.R_vec).scale(Q(1, 2))):
-        raise ConsistencyError("A != (R + R~)/2")
-    K_vec = tensor_K(D, m.algebra, curv.R_vec, Q_vec, B_vec)
+        curl, B_vec, Q_vec = tensor_Q(conn, sp.Phi_vec)
+        require(tensor_equal(curv_twin.R_vec, curv.R_vec + Q_vec), "R~ != R + Q")
+        A_vec = tensor_A(curv.R_vec, Q_vec)
+        require(tensor_equal(A_vec, (curv.R_vec + curv_twin.R_vec).scale(Q(1, 2))),
+                "A != (R + R~)/2")
+        K_vec = tensor_K(curvature_operator(D, m.algebra), curv.R_vec, Q_vec, A_vec, B_vec)
+        cls = classify(m, sp)
+        classes_twin = frozenset(classify_phi(mt, sp_twin))
     return TwinPack(conn=conn, conn_twin=conn_twin, sp=sp, sp_twin=sp_twin,
-                    curv=curv, curv_twin=curv_twin, D=D,
-                    Q_vec=Q_vec, B_vec=B_vec, A_vec=A_vec, K_vec=K_vec)
+                    curv=curv, curv_twin=curv_twin, D=D, curl=curl,
+                    Q_vec=Q_vec, B_vec=B_vec, A_vec=A_vec, K_vec=K_vec,
+                    cls=cls, classes_twin=classes_twin, checks=tuple(checks))
 
 
-def w1_closed_forms(m: WManifold, conn: Connection, sp: StructurePack,
-                    expect_Q: TensorDense | None = None,
-                    expect_B: TensorDense | None = None):
+def w1_closed_forms(m: WManifold, tp: TwinPack):
     """Closed-form Q and B of a W1-manifold through S, S* and H.
 
         Hx  = f(x) f# - f(Px) Pf#
@@ -200,14 +167,13 @@ def w1_closed_forms(m: WManifold, conn: Connection, sp: StructurePack,
     where the F term comes from nabla g~ (g~ is not parallel for nabla;
     (nabla_x g~)(y,z) = F(x,z,y)).
 
-    Returns (S, S_star, H, Q_rebuilt, B_rebuilt); both rebuilt tensors must
-    equal the direct tensor_Q / tensor_B outputs exactly.  Precomputed
-    direct tensors may be passed to skip recomputing them.
+    tp is the twin pack of m.  Returns (S, S_star, H, Q_rebuilt,
+    B_rebuilt); both rebuilt tensors must equal the pack's Q and B exactly.
     """
-    if ClassLabel.W1 not in classify_phi(m, sp):
+    if ClassLabel.W1 not in tp.cls.satisfied:
         raise ValidationError("closed forms apply only to W1-manifolds")
+    conn, sp = tp.conn, tp.sp
     n = m.dim
-    n2 = Q(n)                   # 2n
     fs = list(sp.f_sharp.data)
     Pfs = m.apply_P(fs)
     fP = apply_endo(sp.f, 0, m.P)      # f(Px)
@@ -215,6 +181,7 @@ def w1_closed_forms(m: WManifold, conn: Connection, sp: StructurePack,
     def endo(columns) -> TensorDense:
         return TensorDense.from_function(n, (UP, DOWN), lambda k, x: columns[x][k])
 
+    n2 = Q(n)                   # 2n
     H = endo([[sp.f[x] * fs[k] - fP[x] * Pfs[k] for k in range(n)] for x in range(n)])
     Hm = H.matrix()
     HP = [[sum(Hm[k][a] * m.P[a, x] for a in range(n)) for x in range(n)] for k in range(n)]
@@ -223,34 +190,59 @@ def w1_closed_forms(m: WManifold, conn: Connection, sp: StructurePack,
     S_star = endo([[d + HP[k][x] / n2
                     for k, d in enumerate(conn.derive_vector(x, Pfs))] for x in range(n)])
 
-    gm = m.g.matrix()
-    tm = m.g_twin.matrix()
-    Sm, Ssm = S.matrix(), S_star.matrix()
-    F = sp.F
+    Q_rebuilt, B_rebuilt = _w1_assemble(m.g.matrix(), m.g_twin.matrix(), S.matrix(),
+                                        S_star.matrix(), Hm, HP, sp.F, Pfs)
+    require(tensor_equal(Q_rebuilt, tp.Q_vec), "W1 closed-form Q disagrees with the direct Q")
+    require(tensor_equal(B_rebuilt, tp.B_vec), "W1 closed-form B disagrees with the direct B")
+    return S, S_star, H, Q_rebuilt, B_rebuilt
 
-    shape = TensorDense.zeros(n, (UP, DOWN, DOWN, DOWN))
+
+def _w1_assemble(gm, tm, Sm, Ssm, Hm, HP, F: TensorDense,
+                 Pfs) -> tuple[TensorDense, TensorDense]:
+    """The closed-form Q and B of w1_closed_forms from the matrices of g,
+    g~ and of the endomorphisms S, S*, H, HP (indexed [k][x]), F and Pf#.
+
+    Only nonzero entries are visited: a product form[a][c] E[k][e] enters
+    [k,e,a,c] through form(y,z) E(x)^k and, negated, [k,a,e,c] through
+    -form(x,z) E(y)^k.
+    """
+    n = len(gm)
+    n2, n3 = n * n, n ** 3
     q_out = [ZERO] * n ** 4
     b_out = [ZERO] * n ** 4
-    for k, x, y, z in product(range(n), repeat=4):
-        q = (gm[y][z] * Sm[k][x] - gm[x][z] * Sm[k][y]
-             - tm[y][z] * Ssm[k][x] + tm[x][z] * Ssm[k][y]
-             - (F[x, z, y] - F[y, z, x]) * Pfs[k]) / n2
-        b = (gm[y][z] * Hm[k][x] - gm[x][z] * Hm[k][y]
-             - tm[y][z] * HP[k][x] + tm[x][z] * HP[k][y]) / (n2 * n2)
-        if q:
-            q_out[shape.flat((k, x, y, z))] = q
-        if b:
-            b_out[shape.flat((k, x, y, z))] = b
-    Q_rebuilt = TensorDense(n, (UP, DOWN, DOWN, DOWN), q_out)
-    B_rebuilt = TensorDense(n, (UP, DOWN, DOWN, DOWN), b_out)
 
-    direct_Q = expect_Q if expect_Q is not None else tensor_Q(conn, sp.Phi_vec)
-    direct_B = expect_B if expect_B is not None else tensor_B(sp.Phi_vec)
-    if not tensor_equal(Q_rebuilt, direct_Q):
-        raise ConsistencyError("W1 closed-form Q disagrees with the direct Q")
-    if not tensor_equal(B_rebuilt, direct_B):
-        raise ConsistencyError("W1 closed-form B disagrees with the direct B")
-    return S, S_star, H, Q_rebuilt, B_rebuilt
+    def add(out, pos, x):
+        o = out[pos]
+        out[pos] = x if o is ZERO else o + x or ZERO
+
+    d = Q(n)                    # 2n
+    # the factors 1/2n and 1/4n^2 and the signs enter through the endomorphisms
+    for out, form, E, s in ((q_out, gm, Sm, 1 / d), (q_out, tm, Ssm, -1 / d),
+                            (b_out, gm, Hm, 1 / (d * d)), (b_out, tm, HP, -1 / (d * d))):
+        entries = [(a, c, v) for a in range(n) for c in range(n) if (v := form[a][c])]
+        for k in range(n):
+            for e in range(n):
+                w = E[k][e]
+                if not w:
+                    continue
+                w *= s
+                for a, c, v in entries:
+                    x = w * v
+                    add(out, k * n3 + e * n2 + a * n + c, x)
+                    add(out, k * n3 + a * n2 + e * n + c, -x)
+    # F[a,b,c] Pf#^k enters [k,a,c,b] through -F(x,z,y) and [k,c,a,b] through +F(y,z,x)
+    Pf = [(k, v / d) for k, v in enumerate(Pfs) if v]
+    for p, w in enumerate(F.data):
+        if not w:
+            continue
+        a, bc = divmod(p, n2)
+        b, c = divmod(bc, n)
+        for k, v in Pf:
+            x = w * v
+            add(q_out, k * n3 + a * n2 + c * n + b, -x)
+            add(q_out, k * n3 + c * n2 + a * n + b, x)
+    variance = (UP, DOWN, DOWN, DOWN)
+    return TensorDense(n, variance, q_out), TensorDense(n, variance, b_out)
 
 
 def invariance_suite(m: WManifold, pack: TwinPack | None = None) -> ValidationReport:
@@ -263,17 +255,18 @@ def invariance_suite(m: WManifold, pack: TwinPack | None = None) -> ValidationRe
     tp = pack if pack is not None else build_twin_pack(m)
     mt = m.twin_view()
     # tilde-side tensors built from the twin manifold's own data
-    tpt_Q = tensor_Q(tp.conn_twin, tp.sp_twin.Phi_vec)
-    tpt_B = tensor_B(tp.sp_twin.Phi_vec)
-    tpt_A = tensor_A(tp.curv_twin.R_vec, tpt_Q)
+    curl_t, B_t, Q_t = tensor_Q(tp.conn_twin, tp.sp_twin.Phi_vec)
+    A_t = tensor_A(tp.curv_twin.R_vec, Q_t)
     D_tilde = average_connection(tp.conn_twin,
                                  twin_connection(mt, tp.conn_twin, tp.sp_twin.Phi_vec))
-    K_tilde = tensor_K(D_tilde, m.algebra, tp.curv_twin.R_vec, tpt_Q, tpt_B)
+    # D~ is nabla~ + Phi~/2, which build_twin_pack requires to equal D, so
+    # its curvature is K; tensor_K checks it against the tilde-side formulas
+    K_t = tensor_K(tp.K_vec, tp.curv_twin.R_vec, Q_t, A_t, B_t)
 
     checks: list[CheckItem] = []
 
-    def check(name: str, ok: bool, detail: str = ""):
-        checks.append(CheckItem(name, ok, detail if not ok else ""))
+    def check(name: str, ok: bool):
+        checks.append(CheckItem(name, ok))
 
     check("Phi~ = -Phi (vector-valued)",
           tensor_equal(tp.sp_twin.Phi_vec, -tp.sp.Phi_vec))
@@ -282,16 +275,8 @@ def invariance_suite(m: WManifold, pack: TwinPack | None = None) -> ValidationRe
     check("theta~ = theta", tensor_equal(tp.sp_twin.theta, tp.sp.theta))
     check("theta*~ = theta*", tensor_equal(tp.sp_twin.theta_star, tp.sp.theta_star))
 
-    try:
-        same_classes = classify_phi(mt, tp.sp_twin) == classify_phi(m, tp.sp)
-    except ConsistencyError:
-        same_classes = False
-    check("class set invariant", same_classes)
-    try:
-        check("classify_f = classify_phi",
-              classify_f(m, tp.sp) == classify_phi(m, tp.sp))
-    except ConsistencyError as exc:
-        check("classify_f = classify_phi", False, str(exc))
+    check("class set invariant", tp.classes_twin == tp.cls.satisfied)
+    check("classify_f = classify_phi", tp.cls.agreement)
 
     check("D~ = D", tensor_equal(D_tilde.gamma, tp.D.gamma))
     check("N~ = N (vector-valued)", tensor_equal(tp.sp_twin.N_vec, tp.sp.N_vec))
@@ -301,25 +286,21 @@ def invariance_suite(m: WManifold, pack: TwinPack | None = None) -> ValidationRe
     check("N^~(x,y,z) = -N^(x,y,Pz)",
           tensor_equal(tp.sp_twin.Nhat, -apply_endo(tp.sp.Nhat, 2, m.P)))
 
-    check("Q~ = -Q", tensor_equal(tpt_Q, -tp.Q_vec))
-    check("B~ = B", tensor_equal(tpt_B, tp.B_vec))
-    check("A~ = A", tensor_equal(tpt_A, tp.A_vec))
-    check("K~ = K", tensor_equal(K_tilde, tp.K_vec))
+    check("Q~ = -Q", tensor_equal(Q_t, -tp.Q_vec))
+    check("B~ = B", tensor_equal(B_t, tp.B_vec))
+    check("A~ = A", tensor_equal(A_t, tp.A_vec))
+    check("K~ = K", tensor_equal(K_t, tp.K_vec))
     check("K = A - B/4",
           tensor_equal(tp.K_vec, tp.A_vec - tp.B_vec.scale(Q(1, 4))))
     check("R~ = R + Q", tensor_equal(tp.curv_twin.R_vec, tp.curv.R_vec + tp.Q_vec))
 
     # antisymmetrized covariant derivative relation with the -2B term
-    dPhi = transpose(covariant_derivative(tp.conn, tp.sp.Phi_vec), (0, 3, 1, 2))
-    dPhi_t = transpose(covariant_derivative(tp.conn_twin, tp.sp_twin.Phi_vec), (0, 3, 1, 2))
-    lhs = dPhi_t - transpose(dPhi_t, (0, 2, 1, 3))
-    rhs = -(dPhi - transpose(dPhi, (0, 2, 1, 3))) - tp.B_vec.scale(2)
     check("(nabla~ Phi~) antisymmetrized = -(nabla Phi) antisymmetrized - 2B",
-          tensor_equal(lhs, rhs))
+          tensor_equal(curl_t, -tp.curl - tp.B_vec.scale(2)))
 
     for alpha, beta in ((Q(2), Q(-3)), (Q(1, 2), Q(5, 7))):
         combo = tp.A_vec.scale(alpha) + tp.K_vec.scale(beta)
-        combo_t = tpt_A.scale(alpha) + K_tilde.scale(beta)
+        combo_t = A_t.scale(alpha) + K_t.scale(beta)
         check(f"{alpha}A + {beta}K invariant", tensor_equal(combo, combo_t))
 
     return ValidationReport(tuple(checks))

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from paratwin import cli
+from paratwin import cli, manifold
 from paratwin.family import FamilyParams, build_family
 from paratwin.manifold import abelian_manifold, build_manifold, direct_sum
 from paratwin.scalar import Q
@@ -54,6 +54,31 @@ def test_validate_broken_jacobi(tmp_path):
     assert code == cli.EXIT_INVALID
     assert "jacobi" in out
     assert "X_" in out                            # the violating triple is named
+
+
+def test_validate_checks_the_lie_algebra_once(tmp_path, monkeypatch):
+    calls = []
+    original = manifold.validate_lie_algebra
+
+    def counting(alg):
+        calls.append(alg)
+        return original(alg)
+
+    monkeypatch.setattr(manifold, "validate_lie_algebra", counting)
+    monkeypatch.setattr(cli, "validate_lie_algebra", counting)
+    doc = json.loads(FIXTURE.read_text())
+    doc["brackets"][0]["coeffs"]["1"] = "7"       # break the Jacobi identity
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(doc))
+    doc = json.loads(FIXTURE.read_text())
+    doc["P"][0] = ["1", "0", "0", "0"]            # P^2 != id, after a valid algebra
+    bad_p = tmp_path / "bad_p.json"
+    bad_p.write_text(json.dumps(doc))
+    for path, code in ((FIXTURE, cli.EXIT_OK), (broken, cli.EXIT_INVALID),
+                       (bad_p, cli.EXIT_INVALID)):
+        calls.clear()
+        assert run(["validate", str(path)])[0] == code
+        assert len(calls) == 1
 
 
 def test_validate_empty_file(tmp_path):

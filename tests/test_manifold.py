@@ -164,3 +164,15 @@ def test_validation_items_match_reference(c, antisymmetrize):
     report = validate_lie_algebra(alg)
     assert [(it.name, it.passed, it.detail) for it in report.checks] == \
         reference_validation(alg)
+
+
+def test_validation_items_match_reference_in_dim_6():
+    """Every Jacobi triple of a dense antisymmetric dim-6 algebra fails, in
+    the reference's order and with its values, through the i < j < l path."""
+    n = 6
+    vals = [Q((7 * p) % 11 - 5, 1 + p % 3) for p in range(n ** 3)]
+    c = _antisymmetrized(TensorDense(n, V3, vals))
+    alg = LieAlgebraModel(n, tuple(f"X{i + 1}" for i in range(n)), c)
+    items = [(it.name, it.passed, it.detail) for it in validate_lie_algebra(alg).checks]
+    assert items == reference_validation(alg)
+    assert len(items) > n ** 3

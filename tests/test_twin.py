@@ -1,11 +1,52 @@
 """Twin interchange: tilde objects, D, Q, B, A, K, and the invariance suite."""
 
+from itertools import product
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from paratwin.cli import build_report
 from paratwin.connection import koszul
-from paratwin.family import FamilyParams, family_pack
-from paratwin.scalar import Q
-from paratwin.tensor import tensor_equal
-from paratwin.twin import (build_twin_pack, invariance_suite, tensor_B,
+from paratwin.errors import recording
+from paratwin.family import FamilyParams, build_family, family_pack
+from paratwin.manifold import (LieAlgebraModel, build_manifold, change_basis_bilinear,
+                               change_basis_endo)
+from paratwin.scalar import Q, ZERO
+from paratwin.tensor import DOWN, UP, TensorDense, matrix_inverse, tensor_equal
+from paratwin.twin import (_w1_assemble, build_twin_pack, invariance_suite, tensor_B,
                            tensor_Q, w1_closed_forms)
+
+from strategies import V4, dense_tensors, rationals
+
+#: every route cross-check that one report runs; taken from the version
+#: before require() existed, by recording each guarded ConsistencyError
+#: site as its comparison ran during build_report
+REPORT_CHECKS = frozenset({
+    "A != (R + R~)/2",
+    "F is not symmetric in its last two arguments",
+    "F reconstruction from Phi failed",
+    "F(x,Py,Pz) != -F(x,y,z)",
+    "F(x,Py,z) != -F(x,y,Pz)",
+    "F-based and Phi-based classifications disagree",
+    "K != A - B/4",
+    "Koszul output has torsion",
+    "Koszul output is not metric-compatible",
+    "N disagrees with its Phi expression",
+    "N^ disagrees with its Phi expression",
+    "Phi from F disagrees with (nabla~ - nabla)",
+    "Phi is not symmetric",
+    "R~ != R + Q",
+    "average connection is not twin-invariant",
+    "curvature of D disagrees with R + Q/2 - B/4",
+    "curvature tensor is not antisymmetric in (x, y)",
+    "curvature tensor is not antisymmetric in (z, w)",
+    "f != -f* o P",
+    "f = -theta*, f* = -theta failed",
+    "first Bianchi identity fails",
+    "four-term Phi identity failed",
+    "nabla + Phi disagrees with the Koszul connection of g~",
+    "theta* != -theta o P",
+})
 
 
 def test_twin_connection_is_koszul_of_twin_metric(family121):
@@ -53,7 +94,7 @@ def test_suite_accepts_prebuilt_pack(family121):
 
 def test_w1_closed_forms(family121):
     m, tp = family121
-    S, S_star, H, Q_rebuilt, B_rebuilt = w1_closed_forms(m, tp.conn, tp.sp)
+    S, S_star, H, Q_rebuilt, B_rebuilt = w1_closed_forms(m, tp)
     assert H.is_zero()
     assert tensor_equal(Q_rebuilt, tp.Q_vec)
     assert tensor_equal(B_rebuilt, tp.B_vec)
@@ -66,7 +107,7 @@ def test_w1_closed_forms(family121):
 
 def test_direct_Q_and_B_on_twin_side(family121):
     m, tp = family121
-    tQ = tensor_Q(tp.conn_twin, tp.sp_twin.Phi_vec)
+    _, _, tQ = tensor_Q(tp.conn_twin, tp.sp_twin.Phi_vec)
     tB = tensor_B(tp.sp_twin.Phi_vec)
     assert tensor_equal(tQ, -tp.Q_vec)
     assert tensor_equal(tB, tp.B_vec)
@@ -79,3 +120,100 @@ def test_pack_of_twin_view(family121):
     assert tensor_equal(tp2.curv.R_vec, tp.curv_twin.R_vec)
     assert tensor_equal(tp2.Q_vec, -tp.Q_vec)
     assert tensor_equal(tp2.D.gamma, tp.D.gamma)
+
+
+def test_report_runs_every_route_check(family121, dsum8):
+    for m, tp in (family121, (dsum8[0], None)):
+        with recording() as ran:
+            build_report(m)
+        assert set(ran) == REPORT_CHECKS
+        pack = tp if tp is not None else build_twin_pack(m)
+        assert set(pack.checks) == REPORT_CHECKS
+
+
+def reference_w1_qb(gm, tm, Sm, Ssm, Hm, HP, F, Pfs):
+    """The closed-form Q and B of w1_closed_forms, evaluated at every index."""
+    n = len(gm)
+    n2 = Q(n)
+    q_out, b_out = [], []
+    for k, x, y, z in product(range(n), repeat=4):
+        q_out.append((gm[y][z] * Sm[k][x] - gm[x][z] * Sm[k][y]
+                      - tm[y][z] * Ssm[k][x] + tm[x][z] * Ssm[k][y]
+                      - (F[x, z, y] - F[y, z, x]) * Pfs[k]) / n2)
+        b_out.append((gm[y][z] * Hm[k][x] - gm[x][z] * Hm[k][y]
+                      - tm[y][z] * HP[k][x] + tm[x][z] * HP[k][y]) / (n2 * n2))
+    return TensorDense(n, V4, q_out), TensorDense(n, V4, b_out)
+
+
+def reference_w1_closed_forms(m, conn, sp):
+    """(S, S*, H, Q, B) of w1_closed_forms from plain per-index loops."""
+    n = m.dim
+    n2 = Q(n)
+    Pm = m.P.matrix()
+    fs = list(sp.f_sharp.data)
+    f = list(sp.f.data)
+    Pfs = [sum(Pm[k][a] * fs[a] for a in range(n)) for k in range(n)]
+    fP = [sum(f[a] * Pm[a][x] for a in range(n)) for x in range(n)]
+    Hm = [[f[x] * fs[k] - fP[x] * Pfs[k] for x in range(n)] for k in range(n)]
+    HP = [[sum(Hm[k][a] * Pm[a][x] for a in range(n)) for x in range(n)] for k in range(n)]
+
+    def nabla(x, y):                    # nabla_{X_x} y for a constant vector y
+        return [sum(conn.gamma[k, x, j] * y[j] for j in range(n)) for k in range(n)]
+
+    Sm = [[nabla(x, fs)[k] + Hm[k][x] / n2 for x in range(n)] for k in range(n)]
+    Ssm = [[nabla(x, Pfs)[k] + HP[k][x] / n2 for x in range(n)] for k in range(n)]
+    Q_ref, B_ref = reference_w1_qb(m.g.matrix(), m.g_twin.matrix(), Sm, Ssm, Hm, HP,
+                                   sp.F, Pfs)
+    as_endo = lambda rows: TensorDense.from_matrix(rows, (UP, DOWN))   # noqa: E731
+    return as_endo(Sm), as_endo(Ssm), as_endo(Hm), Q_ref, B_ref
+
+
+def pulled_back(m, basis):
+    """m in the basis e'_i = sum_a basis[a][i] e_a."""
+    n = m.dim
+    M = basis.matrix()
+    Minv = matrix_inverse(M)
+    c = m.algebra.c
+    alg = LieAlgebraModel(n, m.algebra.basis_labels, TensorDense.from_function(
+        n, (UP, DOWN, DOWN),
+        lambda k, i, j: sum(Minv[k][s] * c[s, a, b] * M[a][i] * M[b][j]
+                            for s, a, b in product(range(n), repeat=3))))
+    return build_manifold(alg, change_basis_endo(m.P, basis),
+                          change_basis_bilinear(m.g, basis))
+
+
+DENSE_BASIS = TensorDense.from_matrix([[1, 2, -1, Q(1, 2)],
+                                       [Q(-1, 3), 1, 3, 1],
+                                       [2, -1, 1, 1],
+                                       [1, 1, Q(2, 5), -2]], (UP, DOWN))
+
+
+def test_w1_closed_forms_in_a_dense_basis():
+    for params in ((1, 2, 1), (-3, Q(1, 2), -1)):
+        m = pulled_back(build_family(FamilyParams(*map(Q, params))), DENSE_BASIS)
+        assert all(m.g.data) and all(m.P.data)
+        tp = build_twin_pack(m)
+        got = w1_closed_forms(m, tp)
+        want = reference_w1_closed_forms(m, tp.conn, tp.sp)
+        for a, b in zip(got, want):
+            assert tensor_equal(a, b)
+        assert sum(1 for v in got[3].data if v) > 128       # Q is mostly nonzero here
+
+
+@st.composite
+def w1_inputs(draw):
+    """Dense rational inputs of the closed-form assembly, H included."""
+    n = draw(st.sampled_from((2, 4)))
+    matrix = st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=n, max_size=n)
+    mats = [draw(matrix) for _ in range(6)]
+    F = draw(dense_tensors(n, (DOWN, DOWN, DOWN)))
+    Pfs = draw(st.lists(rationals, min_size=n, max_size=n))
+    return (*mats, F, Pfs)
+
+
+@given(w1_inputs())
+@settings(max_examples=40, deadline=None)
+def test_w1_assembly_matches_reference(inputs):
+    for got, want in zip(_w1_assemble(*inputs), reference_w1_qb(*inputs)):
+        assert got.data == want.data
+        assert all(v is ZERO for v in got.data if not v)
