@@ -68,6 +68,8 @@ def document_of(m: WManifold) -> dict:
 
 
 def _rational_field(value, where: str):
+    if isinstance(value, bool):
+        raise DocumentError(f"{where}: expected a rational string, got {value!r}")
     try:
         return rational(value)
     except (ValueError, TypeError) as exc:
@@ -258,17 +260,25 @@ def cmd_report(args, out, err) -> int:
 
 
 def _parse_grid(spec: str):
+    """Distinct rational grid values from "V1,V2,..."; an empty spec or a
+    repeated value is a parse error, since it would run or count a grid
+    point twice."""
+    if not spec.strip():
+        raise DocumentError("--grid: empty grid")
     try:
         values = tuple(rational(v) for v in spec.split(","))
     except ValueError as exc:
         raise DocumentError(f"--grid: {exc}") from exc
-    if not values:
-        raise DocumentError("empty grid")
+    seen = set()
+    for v in values:
+        if v in seen:
+            raise DocumentError(f"--grid: value {format_rational(v)} is repeated")
+        seen.add(v)
     return values
 
 
 def cmd_theorem(args, out, err) -> int:
-    values = _parse_grid(args.grid) if args.grid else DEFAULT_GRID
+    values = DEFAULT_GRID if args.grid is None else _parse_grid(args.grid)
     points = list(grid_points(values))
     if args.self_test:
         report = grid_verification(points[:2], perturb_curvature=True)
@@ -324,8 +334,12 @@ def _attach_grid_values(argv: list[str]) -> list[str]:
     return out
 
 
-def main(argv=None, out=sys.stdout, err=sys.stderr) -> int:
+def main(argv=None, out=None, err=None) -> int:
+    """Run one command; out and err default to the current sys.stdout and
+    sys.stderr, read at call time."""
     argv = sys.argv[1:] if argv is None else list(argv)
+    out = sys.stdout if out is None else out
+    err = sys.stderr if err is None else err
     args = make_parser().parse_args(_attach_grid_values(argv))
     if args.command == "report" and (args.file is None) == (args.family is None):
         print("report: exactly one of <file> or --family is required", file=err)

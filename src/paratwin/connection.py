@@ -16,7 +16,7 @@ from fractions import Fraction
 from .errors import ValidationError, require
 from .manifold import LieAlgebraModel
 from .scalar import ZERO, Q
-from .tensor import DOWN, UP, TensorDense, _transpose_map
+from .tensor import DOWN, UP, TensorDense, _as_ints, _from_ints, _transpose_map
 
 
 @dataclass(frozen=True)
@@ -61,31 +61,32 @@ def koszul(alg: LieAlgebraModel, metric: TensorDense, metric_inv: TensorDense) -
     """
     n = alg.dim
     n2 = n * n
-    gm = metric.matrix()
-    ginv = metric_inv.matrix()
+    cden, cd = _as_ints(alg.c.data)
+    gden, gm = _as_ints(metric.data)
+    hden, ginv = _as_ints(metric_inv.data)
 
-    # lowered brackets C[(i, j)][k] = g([X_i, X_j], X_k), nonzero entries only
-    lowered: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for p, v in enumerate(alg.c.data):
+    # lowered brackets C[(i, j)][k] = g([X_i, X_j], X_k) * cden * gden,
+    # nonzero entries only
+    lowered: dict[tuple[int, int], dict[int, int]] = {}
+    for p, v in enumerate(cd):
         if v:
             a, ij = divmod(p, n2)
             row = lowered.setdefault(divmod(ij, n), {})
             for k in range(n):
-                if gm[a][k]:
-                    _accumulate(row, k, v * gm[a][k])
+                if w := gm[a * n + k]:
+                    row[k] = row.get(k, 0) + v * w
     # rhs[(i, j)][k] = g([X_i,X_j],X_k) + g([X_k,X_i],X_j) + g([X_k,X_j],X_i)
-    rhs: dict[tuple[int, int], dict[int, Fraction]] = {}
+    rhs: dict[tuple[int, int], dict[int, int]] = {}
     for (a, b), row in lowered.items():
         for c, v in row.items():
-            _accumulate(rhs.setdefault((a, b), {}), c, v)
-            _accumulate(rhs.setdefault((b, c), {}), a, v)
-            _accumulate(rhs.setdefault((c, b), {}), a, v)
-    data = [ZERO] * n ** 3
+            for key, k in (((a, b), c), ((b, c), a), ((c, b), a)):
+                out = rhs.setdefault(key, {})
+                out[k] = out.get(k, 0) + v
+    nums = [0] * n ** 3
     for (i, j), row in rhs.items():
         for l in range(n):
-            v = sum((ginv[l][k] * w for k, w in row.items() if w and ginv[l][k]), ZERO)
-            if v:
-                data[l * n2 + i * n + j] = v / 2
+            nums[l * n2 + i * n + j] = sum(ginv[l * n + k] * w for k, w in row.items())
+    data = _from_ints(nums, 2 * cden * gden * hden)
     conn = Connection(n, TensorDense(n, (UP, DOWN, DOWN), data))
 
     require(torsion(conn, alg).is_zero(), "Koszul output has torsion")
@@ -104,12 +105,6 @@ def torsion(conn: Connection, alg: LieAlgebraModel) -> TensorDense:
     return gamma - swapped - alg.c
 
 
-def _accumulate(row: dict, key, value) -> None:
-    """row[key] += value, without adding to an absent (zero) entry."""
-    old = row.get(key)
-    row[key] = value if old is None else old + value
-
-
 def covariant_derivative(conn: Connection, t: TensorDense) -> TensorDense:
     """Covariant derivative of an invariant tensor; differentiation slot last.
 
@@ -123,32 +118,28 @@ def covariant_derivative(conn: Connection, t: TensorDense) -> TensorDense:
     n = t.dim
     n2 = n * n
     nslots = t.nslots
-    gdata = conn.gamma.data
+    gden, g = _as_ints(conn.gamma.data)
+    tden, nums = _as_ints(t.data)
     # terms[a] lists the nonzero (b, i, w): a component with value a in one
     # slot adds w times itself to the output with b in that slot and the
     # derivative index i; w = Gamma^b_{ia} on a contravariant slot and
     # w = -Gamma^a_{ib} on a covariant one
-    up_terms = [[(b, i, gdata[b * n2 + i * n + a])
-                 for b in range(n) for i in range(n) if gdata[b * n2 + i * n + a]]
-                for a in range(n)]
-    down_terms = [[(b, i, -gdata[a * n2 + i * n + b])
-                   for b in range(n) for i in range(n) if gdata[a * n2 + i * n + b]]
-                  for a in range(n)]
+    up_terms = [[(b, i, w) for b in range(n) for i in range(n)
+                 if (w := g[b * n2 + i * n + a])] for a in range(n)]
+    down_terms = [[(b, i, -w) for b in range(n) for i in range(n)
+                   if (w := g[a * n2 + i * n + b])] for a in range(n)]
     in_strides = [n ** (nslots - 1 - k) for k in range(nslots)]
-    out = [ZERO] * n ** (nslots + 1)
-    for p, v in enumerate(t.data):
-        if v is ZERO:
+    out = [0] * n ** (nslots + 1)
+    for p, v in enumerate(nums):
+        if not v:
             continue
         base = p * n                    # output index (.., i) with i last
         for var, s in zip(t.variance, in_strides):
             a = p // s % n
             root = base - s * n * a
             for b, i, w in (up_terms if var == UP else down_terms)[a]:
-                pos = root + s * n * b + i
-                x = w * v
-                o = out[pos]
-                out[pos] = x if o is ZERO else o + x or ZERO
-    return TensorDense(n, tuple(t.variance) + (DOWN,), out)
+                out[root + s * n * b + i] += w * v
+    return TensorDense(n, tuple(t.variance) + (DOWN,), _from_ints(out, gden * tden))
 
 
 def curvature_operator(conn: Connection, alg: LieAlgebraModel) -> TensorDense:
@@ -159,18 +150,17 @@ def curvature_operator(conn: Connection, alg: LieAlgebraModel) -> TensorDense:
     """
     n = conn.dim
     n2, n3 = n * n, n ** 3
-    gdata = conn.gamma.data
+    # Gamma and c over one common denominator, so every product below has
+    # denominator den^2
+    size = len(conn.gamma.data)
+    den, nums = _as_ints(conn.gamma.data + alg.c.data)
+    g, c = nums[:size], nums[size:]
     # by_pair[i][m] lists the nonzero (l n^3, Gamma^l_{im})
-    by_pair = [[[(l * n3, gdata[l * n2 + i * n + m]) for l in range(n)
-                 if gdata[l * n2 + i * n + m]] for m in range(n)] for i in range(n)]
-    out = [ZERO] * n ** 4
-
-    def add(pos, x):
-        o = out[pos]
-        out[pos] = x if o is ZERO else o + x or ZERO
-
-    for p, w in enumerate(gdata):
-        if w is ZERO:
+    by_pair = [[[(l * n3, w) for l in range(n) if (w := g[l * n2 + i * n + m])]
+                for m in range(n)] for i in range(n)]
+    out = [0] * n ** 4
+    for p, w in enumerate(g):
+        if not w:
             continue
         m, jk = divmod(p, n2)
         j, k = divmod(jk, n)
@@ -181,10 +171,10 @@ def curvature_operator(conn: Connection, alg: LieAlgebraModel) -> TensorDense:
             # and j swapped, R^l_{jik} with -
             for lpos, v in by_pair[i][m]:
                 x = w * v
-                add(lpos + i * n2 + jk, x)
-                add(lpos + j * n2 + i * n + k, -x)
-    for p, c in enumerate(alg.c.data):
-        if c is ZERO:
+                out[lpos + i * n2 + jk] += x
+                out[lpos + j * n2 + i * n + k] -= x
+    for p, w in enumerate(c):
+        if not w:
             continue
         m, ij = divmod(p, n2)
         i, j = divmod(ij, n)
@@ -193,5 +183,5 @@ def curvature_operator(conn: Connection, alg: LieAlgebraModel) -> TensorDense:
         # -c^m_{ij} Gamma^l_{mk}
         for k in range(n):
             for lpos, v in by_pair[m][k]:
-                add(lpos + ij * n + k, -(c * v))
-    return TensorDense(n, (UP, DOWN, DOWN, DOWN), out)
+                out[lpos + ij * n + k] -= w * v
+    return TensorDense(n, (UP, DOWN, DOWN, DOWN), _from_ints(out, den * den))

@@ -14,8 +14,8 @@ from itertools import combinations, product
 
 from .errors import ValidationError
 from .scalar import ZERO, Q
-from .tensor import (DOWN, UP, TensorDense, matrix_determinant, matrix_inverse,
-                     symmetric_signature)
+from .tensor import (DOWN, UP, TensorDense, _as_ints, matrix_determinant,
+                     matrix_inverse, symmetric_signature)
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,7 @@ def validate_lie_algebra(alg: LieAlgebraModel) -> ValidationReport:
     """
     n = alg.dim
     n2 = n * n
-    cd = alg.c.data
+    den, cd = _as_ints(alg.c.data)
     items: list[CheckItem] = []
     anti_ok = True
     for i, j, k in product(range(n), repeat=3):
@@ -98,19 +98,18 @@ def validate_lie_algebra(alg: LieAlgebraModel) -> ValidationReport:
     if anti_ok:
         items.append(CheckItem("antisymmetry", True))
 
-    # pairs[a][b] lists the nonzero (s, c^s_{ab})
-    pairs = [[[(s, v) for s, v in enumerate(alg.bracket(a, b)) if v] for b in range(n)]
+    # pairs[a][b] lists the nonzero (s, c^s_{ab} * den)
+    pairs = [[[(s, v) for s, v in enumerate(cd[a * n + b::n2]) if v] for b in range(n)]
              for a in range(n)]
 
-    def cyclic_sum(i: int, j: int, l: int) -> list[tuple[int, Fraction]]:
-        """Nonzero components, by index, of [[X_i,X_j],X_l] + [[X_j,X_l],X_i]
-        + [[X_l,X_i],X_j]."""
-        total: dict[int, Fraction] = {}
+    def cyclic_sum(i: int, j: int, l: int) -> list[tuple[int, int]]:
+        """Nonzero components, by index and times den^2, of [[X_i,X_j],X_l]
+        + [[X_j,X_l],X_i] + [[X_l,X_i],X_j]."""
+        total: dict[int, int] = {}
         for a, b, c_ in ((i, j, l), (j, l, i), (l, i, j)):
             for s, v in pairs[a][b]:
                 for m, w in pairs[s][c_]:
-                    old = total.get(m)
-                    total[m] = v * w if old is None else old + v * w
+                    total[m] = total.get(m, 0) + v * w
         return [(m, total[m]) for m in sorted(total) if total[m]]
 
     if anti_ok:
@@ -120,7 +119,7 @@ def validate_lie_algebra(alg: LieAlgebraModel) -> ValidationReport:
         sums = {t: comps for t in combinations(range(n), 3) if (comps := cyclic_sum(*t))}
         triples = product(range(n), repeat=3) if sums else ()
 
-        def failing(i: int, j: int, l: int) -> list[tuple[int, Fraction]]:
+        def failing(i: int, j: int, l: int) -> list[tuple[int, int]]:
             comps = sums.get(tuple(sorted((i, j, l))), [])
             if (i < j) + (j < l) + (l < i) == 2:     # an even permutation
                 return comps
@@ -135,7 +134,7 @@ def validate_lie_algebra(alg: LieAlgebraModel) -> ValidationReport:
             items.append(CheckItem(
                 "jacobi", False,
                 f"cyclic sum for (X_{i + 1}, X_{j + 1}, X_{l + 1}) has nonzero "
-                f"X_{m + 1} component {v}"))
+                f"X_{m + 1} component {Q(v, den * den)}"))
     if jacobi_ok:
         items.append(CheckItem("jacobi", True))
     return ValidationReport(tuple(items))

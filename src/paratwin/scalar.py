@@ -2,9 +2,12 @@
 
 Every quantity in the engine is an arbitrary-precision rational; there is
 no floating point anywhere, so tensor equalities can be decided exactly.
-The scalar type is ``gmpy2.mpq`` when gmpy2 is installed (much faster on
-the dense tensor loops) and ``fractions.Fraction`` otherwise; both keep
-lowest terms and a positive denominator and are interchangeable here.
+The scalar type is ``gmpy2.mpq`` when gmpy2 is installed and
+``fractions.Fraction`` otherwise; both keep lowest terms and a positive
+denominator and are interchangeable here.  Only the Fraction path is
+measured and tested (see the README's Performance section); the tensor
+kernels do their sums of products in Python ints either way and form one
+rational per output component (paratwin.tensor).
 """
 
 from __future__ import annotations

@@ -16,8 +16,8 @@ from .connection import Connection, covariant_derivative, koszul
 from .errors import require
 from .manifold import WManifold
 from .scalar import ZERO, Q
-from .tensor import (DOWN, TensorDense, apply_endo, contract, lower_index,
-                     raise_index, tensor_equal, transpose)
+from .tensor import (DOWN, TensorDense, _as_ints, _from_ints, apply_endo, contract,
+                     lower_index, raise_index, tensor_equal, transpose)
 
 #: a (0,3) tensor with P substituted into some arguments, keyed by those
 #: arguments: "z" is t(x,y,Pz), "yz" is t(x,Py,Pz), see p_substitutions
@@ -63,20 +63,19 @@ def fundamental_F(m: WManifold, conn: Connection) -> tuple[TensorDense, PSubs]:
     """
     nabla_p = covariant_derivative(conn, m.P)       # [a, j, i]: (nabla_{X_i} P)^a_j
     n = m.dim
-    gm = m.g.matrix()
-    out = [ZERO] * n ** 3
-    for p, v in enumerate(nabla_p.data):
-        if v is ZERO:
+    dden, nums = _as_ints(nabla_p.data)
+    gden, gm = _as_ints(m.g.data)
+    out = [0] * n ** 3
+    for p, v in enumerate(nums):
+        if not v:
             continue
         a, ji = divmod(p, n * n)
         j, i = divmod(ji, n)
+        base = (i * n + j) * n
         for k in range(n):
-            w = gm[k][a]
-            if w:
-                pos = (i * n + j) * n + k
-                o = out[pos]
-                out[pos] = w * v if o is ZERO else o + w * v or ZERO
-    F = TensorDense(n, (DOWN, DOWN, DOWN), out)
+            if w := gm[k * n + a]:
+                out[base + k] += w * v
+    F = TensorDense(n, (DOWN, DOWN, DOWN), _from_ints(out, dden * gden))
     F_P = p_substitutions(F, m.P, "x", "y", "z", "yz")
 
     # F(x,y,z) = F(x,z,y) = -F(x,Py,Pz) and F(x,Py,z) = -F(x,y,Pz)
@@ -185,11 +184,10 @@ def square_norm(m: WManifold, F: TensorDense) -> Fraction:
     """||nabla P|| = g^{ij} g^{kl} g^{st} F_{iks} F_{jlt}."""
     ginv = m.g_inv
     raised = raise_index(raise_index(raise_index(F, 0, ginv), 1, ginv), 2, ginv)
-    total = ZERO
-    for v, r in zip(F.data, raised.data):
-        if v is not ZERO:
-            total += v * r
-    return total
+    fden, fnums = _as_ints(F.data)
+    rden, rnums = _as_ints(raised.data)
+    total = sum(v * r for v, r in zip(fnums, rnums) if v)
+    return Q(total, fden * rden) if total else ZERO
 
 
 def build_structure_pack(m: WManifold, conn: Connection) -> StructurePack:

@@ -8,10 +8,16 @@ by a lower of the same slot is the exact identity.
 
 All values are immutable after construction and safe to share.
 
-Kernels skip structural zeros, which they recognise by identity with the
-shared ZERO: rational() returns it for every zero, and the kernels fill
-unset slots with it and store it for sums that cancel.  Identity is only
-a fast path; a zero that is another object goes through the rational
+Contraction kernels (sums of products) do their arithmetic in Python ints:
+each operand is converted once to (den, nums) over the lcm of its
+denominators (_as_ints), products and sums accumulate as ints, and one
+rational is formed per nonzero output component (_from_ints).  Every zero
+output is the shared ZERO, which rational() also returns for every zero.
+
+The elementwise operations +, -, negation and scale do one operation per
+component and stay on rationals, as do transpose and tensor_equal.  They
+skip structural zeros, recognised by identity with ZERO; identity is only
+a fast path, and a zero that is another object goes through the rational
 arithmetic and still gives the exact result.
 """
 
@@ -19,6 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from typing import Callable, Iterable, Sequence
 
 from .errors import ValidationError
@@ -217,27 +224,43 @@ def _diagonal_map(dim: int, nslots: int, slot_a: int, slot_b: int) -> tuple:
     return cached
 
 
-def _slot_map(t: TensorDense, slot: int, columns) -> list:
+def _as_ints(data: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(den, nums) with data[p] == nums[p] / den, den the lcm of the
+    denominators; every zero, the shared ZERO or not, becomes 0."""
+    nums = [0] * len(data)
+    ratios = [(p, v.as_integer_ratio()) for p, v in enumerate(data) if v is not ZERO]
+    den = lcm(*{d for _, (_, d) in ratios})
+    for p, (a, d) in ratios:
+        nums[p] = a * (den // d)
+    return den, nums
+
+
+def _from_ints(nums: Iterable[int], den: int) -> list[Fraction]:
+    """The rationals nums[p] / den, with the shared ZERO for each 0."""
+    return [Q(x, den) if x else ZERO for x in nums]
+
+
+def _slot_map(t: TensorDense, slot: int, mat: TensorDense, transposed: bool) -> list:
     """Components of t after a linear map acts on one slot.
 
-    columns[j] lists the nonzero entries (i, w) of the map's column j:
-    each t[.., j, ..] adds w * t[.., j, ..] to out[.., i, ..].  Only the
-    nonzero components of t are visited.
+    Each t[.., j, ..] adds mat[i, j] * t[.., j, ..] (mat[j, i] when
+    transposed) to out[.., i, ..].  Only the nonzero components of t and
+    of mat are visited.
     """
     n = t.dim
     stride = n ** (t.nslots - 1 - slot)
-    cols = [[(i * stride, w) for i, w in col] for col in columns]
-    out = [ZERO] * len(t.data)
-    for p, v in enumerate(t.data):
-        if v is ZERO:
-            continue
-        j = p // stride % n
-        base = p - j * stride
-        for shift, w in cols[j]:
-            x = w * v
-            o = out[base + shift]
-            out[base + shift] = x if o is ZERO else o + x or ZERO
-    return out
+    mden, m = _as_ints(mat.data)
+    cols = [[(i * stride, w) for i in range(n)
+             if (w := m[j * n + i] if transposed else m[i * n + j])] for j in range(n)]
+    den, nums = _as_ints(t.data)
+    out = [0] * len(nums)
+    for p, v in enumerate(nums):
+        if v:
+            j = p // stride % n
+            base = p - j * stride
+            for shift, w in cols[j]:
+                out[base + shift] += w * v
+    return _from_ints(out, den * mden)
 
 
 def _metric_apply(t: TensorDense, slot: int, mat: TensorDense, want: str) -> TensorDense:
@@ -245,12 +268,9 @@ def _metric_apply(t: TensorDense, slot: int, mat: TensorDense, want: str) -> Ten
         raise ValidationError(f"slot {slot} out of range")
     if mat.dim != t.dim or mat.nslots != 2:
         raise ValidationError("metric tensor must be a two-slot tensor of matching dimension")
-    n = t.dim
-    rows = mat.matrix()
-    columns = [[(i, rows[i][j]) for i in range(n) if rows[i][j]] for j in range(n)]
     variance = list(t.variance)
     variance[slot] = want
-    return TensorDense(n, variance, _slot_map(t, slot, columns))
+    return TensorDense(t.dim, variance, _slot_map(t, slot, mat, False))
 
 
 def raise_index(t: TensorDense, slot: int, inverse_metric: TensorDense) -> TensorDense:
@@ -305,13 +325,7 @@ def apply_endo(t: TensorDense, slot: int, endo: TensorDense) -> TensorDense:
         raise ValidationError(f"slot {slot} out of range")
     if endo.dim != t.dim or endo.variance != (UP, DOWN):
         raise ValidationError("endomorphism must be a (1,1) tensor of matching dimension")
-    n = t.dim
-    em = endo.matrix()
-    if t.variance[slot] == DOWN:
-        columns = [[(i, em[m][i]) for i in range(n) if em[m][i]] for m in range(n)]
-    else:
-        columns = [[(i, em[i][m]) for i in range(n) if em[i][m]] for m in range(n)]
-    return TensorDense(n, t.variance, _slot_map(t, slot, columns))
+    return TensorDense(t.dim, t.variance, _slot_map(t, slot, endo, t.variance[slot] == DOWN))
 
 
 # -- exact matrix helpers --------------------------------------------------

@@ -12,16 +12,17 @@ computed once per route and reused by every comparison that needs it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .classify import ClassificationResult, ClassLabel, classify, classify_phi
 from .connection import Connection, covariant_derivative, curvature_operator, koszul
 from .curvature import CurvaturePack, riemann_metric, riemann_twin
 from .errors import ValidationError, recording, require
 from .manifold import CheckItem, ValidationReport, WManifold
-from .scalar import ZERO, Q
+from .scalar import Q
 from .structure import StructurePack, build_structure_pack
-from .tensor import (DOWN, UP, TensorDense, apply_endo, tensor_equal,
-                     transpose)
+from .tensor import (DOWN, UP, TensorDense, _as_ints, _from_ints, apply_endo,
+                     tensor_equal, transpose)
 
 
 @dataclass(frozen=True)
@@ -65,21 +66,19 @@ def _phi_compose(Phi_vec: TensorDense) -> TensorDense:
     """(1,3) tensor C[k,x,y,z] = Phi(x, Phi(y,z))^k."""
     n = Phi_vec.dim
     n2 = n * n
-    data = Phi_vec.data
+    den, data = _as_ints(Phi_vec.data)
     # inner[m] lists the nonzero (y n + z, Phi^m_{yz})
-    inner = [[(yz, v) for yz, v in enumerate(data[m * n2:(m + 1) * n2]) if v is not ZERO]
+    inner = [[(yz, v) for yz, v in enumerate(data[m * n2:(m + 1) * n2]) if v]
              for m in range(n)]
-    out = [ZERO] * n ** 4
+    out = [0] * n ** 4
     for p, outer in enumerate(data):
-        if outer is ZERO:
+        if not outer:
             continue
         kx, m = divmod(p, n)
         base = kx * n2
         for yz, v in inner[m]:
-            x = outer * v
-            o = out[base + yz]
-            out[base + yz] = x if o is ZERO else o + x or ZERO
-    return TensorDense(n, (UP, DOWN, DOWN, DOWN), out)
+            out[base + yz] += outer * v
+    return TensorDense(n, (UP, DOWN, DOWN, DOWN), _from_ints(out, den * den))
 
 
 def tensor_B(Phi_vec: TensorDense) -> TensorDense:
@@ -208,41 +207,53 @@ def _w1_assemble(gm, tm, Sm, Ssm, Hm, HP, F: TensorDense,
     """
     n = len(gm)
     n2, n3 = n * n, n ** 3
-    q_out = [ZERO] * n ** 4
-    b_out = [ZERO] * n ** 4
 
-    def add(out, pos, x):
-        o = out[pos]
-        out[pos] = x if o is ZERO else o + x or ZERO
+    def ints(*mats):
+        return _as_ints([v for mat in mats for row in mat for v in row])
 
-    d = Q(n)                    # 2n
-    # the factors 1/2n and 1/4n^2 and the signs enter through the endomorphisms
-    for out, form, E, s in ((q_out, gm, Sm, 1 / d), (q_out, tm, Ssm, -1 / d),
-                            (b_out, gm, Hm, 1 / (d * d)), (b_out, tm, HP, -1 / (d * d))):
-        entries = [(a, c, v) for a in range(n) for c in range(n) if (v := form[a][c])]
-        for k in range(n):
-            for e in range(n):
-                w = E[k][e]
-                if not w:
-                    continue
-                w *= s
-                for a, c, v in entries:
-                    x = w * v
-                    add(out, k * n3 + e * n2 + a * n + c, x)
-                    add(out, k * n3 + a * n2 + e * n + c, -x)
+    # g and g~, S and S*, H and HP each share a denominator; Q is assembled
+    # over the lcm q_den of its two groups of products, B over b_den
+    fden, forms = ints(gm, tm)
+    sden, s_endos = ints(Sm, Ssm)
+    hden, h_endos = ints(Hm, HP)
+    Fden, Fnums = _as_ints(F.data)
+    pden, pnums = _as_ints(Pfs)
+    q_den = lcm(fden * sden, Fden * pden)
+    b_den = fden * hden
+    q_out = [0] * n ** 4
+    b_out = [0] * n ** 4
+
+    qs = q_den // (fden * sden)
+    for out, form, E, s in ((q_out, forms[:n2], s_endos[:n2], qs),
+                            (q_out, forms[n2:], s_endos[n2:], -qs),
+                            (b_out, forms[:n2], h_endos[:n2], 1),
+                            (b_out, forms[n2:], h_endos[n2:], -1)):
+        entries = [(a, c, v) for a in range(n) for c in range(n) if (v := form[a * n + c])]
+        for ke, w in enumerate(E):
+            if not w:
+                continue
+            k, e = divmod(ke, n)
+            w *= s
+            for a, c, v in entries:
+                x = w * v
+                out[k * n3 + e * n2 + a * n + c] += x
+                out[k * n3 + a * n2 + e * n + c] -= x
     # F[a,b,c] Pf#^k enters [k,a,c,b] through -F(x,z,y) and [k,c,a,b] through +F(y,z,x)
-    Pf = [(k, v / d) for k, v in enumerate(Pfs) if v]
-    for p, w in enumerate(F.data):
+    fs = q_den // (Fden * pden)
+    Pf = [(k, v * fs) for k, v in enumerate(pnums) if v]
+    for p, w in enumerate(Fnums):
         if not w:
             continue
         a, bc = divmod(p, n2)
         b, c = divmod(bc, n)
         for k, v in Pf:
             x = w * v
-            add(q_out, k * n3 + a * n2 + c * n + b, -x)
-            add(q_out, k * n3 + c * n2 + a * n + b, x)
+            q_out[k * n3 + a * n2 + c * n + b] -= x
+            q_out[k * n3 + c * n2 + a * n + b] += x
+    # the factors 1/2n and 1/4n^2 enter through the output denominators
     variance = (UP, DOWN, DOWN, DOWN)
-    return TensorDense(n, variance, q_out), TensorDense(n, variance, b_out)
+    return (TensorDense(n, variance, _from_ints(q_out, q_den * n)),
+            TensorDense(n, variance, _from_ints(b_out, b_den * n * n)))
 
 
 def invariance_suite(m: WManifold, pack: TwinPack | None = None) -> ValidationReport:

@@ -1,7 +1,11 @@
 """Command-line interface: documents, commands, exit codes."""
 
+import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -121,6 +125,21 @@ def test_incompatible_metric_rejected(tmp_path):
     assert "compatible" in err
 
 
+@pytest.mark.parametrize("mutate, field", [
+    (lambda d: d["metric"][0].__setitem__(0, True), "metric[1][1]"),
+    (lambda d: d["P"][1].__setitem__(0, False), "P[2][1]"),
+    (lambda d: d["brackets"][0]["coeffs"].__setitem__("1", True), "brackets[0].coeffs[1]"),
+])
+def test_json_booleans_are_not_rationals(tmp_path, mutate, field):
+    """true and false are not read as 1 and 0; the error names the field."""
+    doc = json.loads(FIXTURE.read_text())
+    mutate(doc)
+    code, out, err = run(["validate", _write(tmp_path, doc)])
+    assert code == cli.EXIT_PARSE
+    assert out == ""
+    assert f"{field}: expected a rational string" in err
+
+
 def test_report_family_reference_point():
     code, out, _ = run(["report", "--family", "1", "2", "1"])
     assert code == cli.EXIT_OK
@@ -188,6 +207,43 @@ def test_theorem_self_test():
 def test_theorem_bad_grid():
     code, _, err = run(["theorem", "--grid", "1,0.5"])
     assert code == cli.EXIT_PARSE
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["theorem", "--grid="], "empty grid"),
+    (["theorem", "--grid", ""], "empty grid"),
+    (["theorem", "--grid=1,1"], "value 1 is repeated"),
+    (["theorem", "--grid", "-2/3,1,-4/6"], "value -2/3 is repeated"),
+    (["theorem", "--grid=0,1/2,2/4", "--self-test"], "value 1/2 is repeated"),
+])
+def test_theorem_rejects_empty_or_repeated_grid(argv, message):
+    """Neither falls back to the default grid nor runs a point twice."""
+    code, out, err = run(argv)
+    assert code == cli.EXIT_PARSE
+    assert out == ""
+    assert f"--grid: {message}" in err
+
+
+def test_main_reads_the_current_streams():
+    """Without out/err, main writes to sys.stdout and sys.stderr as they are
+    when it is called, so redirect_stdout captures the output."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["report", "--family", "1", "2", "1"])
+        bad = cli.main(["theorem", "--grid=1,1"])
+    assert code == cli.EXIT_OK and bad == cli.EXIT_PARSE
+    assert out.getvalue() == run(["report", "--family", "1", "2", "1"])[1]
+    assert err.getvalue() == "parse error: --grid: value 1 is repeated\n"
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-m", "paratwin", "validate", str(FIXTURE)],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    assert proc.stdout == run(["validate", str(FIXTURE)])[1]
 
 
 def _write(tmp_path, doc, name="doc.json"):

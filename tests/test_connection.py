@@ -3,17 +3,17 @@
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from paratwin.connection import (Connection, covariant_derivative,
                                  curvature_operator, koszul, torsion)
 from paratwin.errors import ValidationError
 from paratwin.manifold import LieAlgebraModel, abelian_manifold
-from paratwin.scalar import Q
-from paratwin.tensor import DOWN, UP, TensorDense, tensor_equal, transpose
+from paratwin.scalar import Q, ZERO
+from paratwin.tensor import DOWN, UP, TensorDense, matrix_inverse, tensor_equal, transpose
 
-from strategies import V3, tensor_pairs
+from strategies import V3, antisymmetrized, dense_tensors, matrices, mixed_rationals, tensor_pairs
 
 
 def test_koszul_is_torsion_free_and_metric(family121):
@@ -108,18 +108,12 @@ def naive_covariant_derivative(gamma, t):
     return out
 
 
-def _antisymmetric(t):
-    n = t.dim
-    return TensorDense(n, V3, [t[k, i, j] - t[k, j, i]
-                               for k, i, j in product(range(n), repeat=3)])
-
-
 @given(tensor_pairs(V3, V3))
 @settings(max_examples=40)
 def test_curvature_operator_matches_naive(pair):
     gamma, raw = pair
     n = gamma.dim
-    alg = LieAlgebraModel(n, tuple(f"X{i + 1}" for i in range(n)), _antisymmetric(raw))
+    alg = LieAlgebraModel(n, tuple(f"X{i + 1}" for i in range(n)), antisymmetrized(raw))
     R = curvature_operator(Connection(n, gamma), alg)
     assert list(R.data) == naive_curvature(gamma, alg.c)
 
@@ -134,3 +128,42 @@ def test_covariant_derivative_matches_naive(pair):
     d = covariant_derivative(Connection(gamma.dim, gamma), t)
     assert d.variance == t.variance + (DOWN,)
     assert list(d.data) == naive_covariant_derivative(gamma, t)
+
+
+def naive_koszul(c, g, ginv):
+    """Gamma^l_{ij} = (1/2) g^{lk} {g([X_i,X_j],X_k) + g([X_k,X_i],X_j)
+    + g([X_k,X_j],X_i)} at every index."""
+    n = c.dim
+
+    def lowered(i, j, k):               # g([X_i, X_j], X_k)
+        return sum((c[s, i, j] * g[s][k] for s in range(n)), Q(0))
+
+    return [sum((ginv[l][k] * (lowered(i, j, k) + lowered(k, i, j) + lowered(k, j, i))
+                 for k in range(n)), Q(0)) / 2
+            for l, i, j in product(range(n), repeat=3)]
+
+
+@st.composite
+def koszul_inputs(draw):
+    """A random antisymmetric c and a random invertible symmetric g, with
+    tall rationals and both kinds of zero."""
+    n = draw(st.sampled_from((2, 4)))
+    c = antisymmetrized(draw(dense_tensors(n, V3, mixed_rationals)))
+    h = draw(matrices(n, mixed_rationals))
+    g = [[h[i][j] + h[j][i] for j in range(n)] for i in range(n)]
+    ginv = matrix_inverse(g)
+    assume(ginv is not None)
+    return c, g, ginv
+
+
+@given(koszul_inputs())
+@settings(max_examples=40, deadline=None)
+def test_koszul_matches_reference(inputs):
+    c, g, ginv = inputs
+    n = c.dim
+    alg = LieAlgebraModel(n, tuple(f"X{i + 1}" for i in range(n)), c)
+    flat = lambda rows: [v for row in rows for v in row]      # noqa: E731
+    conn = koszul(alg, TensorDense(n, (DOWN, DOWN), flat(g)),
+                  TensorDense(n, (UP, UP), flat(ginv)))
+    assert list(conn.gamma.data) == naive_koszul(c, g, ginv)
+    assert all(v is ZERO for v in conn.gamma.data if not v)

@@ -1,9 +1,19 @@
 """Structure tensors: F, Phi, Lee forms, Nijenhuis tensors, square norm."""
 
+from itertools import product
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
 from paratwin.connection import koszul
+from paratwin.errors import ValidationError
+from paratwin.manifold import LieAlgebraModel, assemble_manifold
 from paratwin.scalar import Q, ZERO
-from paratwin.structure import build_structure_pack
-from paratwin.tensor import apply_endo, tensor_equal, transpose
+from paratwin.structure import build_structure_pack, fundamental_F, square_norm
+from paratwin.tensor import (DOWN, UP, TensorDense, apply_endo, matrix_inverse,
+                             tensor_equal, transpose)
+
+from strategies import V3, antisymmetrized, dense_tensors, matrices, mixed_rationals
 
 
 def test_F_symmetries(family121):
@@ -68,3 +78,81 @@ def test_isotropic_point_has_nonzero_nabla_P():
     _, tp = family_pack(FamilyParams(Q(1), Q(1), Q(1)))
     assert tp.sp.snorm == ZERO
     assert not tp.sp.F.is_zero()
+
+
+# -- integer kernels against plain rational loops ------------------------------
+
+@st.composite
+def structures(draw):
+    """(m, Levi-Civita connection of g): P = M J M^-1 for the pair swap J
+    and a random basis M, g = h + P^T h P for a random symmetric h, and a
+    random antisymmetric c (Jacobi is not needed by these kernels) or the
+    abelian c, whose zeros are not the shared ZERO."""
+    n = draw(st.sampled_from((2, 4)))
+    M = draw(matrices(n))
+    Minv = matrix_inverse(M)
+    assume(Minv is not None)
+    swap = [i ^ 1 for i in range(n)]                # J e_i = e_{i xor 1}
+    P = [[sum((M[i][a] * Minv[swap[a]][j] for a in range(n)), Q(0)) for j in range(n)]
+         for i in range(n)]
+    h = draw(matrices(n, mixed_rationals))
+    h = [[h[i][j] + h[j][i] for j in range(n)] for i in range(n)]
+    g = [[h[i][j] + sum((P[a][i] * h[a][b] * P[b][j]
+                         for a in range(n) for b in range(n)), Q(0))
+          for j in range(n)] for i in range(n)]
+    c = antisymmetrized(draw(st.one_of(dense_tensors(n, V3, mixed_rationals),
+                                       dense_tensors(n, V3, st.builds(Q, st.just(0))))))
+    alg = LieAlgebraModel(n, tuple(f"X{i + 1}" for i in range(n)), c)
+    try:
+        m = assemble_manifold(alg, TensorDense.from_matrix(P, (UP, DOWN)),
+                              TensorDense.from_matrix(g, (DOWN, DOWN)))
+    except ValidationError:
+        assume(False)
+    return m, koszul(m.algebra, m.g, m.g_inv)
+
+
+def naive_F(gamma, P, g):
+    """F_{ijk} = g_{ka} (nabla_{X_i} P)^a_j, with (nabla_i P)^a_j =
+    Gamma^a_{im} P^m_j - Gamma^m_{ij} P^a_m, at every index."""
+    n = P.dim
+
+    def nabla_P(i, a, j):
+        return sum((gamma[a, i, mm] * P[mm, j] - gamma[mm, i, j] * P[a, mm]
+                    for mm in range(n)), Q(0))
+
+    return [sum((g[k, a] * nabla_P(i, a, j) for a in range(n)), Q(0))
+            for i, j, k in product(range(n), repeat=3)]
+
+
+def naive_square_norm(F, ginv):
+    """g^{ij} g^{kl} g^{st} F_{iks} F_{jlt}, raising one slot of F at a time."""
+    n = F.dim
+    indices = list(product(range(n), repeat=3))
+    raised = {idx: F[idx] for idx in indices}
+    for slot in range(3):
+        raised = {idx: sum((ginv[idx[slot], a] * raised[idx[:slot] + (a,) + idx[slot + 1:]]
+                            for a in range(n)), Q(0))
+                  for idx in indices}
+    return sum((F[idx] * raised[idx] for idx in indices), Q(0))
+
+
+@given(structures())
+@settings(max_examples=30, deadline=None)
+def test_fundamental_F_matches_reference(structure):
+    m, conn = structure
+    F, _ = fundamental_F(m, conn)
+    assert list(F.data) == naive_F(conn.gamma, m.P, m.g)
+    assert all(v is ZERO for v in F.data if not v)
+
+
+@given(structures().flatmap(
+    lambda s: st.tuples(st.just(s[0]), dense_tensors(s[0].dim, (DOWN,) * 3, mixed_rationals))))
+@settings(max_examples=30, deadline=None)
+def test_square_norm_matches_reference(pair):
+    m, F = pair
+    got, want = square_norm(m, F), naive_square_norm(F, m.g_inv)
+    assert got == want
+    if not want:
+        assert got is ZERO
+    zeros = TensorDense(m.dim, (DOWN,) * 3, [Q(0)] * m.dim ** 3)
+    assert square_norm(m, zeros) is ZERO

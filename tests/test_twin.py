@@ -13,10 +13,10 @@ from paratwin.manifold import (LieAlgebraModel, build_manifold, change_basis_bil
                                change_basis_endo)
 from paratwin.scalar import Q, ZERO
 from paratwin.tensor import DOWN, UP, TensorDense, matrix_inverse, tensor_equal
-from paratwin.twin import (_w1_assemble, build_twin_pack, invariance_suite, tensor_B,
-                           tensor_Q, w1_closed_forms)
+from paratwin.twin import (_phi_compose, _w1_assemble, build_twin_pack, invariance_suite,
+                           tensor_B, tensor_Q, w1_closed_forms)
 
-from strategies import V4, dense_tensors, rationals
+from strategies import V3, V4, any_tensors, dense_tensors, mixed_rationals, rationals
 
 #: every route cross-check that one report runs; taken from the version
 #: before require() existed, by recording each guarded ConsistencyError
@@ -217,3 +217,25 @@ def test_w1_assembly_matches_reference(inputs):
     for got, want in zip(_w1_assemble(*inputs), reference_w1_qb(*inputs)):
         assert got.data == want.data
         assert all(v is ZERO for v in got.data if not v)
+
+
+def naive_phi_compose(phi):
+    """Phi(x, Phi(y,z))^k = Phi^k_{xm} Phi^m_{yz}, summed over m at every index."""
+    n = phi.dim
+    return [sum((phi[k, x, m] * phi[m, y, z] for m in range(n)), Q(0))
+            for k, x, y, z in product(range(n), repeat=4)]
+
+
+@given(st.one_of(any_tensors(V3),
+                 st.sampled_from((2, 4)).flatmap(lambda n: dense_tensors(n, V3, mixed_rationals))))
+@settings(max_examples=40, deadline=None)
+def test_phi_compose_and_B_match_reference(phi):
+    n = phi.dim
+    C = naive_phi_compose(phi)
+    at = lambda k, x, y, z: C[((k * n + x) * n + y) * n + z]      # noqa: E731
+    got_C, got_B = _phi_compose(phi), tensor_B(phi)
+    assert list(got_C.data) == C
+    assert list(got_B.data) == [at(k, x, y, z) - at(k, y, x, z)
+                                for k, x, y, z in product(range(n), repeat=4)]
+    for t in (got_C, got_B):
+        assert all(v is ZERO for v in t.data if not v)
