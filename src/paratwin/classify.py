@@ -15,7 +15,7 @@ from .errors import ValidationError, require
 from .manifold import LieAlgebraModel, WManifold
 from .scalar import ZERO, Q
 from .structure import StructurePack
-from .tensor import TensorDense, tensor_equal, transpose
+from .tensor import TensorDense, vanishes
 
 
 class ClassLabel(str, Enum):
@@ -79,20 +79,22 @@ def classify_phi(m: WManifold, sp: StructurePack) -> set[ClassLabel]:
     PhiPP = sp.Phi_P["xy"]                                  # Phi(Px,Py,z)
     f_zero = f.is_zero()
 
+    gf, gtfs = _gw(m.g, f), _gw(m.g_twin, f_star)
+
     labels: set[ClassLabel] = {ClassLabel.FULL}
     if Phi.is_zero():
         labels.add(ClassLabel.W0)
-    w1_rhs = (_gw(m.g, f) + _gw(m.g_twin, f_star)).scale(1 / n2)
-    if tensor_equal(Phi, w1_rhs):
+    # Phi = (1/2n){g f + g~ f*}
+    if vanishes((1, Phi), (-1 / n2, gf), (-1 / n2, gtfs)):
         labels.add(ClassLabel.W1)
-    if tensor_equal(Phi, PhiPP):
+    if vanishes((1, Phi), (-1, PhiPP)):
         labels.add(ClassLabel.W12)
         if f_zero:
             labels.add(ClassLabel.W2)
-    if tensor_equal(Phi, -PhiPP):
+    if vanishes((1, Phi), (1, PhiPP)):
         labels.add(ClassLabel.W3)
-    w13_rhs = (_gw(m.g, f) + _gw(m.g_twin, f_star)).scale(2 / n2)
-    if tensor_equal(Phi + PhiPP, w13_rhs):
+    # Phi(x,y,z) + Phi(Px,Py,z) = (1/n){g f + g~ f*}
+    if vanishes((1, Phi), (1, PhiPP), (-2 / n2, gf), (-2 / n2, gtfs)):
         labels.add(ClassLabel.W13)
     if f_zero:
         labels.add(ClassLabel.W23)
@@ -109,31 +111,30 @@ def classify_f(m: WManifold, sp: StructurePack, by_phi: set[ClassLabel]) -> set[
     F, theta, theta_star = sp.F, sp.theta, sp.theta_star
     theta_zero = theta.is_zero()
 
-    def cyc(t: TensorDense) -> TensorDense:
-        return t + transpose(t, (2, 0, 1)) + transpose(t, (1, 2, 0))
+    gt, gtts = _gw(m.g, theta), _gw(m.g_twin, theta_star)
+
+    def cyc(c, t: TensorDense) -> tuple:
+        """The terms of c times the cyclic sum of t over its three arguments."""
+        return (c, t), (c, t, (2, 0, 1)), (c, t, (1, 2, 0))
 
     labels: set[ClassLabel] = {ClassLabel.FULL}
     if F.is_zero():
         labels.add(ClassLabel.W0)
 
-    w1_rhs = (_gw(m.g, theta) + _gw(m.g_twin, theta_star)
-              + transpose(_gw(m.g, theta), (0, 2, 1))
-              + transpose(_gw(m.g_twin, theta_star), (0, 2, 1))).scale(1 / n2)
-    if tensor_equal(F, w1_rhs):
+    # F = (1/2n){g theta + g~ theta* + the same with y and z swapped}
+    c = -1 / n2
+    if vanishes((1, F), (c, gt), (c, gtts), (c, gt, (0, 2, 1)), (c, gtts, (0, 2, 1))):
         labels.add(ClassLabel.W1)
 
-    cyc_P = cyc(sp.F_P["z"])                # F(x,y,Pz) + cyclic
-    if cyc_P.is_zero():
+    if vanishes(*cyc(1, sp.F_P["z"])):          # F(x,y,Pz) + cyclic
         labels.add(ClassLabel.W12)
         if theta_zero:
             labels.add(ClassLabel.W2)
 
-    cyc_F = cyc(F)
-    if cyc_F.is_zero():
+    if vanishes(*cyc(1, F)):
         labels.add(ClassLabel.W3)
 
-    w13_rhs = (cyc(_gw(m.g, theta)) + cyc(_gw(m.g_twin, theta_star))).scale(2 / n2)
-    if tensor_equal(cyc_F, w13_rhs):
+    if vanishes(*cyc(1, F), *cyc(-2 / n2, gt), *cyc(-2 / n2, gtts)):
         labels.add(ClassLabel.W13)
 
     if theta_zero:

@@ -16,7 +16,8 @@ from fractions import Fraction
 from .errors import ValidationError, require
 from .manifold import LieAlgebraModel
 from .scalar import ZERO, Q
-from .tensor import DOWN, UP, TensorDense, _as_ints, _from_ints, _transpose_map
+from .tensor import (DOWN, UP, TensorDense, _as_ints, _from_ints, lincomb,
+                     vanishes)
 
 
 @dataclass(frozen=True)
@@ -50,7 +51,8 @@ class Connection:
         return out
 
     def average(self, other: "Connection") -> "Connection":
-        return Connection(self.dim, (self.gamma + other.gamma).scale(Q(1, 2)))
+        half = Q(1, 2)
+        return Connection(self.dim, lincomb((half, self.gamma), (half, other.gamma)))
 
 
 def koszul(alg: LieAlgebraModel, metric: TensorDense, metric_inv: TensorDense) -> Connection:
@@ -89,20 +91,21 @@ def koszul(alg: LieAlgebraModel, metric: TensorDense, metric_inv: TensorDense) -
     data = _from_ints(nums, 2 * cden * gden * hden)
     conn = Connection(n, TensorDense(n, (UP, DOWN, DOWN), data))
 
-    require(torsion(conn, alg).is_zero(), "Koszul output has torsion")
-    require(covariant_derivative(conn, metric).is_zero(),
+    require(vanishes(*_torsion_terms(conn, alg)), "Koszul output has torsion")
+    require(vanishes((1, covariant_derivative(conn, metric))),
             "Koszul output is not metric-compatible")
     return conn
 
 
-def torsion(conn: Connection, alg: LieAlgebraModel) -> TensorDense:
-    """T^k_{ij} = Gamma^k_{ij} - Gamma^k_{ji} - c^k_{ij}."""
+def _torsion_terms(conn: Connection, alg: LieAlgebraModel) -> tuple:
     if conn.dim != alg.dim:
         raise ValidationError("connection and algebra dimensions differ")
-    gamma = conn.gamma
-    swapped = TensorDense(conn.dim, gamma.variance,
-                          [gamma.data[p] for p in _transpose_map(conn.dim, 3, (0, 2, 1))])
-    return gamma - swapped - alg.c
+    return (1, conn.gamma), (-1, conn.gamma, (0, 2, 1)), (-1, alg.c)
+
+
+def torsion(conn: Connection, alg: LieAlgebraModel) -> TensorDense:
+    """T^k_{ij} = Gamma^k_{ij} - Gamma^k_{ji} - c^k_{ij}."""
+    return lincomb(*_torsion_terms(conn, alg))
 
 
 def covariant_derivative(conn: Connection, t: TensorDense) -> TensorDense:

@@ -13,8 +13,7 @@ from .connection import Connection, curvature_operator
 from .errors import ValidationError, require
 from .manifold import LieAlgebraModel, WManifold
 from .scalar import ZERO
-from .tensor import (DOWN, TensorDense, contract, lower_index, raise_index,
-                     tensor_equal, transpose)
+from .tensor import DOWN, TensorDense, contract, lower_index, raise_index, transpose, vanishes
 
 
 @dataclass(frozen=True)
@@ -27,12 +26,12 @@ class CurvaturePack:
 
 def check_curvature_like(R: TensorDense):
     """Both antisymmetries and the first Bianchi identity, exactly."""
-    require(tensor_equal(R, -transpose(R, (1, 0, 2, 3))),
+    require(vanishes((1, R), (1, R, (1, 0, 2, 3))),
             "curvature tensor is not antisymmetric in (x, y)")
-    require(tensor_equal(R, -transpose(R, (0, 1, 3, 2))),
+    require(vanishes((1, R), (1, R, (0, 1, 3, 2))),
             "curvature tensor is not antisymmetric in (z, w)")
-    bianchi = R + transpose(R, (2, 0, 1, 3)) + transpose(R, (1, 2, 0, 3))
-    require(bianchi.is_zero(), "first Bianchi identity fails")
+    require(vanishes((1, R), (1, R, (2, 0, 1, 3)), (1, R, (1, 2, 0, 3))),
+            "first Bianchi identity fails")
 
 
 def riemann(conn: Connection, alg: LieAlgebraModel,

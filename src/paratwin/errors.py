@@ -24,16 +24,26 @@ class ConsistencyError(ParatwinError):
 _RECORDS: ContextVar[tuple[list[str], ...]] = ContextVar("paratwin_checks", default=())
 
 
-def require(ok: bool, what: str) -> None:
+def failure_detail(ok) -> str:
+    """What a failed check result says about itself: a plain bool says
+    nothing, a tensor.vanishes() residual names its first nonzero
+    component and counts the differing ones."""
+    return "" if isinstance(ok, bool) else str(ok)
+
+
+def require(ok, what: str) -> None:
     """One route cross-check: raise ConsistencyError(what) unless ok.
 
-    Inside recording(), what is also appended to every open record,
-    passed or not, so the checks that ran can be listed and counted.
+    ok is a bool or a tensor.vanishes() residual; a failing residual's
+    detail follows what in the message.  Inside recording(), what is
+    also appended to every open record, passed or not, so the checks that
+    ran can be listed and counted.
     """
     for record in _RECORDS.get():
         record.append(what)
     if not ok:
-        raise ConsistencyError(what)
+        detail = failure_detail(ok)
+        raise ConsistencyError(f"{what}: {detail}" if detail else what)
 
 
 @contextmanager

@@ -1,29 +1,21 @@
 """Exact rational scalars.
 
-Every quantity in the engine is an arbitrary-precision rational; there is
-no floating point anywhere, so tensor equalities can be decided exactly.
-The scalar type is ``gmpy2.mpq`` when gmpy2 is installed and
-``fractions.Fraction`` otherwise; both keep lowest terms and a positive
-denominator and are interchangeable here.  Only the Fraction path is
-measured and tested (see the README's Performance section); the tensor
-kernels do their sums of products in Python ints either way and form one
-rational per output component (paratwin.tensor).
+Every quantity in the engine is an arbitrary-precision rational,
+``fractions.Fraction`` (exported as ``Q``); there is no floating point
+anywhere, so tensor equalities can be decided exactly.  The tensor
+kernels read each rational through ``as_integer_ratio()``, do their sums
+in Python ints and form one rational per output component
+(paratwin.tensor).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-try:
-    from gmpy2 import mpq as Q
-except ImportError:                                  # pragma: no cover
-    Q = Fraction
+Q = Fraction
 
 ZERO = Q(0)
 ONE = Q(1)
-
-#: rational types accepted anywhere a scalar is expected
-RATIONAL_TYPES = (Fraction, type(ZERO))
 
 
 def rational(value) -> Fraction:
@@ -34,7 +26,7 @@ def rational(value) -> Fraction:
     """
     if isinstance(value, Q):
         q = value                       # immutable, so safe to share
-    elif isinstance(value, (*RATIONAL_TYPES, int)):
+    elif isinstance(value, int):
         q = Q(value)
     elif isinstance(value, str):
         text = value.strip()

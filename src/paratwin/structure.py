@@ -17,7 +17,7 @@ from .errors import require
 from .manifold import WManifold
 from .scalar import ZERO, Q
 from .tensor import (DOWN, TensorDense, _as_ints, _from_ints, apply_endo, contract,
-                     lower_index, raise_index, tensor_equal, transpose)
+                     lincomb, lower_index, raise_index, transpose, vanishes)
 
 #: a (0,3) tensor with P substituted into some arguments, keyed by those
 #: arguments: "z" is t(x,y,Pz), "yz" is t(x,Py,Pz), see p_substitutions
@@ -79,10 +79,10 @@ def fundamental_F(m: WManifold, conn: Connection) -> tuple[TensorDense, PSubs]:
     F_P = p_substitutions(F, m.P, "x", "y", "z", "yz")
 
     # F(x,y,z) = F(x,z,y) = -F(x,Py,Pz) and F(x,Py,z) = -F(x,y,Pz)
-    require(tensor_equal(F, transpose(F, (0, 2, 1))),
+    require(vanishes((1, F), (-1, F, (0, 2, 1))),
             "F is not symmetric in its last two arguments")
-    require(tensor_equal(F, -F_P["yz"]), "F(x,Py,Pz) != -F(x,y,z)")
-    require(tensor_equal(F_P["y"], -F_P["z"]), "F(x,Py,z) != -F(x,y,Pz)")
+    require(vanishes((1, F), (1, F_P["yz"])), "F(x,Py,Pz) != -F(x,y,z)")
+    require(vanishes((1, F_P["y"]), (1, F_P["z"])), "F(x,Py,z) != -F(x,y,Pz)")
     return F, F_P
 
 
@@ -96,7 +96,7 @@ def lee_forms(m: WManifold, F: TensorDense, F_P: PSubs) -> tuple[TensorDense, Te
     """Lee forms theta(z) = g^{ij} F(e_i,e_j,z), theta*(z) = g^{ij} F(e_i,Pe_j,z)."""
     theta = _metric_trace(F, m.g_inv)
     theta_star = _metric_trace(F_P["y"], m.g_inv)
-    require(tensor_equal(theta_star, -apply_endo(theta, 0, m.P)), "theta* != -theta o P")
+    require(vanishes((1, theta_star), (1, apply_endo(theta, 0, m.P))), "theta* != -theta o P")
     return theta, theta_star
 
 
@@ -111,33 +111,33 @@ def potential_phi(m: WManifold, F: TensorDense, F_P: PSubs, conn: Connection,
     Returns (Phi, Phi_P, Phi_vec, f, f_star, f_sharp), with Phi_P the
     P-substitutions "y", "z", "yz" and "xy" of Phi.
     """
-    term1 = F_P["z"]                                    # F(x,y,Pz)
-    term2 = transpose(F_P["z"], (1, 0, 2))              # F(y,x,Pz)
-    term3 = transpose(F_P["x"], (1, 2, 0))              # F(Pz,x,y) -> slots (x,y,z)
-    Phi = (term1 + term2 - term3).scale(Q(1, 2))
+    half = Q(1, 2)
+    # F(x,y,Pz) + F(y,x,Pz) - F(Pz,x,y), the last moved to slots (x,y,z)
+    Phi = lincomb((half, F_P["z"]), (half, F_P["z"], (1, 0, 2)),
+                  (-half, F_P["x"], (1, 2, 0)))
     Phi_P = p_substitutions(Phi, m.P, "y", "z", "yz", "xy")
 
     # reconstruction: F(x,y,z) = Phi(x,y,Pz) + Phi(x,z,Py)
-    rebuilt = Phi_P["z"] + transpose(Phi_P["z"], (0, 2, 1))
-    require(tensor_equal(rebuilt, F), "F reconstruction from Phi failed")
+    require(vanishes((1, Phi_P["z"]), (1, Phi_P["z"], (0, 2, 1)), (-1, F)),
+            "F reconstruction from Phi failed")
     # Phi(x,y,z) + Phi(x,z,y) + Phi(x,Py,Pz) + Phi(x,Pz,Py) = 0
     PhiPP = Phi_P["yz"]
-    total = Phi + transpose(Phi, (0, 2, 1)) + PhiPP + transpose(PhiPP, (0, 2, 1))
-    require(total.is_zero(), "four-term Phi identity failed")
+    require(vanishes((1, Phi), (1, Phi, (0, 2, 1)), (1, PhiPP), (1, PhiPP, (0, 2, 1))),
+            "four-term Phi identity failed")
 
     # vector form: Phi^k_{ij} = g^{kl} Phi_{ijl}
     Phi_vec = transpose(raise_index(Phi, 2, m.g_inv), (2, 0, 1))
-    require(tensor_equal(Phi_vec, transpose(Phi_vec, (0, 2, 1))), "Phi is not symmetric")
+    require(vanishes((1, Phi_vec), (-1, Phi_vec, (0, 2, 1))), "Phi is not symmetric")
 
-    # independent route: Phi = nabla~ - nabla
+    # independent route: Phi = nabla~ - nabla, on [k, i, j]
     conn_twin = koszul(m.algebra, m.g_twin, m.g_twin_inv)
-    diff = conn_twin.gamma - conn.gamma                     # [k, i, j]
-    require(tensor_equal(Phi_vec, diff), "Phi from F disagrees with (nabla~ - nabla)")
+    require(vanishes((1, Phi_vec), (-1, conn_twin.gamma), (1, conn.gamma)),
+            "Phi from F disagrees with (nabla~ - nabla)")
 
     f = _metric_trace(Phi, m.g_inv)
     f_star = _metric_trace(Phi_P["y"], m.g_inv)
-    require(tensor_equal(f, -apply_endo(f_star, 0, m.P)), "f != -f* o P")
-    require(tensor_equal(f, -theta_star) and tensor_equal(f_star, -theta),
+    require(vanishes((1, f), (1, apply_endo(f_star, 0, m.P))), "f != -f* o P")
+    require(vanishes((1, f), (1, theta_star)) and vanishes((1, f_star), (1, theta)),
             "f = -theta*, f* = -theta failed")
 
     f_sharp = raise_index(f, 0, m.g_inv)
@@ -149,9 +149,8 @@ def _nijenhuis_form(T: TensorDense, P: TensorDense, parity: int) -> TensorDense:
     T(x,y) = parity * T(y,x), so that P T(x,Py) = parity * P T(Py,x)."""
     TP = apply_endo(T, 1, P)                    # T(Px, y)
     PTP = apply_endo(TP, 0, P)                  # P T(Px, y)
-    swapped = transpose(PTP, (0, 2, 1))         # P T(Py, x)
-    rest = apply_endo(TP, 2, P) + T - PTP
-    return rest - swapped if parity > 0 else rest + swapped
+    # the last term is P T(Py, x)
+    return lincomb((1, apply_endo(TP, 2, P)), (1, T), (-1, PTP), (-parity, PTP, (0, 2, 1)))
 
 
 def nijenhuis(m: WManifold, conn: Connection, Phi: TensorDense, Phi_P: PSubs):
@@ -163,7 +162,7 @@ def nijenhuis(m: WManifold, conn: Connection, Phi: TensorDense, Phi_P: PSubs):
     P-substitutions Phi_P.
     Returns (N_vec, Nhat_vec, N, Nhat).
     """
-    braces = conn.gamma + transpose(conn.gamma, (0, 2, 1))     # {X_i, X_j}^k
+    braces = lincomb((1, conn.gamma), (1, conn.gamma, (0, 2, 1)))     # {X_i, X_j}^k
     N_vec = _nijenhuis_form(m.algebra.c, m.P, -1)
     Nhat_vec = _nijenhuis_form(braces, m.P, 1)
 
@@ -173,10 +172,10 @@ def nijenhuis(m: WManifold, conn: Connection, Phi: TensorDense, Phi_P: PSubs):
     # cross-checks through Phi:
     #   N(x,y,z)  =  2 Phi(z,x,y) + 2 Phi(z,Px,Py)
     #   N^(x,y,z) = -2 Phi(x,y,z) - 2 Phi(Px,Py,z)
-    expect_N = (transpose(Phi, (1, 2, 0)) + transpose(Phi_P["yz"], (1, 2, 0))).scale(2)
-    require(tensor_equal(N, expect_N), "N disagrees with its Phi expression")
-    expect_Nhat = (Phi + Phi_P["xy"]).scale(-2)
-    require(tensor_equal(Nhat, expect_Nhat), "N^ disagrees with its Phi expression")
+    require(vanishes((1, N), (-2, Phi, (1, 2, 0)), (-2, Phi_P["yz"], (1, 2, 0))),
+            "N disagrees with its Phi expression")
+    require(vanishes((1, Nhat), (2, Phi), (2, Phi_P["xy"])),
+            "N^ disagrees with its Phi expression")
     return N_vec, Nhat_vec, N, Nhat
 
 

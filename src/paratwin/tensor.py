@@ -8,28 +8,35 @@ by a lower of the same slot is the exact identity.
 
 All values are immutable after construction and safe to share.
 
-Contraction kernels (sums of products) do their arithmetic in Python ints:
-each operand is converted once to (den, nums) over the lcm of its
-denominators (_as_ints), products and sums accumulate as ints, and one
-rational is formed per nonzero output component (_from_ints).  Every zero
-output is the shared ZERO, which rational() also returns for every zero.
+Sums of products do their arithmetic in Python ints: each operand is
+converted once to (den, nums) over the lcm of its denominators
+(_as_ints), products and sums accumulate as ints, and one rational is
+formed per nonzero output component (_from_ints).  Linear
+relations and route formulas take one integer pass too: lincomb builds
+sum c T, each term optionally transposed, and vanishes decides sum c T = 0
+without forming a rational, describing the first nonzero component when
+it is not.  Both visit only the nonzero components of each operand
+(_nonzero_ratios).  Every zero output is the shared ZERO, which rational()
+also returns for every zero.
 
-The elementwise operations +, -, negation and scale do one operation per
-component and stay on rationals, as do transpose and tensor_equal.  They
-skip structural zeros, recognised by identity with ZERO; identity is only
-a fast path, and a zero that is another object goes through the rational
-arithmetic and still gives the exact result.
+The elementwise operators +, -, negation and scale and tensor_equal stay
+on rationals.  The engine no longer uses them; the tests keep them as the
+reference route.  They skip structural zeros, recognised by identity with
+ZERO; identity is only a fast path, and a zero that is another object goes
+through the rational arithmetic and still gives the exact result.
+transpose only reorders components.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import compress, count, product, repeat
 from math import lcm
+from operator import is_not
 from typing import Callable, Iterable, Sequence
 
 from .errors import ValidationError
-from .scalar import ZERO, Q, rational
+from .scalar import ZERO, Q, format_rational, rational
 
 UP = "u"
 DOWN = "d"
@@ -224,20 +231,32 @@ def _diagonal_map(dim: int, nslots: int, slot_a: int, slot_b: int) -> tuple:
     return cached
 
 
+def _nonzero_ratios(data: Sequence[Fraction]) -> tuple[int, list[tuple[int, int]]]:
+    """(den, entries): entries lists (p, num) for each nonzero data[p], with
+    data[p] == num / den and den the lcm of their denominators.  Positions
+    holding the shared ZERO are skipped without a Python-level step."""
+    ratios = [(p, data[p].as_integer_ratio())
+              for p in compress(count(), map(is_not, data, repeat(ZERO)))]
+    den = lcm(*{d for _, (_, d) in ratios})
+    return den, [(p, a * (den // d)) for p, (a, d) in ratios if a]
+
+
 def _as_ints(data: Sequence[Fraction]) -> tuple[int, list[int]]:
     """(den, nums) with data[p] == nums[p] / den, den the lcm of the
     denominators; every zero, the shared ZERO or not, becomes 0."""
+    den, entries = _nonzero_ratios(data)
     nums = [0] * len(data)
-    ratios = [(p, v.as_integer_ratio()) for p, v in enumerate(data) if v is not ZERO]
-    den = lcm(*{d for _, (_, d) in ratios})
-    for p, (a, d) in ratios:
-        nums[p] = a * (den // d)
+    for p, a in entries:
+        nums[p] = a
     return den, nums
 
 
-def _from_ints(nums: Iterable[int], den: int) -> list[Fraction]:
+def _from_ints(nums: Sequence[int], den: int) -> list[Fraction]:
     """The rationals nums[p] / den, with the shared ZERO for each 0."""
-    return [Q(x, den) if x else ZERO for x in nums]
+    out = [ZERO] * len(nums)
+    for p in compress(count(), nums):
+        out[p] = Q(nums[p], den)
+    return out
 
 
 def _slot_map(t: TensorDense, slot: int, mat: TensorDense, transposed: bool) -> list:
@@ -252,15 +271,118 @@ def _slot_map(t: TensorDense, slot: int, mat: TensorDense, transposed: bool) -> 
     mden, m = _as_ints(mat.data)
     cols = [[(i * stride, w) for i in range(n)
              if (w := m[j * n + i] if transposed else m[i * n + j])] for j in range(n)]
-    den, nums = _as_ints(t.data)
-    out = [0] * len(nums)
-    for p, v in enumerate(nums):
-        if v:
-            j = p // stride % n
-            base = p - j * stride
-            for shift, w in cols[j]:
-                out[base + shift] += w * v
+    den, entries = _nonzero_ratios(t.data)
+    out = [0] * len(t.data)
+    for p, v in entries:
+        j = p // stride % n
+        base = p - j * stride
+        for shift, w in cols[j]:
+            out[base + shift] += w * v
     return _from_ints(out, den * mden)
+
+
+# -- linear combinations -----------------------------------------------------
+#
+# A term is (c, T) for c T or (c, T, perm) for c transpose(T, perm); c is an
+# int or a rational.  Every term must have the shape of the first.
+
+def _accumulate(terms) -> tuple[int, tuple, int, list[int]]:
+    """(dim, variance, den, acc) with sum c T == acc[p] / den at each p.
+
+    Each distinct tensor is read once, and terms naming the same tensor and
+    permutation add their coefficients first.
+    """
+    shape = None
+    coefs: dict[tuple, list] = {}       # (id(T), perm) -> [T, perm, sum of c]
+    for c, t, *perm in terms:
+        variance = t.variance
+        if perm:
+            perm = tuple(perm[0])
+            if sorted(perm) != list(range(t.nslots)):
+                raise ValidationError(f"{perm!r} is not a permutation of the slots")
+            variance = tuple(variance[k] for k in perm)
+        else:
+            perm = None
+        if shape is None:
+            shape = (t.dim, variance)
+        elif shape != (t.dim, variance):
+            raise ValidationError(
+                f"shape mismatch: dim {shape[0]} {shape[1]} vs dim {t.dim} {variance}")
+        c = rational(c)
+        entry = coefs.get((id(t), perm))
+        if entry is None:
+            coefs[id(t), perm] = [t, perm, c]
+        else:
+            entry[2] += c
+    if shape is None:
+        raise ValidationError("a linear combination needs at least one term")
+    ratios: dict[int, tuple] = {}       # id(T) -> _nonzero_ratios(T.data)
+    parts = []
+    for t, perm, c in coefs.values():
+        if not c:
+            continue
+        if id(t) not in ratios:
+            ratios[id(t)] = _nonzero_ratios(t.data)
+        tden, entries = ratios[id(t)]
+        if entries:
+            cn, cd = c.as_integer_ratio()
+            # the flat target position of each flat source position, from the
+            # map of the inverse permutation
+            where = None if perm is None else _transpose_map(
+                t.dim, t.nslots, tuple(perm.index(k) for k in range(len(perm))))
+            parts.append((cn, cd * tden, entries, where))
+    dim, variance = shape
+    den = lcm(*{d for _, d, _, _ in parts})
+    acc = [0] * dim ** len(variance)
+    for cn, d, entries, where in parts:
+        s = cn * (den // d)
+        if where is None:
+            for p, a in entries:
+                acc[p] += s * a
+        else:
+            for p, a in entries:
+                acc[where[p]] += s * a
+    return dim, variance, den, acc
+
+
+def lincomb(*terms) -> TensorDense:
+    """The tensor sum c T over terms (c, T) or (c, T, perm), in one integer
+    pass; a term with perm contributes c transpose(T, perm)."""
+    dim, variance, den, acc = _accumulate(terms)
+    return TensorDense(dim, variance, _from_ints(acc, den))
+
+
+class Residual:
+    """What vanishes() found: true exactly when the combination is zero.
+
+    str() of a nonzero residual names its first nonzero component by
+    1-based index tuple, gives its value and counts the nonzero
+    components; nothing is formatted until it is asked for.
+    """
+
+    __slots__ = ("dim", "nslots", "den", "acc")
+
+    def __init__(self, dim: int, nslots: int, den: int, acc: list[int]):
+        self.dim, self.nslots, self.den, self.acc = dim, nslots, den, acc
+
+    def __bool__(self) -> bool:
+        return self.acc.count(0) == len(self.acc)
+
+    def __str__(self) -> str:
+        nonzero = list(compress(count(), self.acc))
+        p = nonzero[0]
+        index = ", ".join(str(p // self.dim ** k % self.dim + 1)
+                          for k in reversed(range(self.nslots)))
+        return (f"first nonzero residual at ({index}) is "
+                f"{format_rational(Q(self.acc[p], self.den))}; "
+                f"{len(nonzero)} of {len(self.acc)} components differ")
+
+
+def vanishes(*terms) -> Residual:
+    """Decide sum c T = 0 over terms as for lincomb, without forming a
+    rational; the Residual is true when the sum is zero."""
+    dim, variance, den, acc = _accumulate(terms)
+    return Residual(dim, len(variance), den, acc)
 
 
 def _metric_apply(t: TensorDense, slot: int, mat: TensorDense, want: str) -> TensorDense:

@@ -17,12 +17,15 @@ from math import lcm
 from .classify import ClassificationResult, ClassLabel, classify, classify_phi
 from .connection import Connection, covariant_derivative, curvature_operator, koszul
 from .curvature import CurvaturePack, riemann_metric, riemann_twin
-from .errors import ValidationError, recording, require
+from .errors import ValidationError, failure_detail, recording, require
 from .manifold import CheckItem, ValidationReport, WManifold
 from .scalar import Q
 from .structure import StructurePack, build_structure_pack
-from .tensor import (DOWN, UP, TensorDense, _as_ints, _from_ints, apply_endo,
-                     tensor_equal, transpose)
+from .tensor import (DOWN, UP, TensorDense, _as_ints, _from_ints, apply_endo, lincomb,
+                     vanishes)
+
+HALF = Q(1, 2)
+QUARTER = Q(1, 4)
 
 
 @dataclass(frozen=True)
@@ -45,14 +48,16 @@ class TwinPack:
 
 
 def twin_connection(m: WManifold, conn: Connection, Phi_vec: TensorDense) -> Connection:
-    """nabla~ = nabla + Phi; must equal the Koszul connection of g~ exactly."""
-    if not tensor_equal(Phi_vec, transpose(Phi_vec, (0, 2, 1))):
+    """nabla~ = nabla + Phi; must equal the Koszul connection of g~ exactly.
+
+    Once the two agree, the Koszul connection is returned: it is nabla + Phi.
+    """
+    if not vanishes((1, Phi_vec), (-1, Phi_vec, (0, 2, 1))):
         raise ValidationError("potential is not symmetric")
-    candidate = Connection(m.dim, conn.gamma + Phi_vec)
     independent = koszul(m.algebra, m.g_twin, m.g_twin_inv)
-    require(tensor_equal(candidate.gamma, independent.gamma),
+    require(vanishes((1, conn.gamma), (1, Phi_vec), (-1, independent.gamma)),
             "nabla + Phi disagrees with the Koszul connection of g~")
-    return candidate
+    return independent
 
 
 def average_connection(conn: Connection, conn_twin: Connection) -> Connection:
@@ -84,7 +89,7 @@ def _phi_compose(Phi_vec: TensorDense) -> TensorDense:
 def tensor_B(Phi_vec: TensorDense) -> TensorDense:
     """B(x,y)z = Phi(x, Phi(y,z)) - Phi(y, Phi(x,z))."""
     C = _phi_compose(Phi_vec)
-    return C - transpose(C, (0, 2, 1, 3))
+    return lincomb((1, C), (-1, C, (0, 2, 1, 3)))
 
 
 def tensor_Q(conn: Connection, Phi_vec: TensorDense):
@@ -93,15 +98,16 @@ def tensor_Q(conn: Connection, Phi_vec: TensorDense):
     Returns (curl, B, Q), with curl the antisymmetrised gradient of Phi.
     """
     dPhi = covariant_derivative(conn, Phi_vec)     # [k, y, z, x]
-    grad = transpose(dPhi, (0, 3, 1, 2))           # [k, x, y, z]
-    curl = grad - transpose(grad, (0, 2, 1, 3))
+    # the gradient [k, x, y, z] is dPhi transposed by (0, 3, 1, 2), and with
+    # x and y swapped by (0, 1, 3, 2)
+    curl = lincomb((1, dPhi, (0, 3, 1, 2)), (-1, dPhi, (0, 1, 3, 2)))
     B = tensor_B(Phi_vec)
-    return curl, B, curl + B
+    return curl, B, lincomb((1, curl), (1, B))
 
 
 def tensor_A(R_vec: TensorDense, Q_vec: TensorDense) -> TensorDense:
     """A = R + Q/2, the average of R and R~."""
-    return R_vec + Q_vec.scale(Q(1, 2))
+    return lincomb((1, R_vec), (HALF, Q_vec))
 
 
 def tensor_K(K_vec: TensorDense, R_vec: TensorDense, Q_vec: TensorDense,
@@ -111,10 +117,9 @@ def tensor_K(K_vec: TensorDense, R_vec: TensorDense, Q_vec: TensorDense,
     Route (a) is the curvature of D itself, K_vec; route (b) is R + Q/2 -
     B/4.  The two must agree exactly, and K must equal A - B/4.
     """
-    quarter_B = B_vec.scale(Q(1, 4))
-    require(tensor_equal(K_vec, R_vec + Q_vec.scale(Q(1, 2)) - quarter_B),
+    require(vanishes((1, K_vec), (-1, R_vec), (-HALF, Q_vec), (QUARTER, B_vec)),
             "curvature of D disagrees with R + Q/2 - B/4")
-    require(tensor_equal(K_vec, A_vec - quarter_B), "K != A - B/4")
+    require(vanishes((1, K_vec), (-1, A_vec), (QUARTER, B_vec)), "K != A - B/4")
     return K_vec
 
 
@@ -132,13 +137,13 @@ def build_twin_pack(m: WManifold) -> TwinPack:
 
         D = average_connection(conn, conn_twin)
         # rebuilding D from the tilde side must give the same coefficients
-        D_tilde = Connection(m.dim, conn_twin.gamma + sp_twin.Phi_vec.scale(Q(1, 2)))
-        require(tensor_equal(D.gamma, D_tilde.gamma), "average connection is not twin-invariant")
+        require(vanishes((1, D.gamma), (-1, conn_twin.gamma), (-HALF, sp_twin.Phi_vec)),
+                "average connection is not twin-invariant")
 
         curl, B_vec, Q_vec = tensor_Q(conn, sp.Phi_vec)
-        require(tensor_equal(curv_twin.R_vec, curv.R_vec + Q_vec), "R~ != R + Q")
+        require(vanishes((1, curv_twin.R_vec), (-1, curv.R_vec), (-1, Q_vec)), "R~ != R + Q")
         A_vec = tensor_A(curv.R_vec, Q_vec)
-        require(tensor_equal(A_vec, (curv.R_vec + curv_twin.R_vec).scale(Q(1, 2))),
+        require(vanishes((1, A_vec), (-HALF, curv.R_vec), (-HALF, curv_twin.R_vec)),
                 "A != (R + R~)/2")
         K_vec = tensor_K(curvature_operator(D, m.algebra), curv.R_vec, Q_vec, A_vec, B_vec)
         cls = classify(m, sp)
@@ -191,8 +196,10 @@ def w1_closed_forms(m: WManifold, tp: TwinPack):
 
     Q_rebuilt, B_rebuilt = _w1_assemble(m.g.matrix(), m.g_twin.matrix(), S.matrix(),
                                         S_star.matrix(), Hm, HP, sp.F, Pfs)
-    require(tensor_equal(Q_rebuilt, tp.Q_vec), "W1 closed-form Q disagrees with the direct Q")
-    require(tensor_equal(B_rebuilt, tp.B_vec), "W1 closed-form B disagrees with the direct B")
+    require(vanishes((1, Q_rebuilt), (-1, tp.Q_vec)),
+            "W1 closed-form Q disagrees with the direct Q")
+    require(vanishes((1, B_rebuilt), (-1, tp.B_vec)),
+            "W1 closed-form B disagrees with the direct B")
     return S, S_star, H, Q_rebuilt, B_rebuilt
 
 
@@ -264,54 +271,58 @@ def invariance_suite(m: WManifold, pack: TwinPack | None = None) -> ValidationRe
     twin pack for m may be passed to avoid recomputing it.
     """
     tp = pack if pack is not None else build_twin_pack(m)
-    mt = m.twin_view()
+    sp, spt = tp.sp, tp.sp_twin
     # tilde-side tensors built from the twin manifold's own data
-    curl_t, B_t, Q_t = tensor_Q(tp.conn_twin, tp.sp_twin.Phi_vec)
+    curl_t, B_t, Q_t = tensor_Q(tp.conn_twin, spt.Phi_vec)
     A_t = tensor_A(tp.curv_twin.R_vec, Q_t)
-    D_tilde = average_connection(tp.conn_twin,
-                                 twin_connection(mt, tp.conn_twin, tp.sp_twin.Phi_vec))
+    # the twin of nabla~, which twin_connection checks against nabla~ + Phi~
+    conn_tt = twin_connection(m.twin_view(), tp.conn_twin, spt.Phi_vec)
     # D~ is nabla~ + Phi~/2, which build_twin_pack requires to equal D, so
     # its curvature is K; tensor_K checks it against the tilde-side formulas
     K_t = tensor_K(tp.K_vec, tp.curv_twin.R_vec, Q_t, A_t, B_t)
 
     checks: list[CheckItem] = []
 
-    def check(name: str, ok: bool):
-        checks.append(CheckItem(name, ok))
+    def check(name: str, ok):
+        checks.append(CheckItem(name, bool(ok), "" if ok else failure_detail(ok)))
 
-    check("Phi~ = -Phi (vector-valued)",
-          tensor_equal(tp.sp_twin.Phi_vec, -tp.sp.Phi_vec))
-    check("f~ = f", tensor_equal(tp.sp_twin.f, tp.sp.f))
-    check("f*~ = f*", tensor_equal(tp.sp_twin.f_star, tp.sp.f_star))
-    check("theta~ = theta", tensor_equal(tp.sp_twin.theta, tp.sp.theta))
-    check("theta*~ = theta*", tensor_equal(tp.sp_twin.theta_star, tp.sp.theta_star))
+    def same(a: TensorDense, b: TensorDense):
+        return vanishes((1, a), (-1, b))
+
+    def opposite(a: TensorDense, b: TensorDense):
+        return vanishes((1, a), (1, b))
+
+    check("Phi~ = -Phi (vector-valued)", opposite(spt.Phi_vec, sp.Phi_vec))
+    check("f~ = f", same(spt.f, sp.f))
+    check("f*~ = f*", same(spt.f_star, sp.f_star))
+    check("theta~ = theta", same(spt.theta, sp.theta))
+    check("theta*~ = theta*", same(spt.theta_star, sp.theta_star))
 
     check("class set invariant", tp.classes_twin == tp.cls.satisfied)
     check("classify_f = classify_phi", tp.cls.agreement)
 
-    check("D~ = D", tensor_equal(D_tilde.gamma, tp.D.gamma))
-    check("N~ = N (vector-valued)", tensor_equal(tp.sp_twin.N_vec, tp.sp.N_vec))
-    check("N^~ = -N^ (vector-valued)", tensor_equal(tp.sp_twin.Nhat_vec, -tp.sp.Nhat_vec))
-    check("N~(x,y,z) = N(x,y,Pz)",
-          tensor_equal(tp.sp_twin.N, apply_endo(tp.sp.N, 2, m.P)))
-    check("N^~(x,y,z) = -N^(x,y,Pz)",
-          tensor_equal(tp.sp_twin.Nhat, -apply_endo(tp.sp.Nhat, 2, m.P)))
+    # D~ = (nabla~ + twin of nabla~)/2
+    check("D~ = D", vanishes((HALF, tp.conn_twin.gamma), (HALF, conn_tt.gamma),
+                             (-1, tp.D.gamma)))
+    check("N~ = N (vector-valued)", same(spt.N_vec, sp.N_vec))
+    check("N^~ = -N^ (vector-valued)", opposite(spt.Nhat_vec, sp.Nhat_vec))
+    check("N~(x,y,z) = N(x,y,Pz)", same(spt.N, apply_endo(sp.N, 2, m.P)))
+    check("N^~(x,y,z) = -N^(x,y,Pz)", opposite(spt.Nhat, apply_endo(sp.Nhat, 2, m.P)))
 
-    check("Q~ = -Q", tensor_equal(Q_t, -tp.Q_vec))
-    check("B~ = B", tensor_equal(B_t, tp.B_vec))
-    check("A~ = A", tensor_equal(A_t, tp.A_vec))
-    check("K~ = K", tensor_equal(K_t, tp.K_vec))
-    check("K = A - B/4",
-          tensor_equal(tp.K_vec, tp.A_vec - tp.B_vec.scale(Q(1, 4))))
-    check("R~ = R + Q", tensor_equal(tp.curv_twin.R_vec, tp.curv.R_vec + tp.Q_vec))
+    check("Q~ = -Q", opposite(Q_t, tp.Q_vec))
+    check("B~ = B", same(B_t, tp.B_vec))
+    check("A~ = A", same(A_t, tp.A_vec))
+    check("K~ = K", same(K_t, tp.K_vec))
+    check("K = A - B/4", vanishes((1, tp.K_vec), (-1, tp.A_vec), (QUARTER, tp.B_vec)))
+    check("R~ = R + Q",
+          vanishes((1, tp.curv_twin.R_vec), (-1, tp.curv.R_vec), (-1, tp.Q_vec)))
 
     # antisymmetrized covariant derivative relation with the -2B term
     check("(nabla~ Phi~) antisymmetrized = -(nabla Phi) antisymmetrized - 2B",
-          tensor_equal(curl_t, -tp.curl - tp.B_vec.scale(2)))
+          vanishes((1, curl_t), (1, tp.curl), (2, tp.B_vec)))
 
     for alpha, beta in ((Q(2), Q(-3)), (Q(1, 2), Q(5, 7))):
-        combo = tp.A_vec.scale(alpha) + tp.K_vec.scale(beta)
-        combo_t = A_t.scale(alpha) + K_t.scale(beta)
-        check(f"{alpha}A + {beta}K invariant", tensor_equal(combo, combo_t))
+        check(f"{alpha}A + {beta}K invariant",
+              vanishes((alpha, tp.A_vec), (beta, tp.K_vec), (-alpha, A_t), (-beta, K_t)))
 
     return ValidationReport(tuple(checks))

@@ -6,14 +6,18 @@ connection components they are derived from; theorem_checks reports those
 mismatches, and these tests pin the failure set to exactly that list.
 """
 
+import dataclasses
+
 import pytest
 
+from paratwin import family
 from paratwin.errors import ValidationError
 from paratwin.family import (DEFAULT_GRID, FamilyParams, build_family,
                              family_brackets, family_pack, grid_points,
                              grid_verification, theorem_checks)
 from paratwin.manifold import validate_lie_algebra
 from paratwin.scalar import Q
+from paratwin.tensor import TensorDense
 
 #: table checks that disagree with the engine on generic parameters; the
 #: discrepancies are documented in the project notes
@@ -86,3 +90,16 @@ def test_self_test_detects_perturbed_expectation():
 def test_family_pack_is_cached():
     p = FamilyParams(Q(1), Q(2), Q(1))
     assert family_pack(p) is family_pack(p)
+
+
+def test_failed_identity_names_the_component_that_differs(monkeypatch):
+    p = FamilyParams(Q(1), Q(2), Q(1))
+    m, tp = family_pack(p)
+    data = list(tp.K_vec.data)
+    data[tp.K_vec.flat((0, 0, 1, 1))] += Q(2)
+    bad = dataclasses.replace(tp, K_vec=TensorDense(4, tp.K_vec.variance, data))
+    monkeypatch.setattr(family, "family_pack", lambda q: (m, bad))
+    items = {c.name: c for c in theorem_checks(p).checks}
+    assert not items["identity: K = A"].passed
+    assert items["identity: K = A"].detail == (
+        "first nonzero residual at (1, 1, 2, 2) is 2; 1 of 256 components differ")

@@ -6,14 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paratwin.errors import ValidationError
+from paratwin.errors import ConsistencyError, ValidationError, require
 from paratwin.scalar import Q, ZERO
-from paratwin.tensor import (DOWN, UP, TensorDense, apply_endo, contract,
+from paratwin.tensor import (DOWN, UP, TensorDense, apply_endo, contract, lincomb,
                              lower_index, matrix_determinant, matrix_inverse,
                              raise_index, symmetric_signature, tensor_equal,
-                             transpose)
+                             transpose, vanishes)
 
-from strategies import V3, V4, any_tensors, rationals, tensor_pairs
+from strategies import (V3, V4, any_tensors, block_tensors, dense_tensors,
+                        mixed_rationals, rationals, tensor_pairs)
 
 
 
@@ -213,3 +214,103 @@ def test_raise_lower_match_naive(pair):
 def test_contract_matches_naive(t):
     for slot_b in range(1, t.nslots):
         assert list(contract(t, 0, slot_b).data) == naive_contract(t, 0, slot_b)
+
+
+# -- one-pass linear combinations against the Fraction operators -------------
+#
+# lincomb and vanishes sum in ints over one common denominator; the
+# reference composes the Fraction operators transpose, scale and +.
+
+def reference_combination(terms):
+    total = None
+    for c, t, *perm in terms:
+        x = (transpose(t, perm[0]) if perm else t).scale(c)
+        total = x if total is None else total + x
+    return total
+
+
+coefficients = st.one_of(st.just(0), st.integers(-3, 3), mixed_rationals)
+
+
+@st.composite
+def linear_terms(draw):
+    """Terms (c, T[, perm]) of one shape: dense tensors with small, tall and
+    mixed-zero components or block-sparse ones, all-covariant with any
+    permutation (3-cycles included) or (1,k) with slot 0 held, and some
+    tensors named twice so that equal terms merge or cancel."""
+    nslots = draw(st.sampled_from((3, 4)))
+    covariant = draw(st.booleans())
+    variance = (DOWN,) * nslots if covariant else (UP,) + (DOWN,) * (nslots - 1)
+    perms = [p for p in permutations(range(nslots)) if covariant or p[0] == 0]
+    dims = (2, 4) if nslots == 3 else (2,)
+    tensors = st.one_of(block_tensors(variance),
+                        *(dense_tensors(n, variance, mixed_rationals) for n in dims))
+    first = draw(tensors)
+    drawn = [first]
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            t = draw(st.sampled_from(drawn))
+        elif first.dim == 4:
+            t = draw(block_tensors(variance))
+        else:
+            t = draw(dense_tensors(first.dim, variance, mixed_rationals))
+        drawn.append(t)
+        c = draw(coefficients)
+        perm = draw(st.none() | st.sampled_from(perms))
+        terms.append((c, t) if perm is None else (c, t, perm))
+    if draw(st.booleans()):                     # an exact cancellation
+        terms.append((-terms[0][0],) + terms[0][1:])
+    return terms
+
+
+@given(linear_terms())
+@settings(max_examples=60, deadline=None)
+def test_lincomb_and_vanishes_match_the_fraction_operators(terms):
+    want = reference_combination(terms)
+    got = lincomb(*terms)
+    assert (got.dim, got.variance) == (want.dim, want.variance)
+    assert list(got.data) == list(want.data)
+    assert all(v is ZERO for v in got.data if not v)
+    residual = vanishes(*terms)
+    assert bool(residual) == want.is_zero()
+    assert vanishes(*terms, (-1, want))
+    if not residual:
+        nonzero = [(idx, v) for idx, v in zip(product(range(want.dim), repeat=want.nslots),
+                                             want.data) if v]
+        idx, value = nonzero[0]
+        index = "(" + ", ".join(str(i + 1) for i in idx) + ")"
+        assert str(residual) == (f"first nonzero residual at {index} is {value}; "
+                                 f"{len(nonzero)} of {len(want.data)} components differ")
+
+
+def test_lincomb_rejects_mismatched_terms():
+    t3 = TensorDense.zeros(2, V3)
+    with pytest.raises(ValidationError):
+        lincomb((1, t3), (1, TensorDense.zeros(4, V3)))             # dimension
+    with pytest.raises(ValidationError):
+        vanishes((1, t3), (1, TensorDense.zeros(2, V4)))             # slot count
+    with pytest.raises(ValidationError):
+        lincomb((1, t3), (1, TensorDense.zeros(2, (DOWN, DOWN, DOWN))))   # variance
+    with pytest.raises(ValidationError):
+        vanishes((1, t3), (1, t3, (1, 0, 2)))       # the transpose moves the up slot
+    with pytest.raises(ValidationError):
+        lincomb((1, t3, (0, 1, 1)))                 # not a permutation
+    with pytest.raises(TypeError):
+        lincomb((0.5, t3))                          # no floating point
+
+
+def test_failed_require_names_the_first_differing_component():
+    data = [ZERO] * 8
+    data[2] = Q(5, 2)                               # index (0, 1, 0)
+    t = TensorDense(2, V3, data)
+    residual = vanishes((1, t), (-1, TensorDense.zeros(2, V3)))
+    assert not residual
+    detail = "first nonzero residual at (1, 2, 1) is 5/2; 1 of 8 components differ"
+    assert str(residual) == detail
+    with pytest.raises(ConsistencyError) as err:
+        require(residual, "t != 0")
+    assert str(err.value) == f"t != 0: {detail}"
+    with pytest.raises(ConsistencyError) as err:
+        require(False, "t != 0")
+    assert str(err.value) == "t != 0"

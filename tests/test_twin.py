@@ -1,19 +1,23 @@
 """Twin interchange: tilde objects, D, Q, B, A, K, and the invariance suite."""
 
+import dataclasses
 from itertools import product
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paratwin.cli import build_report
+from paratwin.cli import build_report, document_of, parse_document
 from paratwin.connection import koszul
-from paratwin.errors import recording
+from paratwin.errors import ConsistencyError, recording
 from paratwin.family import FamilyParams, build_family, family_pack
 from paratwin.manifold import (LieAlgebraModel, build_manifold, change_basis_bilinear,
+                               direct_sum,
                                change_basis_endo)
 from paratwin.scalar import Q, ZERO
 from paratwin.tensor import DOWN, UP, TensorDense, matrix_inverse, tensor_equal
 from paratwin.twin import (_phi_compose, _w1_assemble, build_twin_pack, invariance_suite,
+                           tensor_K,
                            tensor_B, tensor_Q, w1_closed_forms)
 
 from strategies import V3, V4, any_tensors, dense_tensors, mixed_rationals, rationals
@@ -129,6 +133,78 @@ def test_report_runs_every_route_check(family121, dsum8):
         assert set(ran) == REPORT_CHECKS
         pack = tp if tp is not None else build_twin_pack(m)
         assert set(pack.checks) == REPORT_CHECKS
+
+
+def nonabelian2():
+    """[X1, X2] = X1 + 2 X2, with P the swap of X1 and X2 and g = [[2, 1], [1, 2]].
+
+    Unlike the family, its B = Phi(x, Phi(y, .)) - Phi(y, Phi(x, .)) is nonzero.
+    """
+    c = TensorDense.from_function(2, V3, lambda k, i, j: Q((1, 2)[k] * ((i, j) == (0, 1))
+                                                             - (1, 2)[k] * ((i, j) == (1, 0))))
+    return build_manifold(LieAlgebraModel(2, ("X1", "X2"), c),
+                          TensorDense.from_matrix([[0, 1], [1, 0]], (UP, DOWN)),
+                          TensorDense.from_matrix([[2, 1], [1, 2]], (DOWN, DOWN)))
+
+
+def test_route_checks_with_B_nonzero(family121):
+    small = nonabelian2()
+    for m in (small, direct_sum(small, family121[0])):
+        tp = build_twin_pack(m)                 # K = R + Q/2 - B/4 = A - B/4
+        assert not tp.B_vec.is_zero()
+        report = invariance_suite(m, tp)        # the curl relation carries -2B
+        assert report.valid, [c.name for c in report.failures()]
+    w1_closed_forms(small, build_twin_pack(small))     # rebuilds Q and B
+
+
+def perturbed(t: TensorDense, idx, delta) -> TensorDense:
+    """t with delta added to its component at idx."""
+    data = list(t.data)
+    data[t.flat(idx)] += delta
+    return TensorDense(t.dim, t.variance, data)
+
+
+def test_suite_names_the_component_that_differs(family121):
+    m, tp = family121
+    bad = dataclasses.replace(tp, Q_vec=perturbed(tp.Q_vec, (1, 0, 2, 3), Q(1, 3)))
+    items = {c.name: c for c in invariance_suite(m, bad).checks}
+    detail = "first nonzero residual at (2, 1, 3, 4) is {}; 1 of 256 components differ"
+    assert not items["Q~ = -Q"].passed
+    assert items["Q~ = -Q"].detail == detail.format("1/3")
+    assert not items["R~ = R + Q"].passed
+    assert items["R~ = R + Q"].detail == detail.format("-1/3")
+    assert all(c.passed and not c.detail for name, c in items.items()
+               if name not in ("Q~ = -Q", "R~ = R + Q"))
+
+
+def test_failed_route_check_names_the_component_that_differs(family121):
+    m, tp = family121
+    K = perturbed(tp.K_vec, (0, 0, 1, 1), Q(2))
+    with pytest.raises(ConsistencyError) as err:
+        tensor_K(K, tp.curv.R_vec, tp.Q_vec, tp.A_vec, tp.B_vec)
+    assert str(err.value) == ("curvature of D disagrees with R + Q/2 - B/4: first nonzero "
+                              "residual at (1, 1, 2, 2) is 2; 1 of 256 components differ")
+
+
+def test_report_forms_no_intermediate_tensors(family121, monkeypatch):
+    """The report path builds every relation in one integer pass: the
+    Fraction operators +, -, negation and scale stay the tests' reference."""
+    calls = []
+    for name in ("__add__", "__sub__", "__neg__", "scale"):
+        original = getattr(TensorDense, name)
+
+        def counted(*args, _original=original, _name=name):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(TensorDense, name, counted)
+    dense = document_of(pulled_back(family121[0], DENSE_BASIS))
+    alg, P, g, name = parse_document(dense)
+    assert all(P.data) and all(g.data)
+    for m in (family121[0], build_manifold(alg, P, g, name=name)):
+        build_report(m)
+    TensorDense.zeros(2, V3) + TensorDense.zeros(2, V3)     # the counter works
+    assert calls == ["__add__"]
 
 
 def reference_w1_qb(gm, tm, Sm, Ssm, Hm, HP, F, Pfs):
