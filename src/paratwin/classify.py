@@ -9,13 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 from .errors import ValidationError, require
 from .manifold import LieAlgebraModel, WManifold
-from .scalar import ZERO, Q
+from .scalar import Q
 from .structure import StructurePack
-from .tensor import TensorDense, vanishes
+from .tensor import TensorDense, lincomb, vanishes
 
 
 class ClassLabel(str, Enum):
@@ -61,17 +60,6 @@ class ClassificationResult:
     agreement: bool
 
 
-def _gw(metric: TensorDense, form: TensorDense) -> TensorDense:
-    """g(x,y) w(z) as a (0,3) tensor with slot order (x, y, z)."""
-    out = []
-    for a in metric.data:
-        if a:
-            out.extend(a * b if b else ZERO for b in form.data)
-        else:
-            out.extend([ZERO] * form.dim)
-    return TensorDense(metric.dim, ("d", "d", "d"), out)
-
-
 def classify_phi(m: WManifold, sp: StructurePack) -> set[ClassLabel]:
     """Label set from the Phi-based class identities."""
     n2 = Q(m.dim)          # 2n
@@ -79,7 +67,9 @@ def classify_phi(m: WManifold, sp: StructurePack) -> set[ClassLabel]:
     PhiPP = sp.Phi_P["xy"]                                  # Phi(Px,Py,z)
     f_zero = f.is_zero()
 
-    gf, gtfs = _gw(m.g, f), _gw(m.g_twin, f_star)
+    # g(x,y) f(z) and g~(x,y) f*(z)
+    gf = lincomb((1, "xy,z->xyz", m.g, f))
+    gtfs = lincomb((1, "xy,z->xyz", m.g_twin, f_star))
 
     labels: set[ClassLabel] = {ClassLabel.FULL}
     if Phi.is_zero():
@@ -111,7 +101,9 @@ def classify_f(m: WManifold, sp: StructurePack, by_phi: set[ClassLabel]) -> set[
     F, theta, theta_star = sp.F, sp.theta, sp.theta_star
     theta_zero = theta.is_zero()
 
-    gt, gtts = _gw(m.g, theta), _gw(m.g_twin, theta_star)
+    # g(x,y) theta(z) and g~(x,y) theta*(z)
+    gt = lincomb((1, "xy,z->xyz", m.g, theta))
+    gtts = lincomb((1, "xy,z->xyz", m.g_twin, theta_star))
 
     def cyc(c, t: TensorDense) -> tuple:
         """The terms of c times the cyclic sum of t over its three arguments."""
@@ -166,11 +158,6 @@ def classify(m: WManifold, sp: StructurePack) -> ClassificationResult:
                                 agreement=by_phi == by_f)
 
 
-def is_isotropic_w0(snorm: Fraction) -> bool:
-    """||nabla P|| = 0: an isotropic W0-manifold (nabla P itself may be nonzero)."""
-    return snorm == ZERO
-
-
 def lee_forms_closed(alg: LieAlgebraModel, theta: TensorDense,
                      theta_star: TensorDense) -> bool:
     """d(theta) = d(theta*) = 0 for invariant 1-forms.
@@ -178,11 +165,4 @@ def lee_forms_closed(alg: LieAlgebraModel, theta: TensorDense,
     For constant components the exterior derivative reduces to
     d(w)(X_i, X_j) = -w([X_i, X_j]).
     """
-    n = alg.dim
-    for w in (theta, theta_star):
-        for i in range(n):
-            for j in range(i + 1, n):
-                b = alg.bracket(i, j)
-                if sum((w[k] * b[k] for k in range(n) if b[k]), ZERO):
-                    return False
-    return True
+    return all(vanishes((1, "k,kij->ij", w, alg.c)) for w in (theta, theta_star))

@@ -45,27 +45,7 @@ class DocumentError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# document serialization
-
-def document_of(m: WManifold) -> dict:
-    """Manifold document for m; re-ingesting yields an identical manifold."""
-    n = m.dim
-    brackets = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            vec = m.algebra.bracket(i, j)
-            coeffs = {str(k + 1): format_rational(vec[k]) for k in range(n) if vec[k]}
-            if coeffs:
-                brackets.append({"i": i + 1, "j": j + 1, "coeffs": coeffs})
-    matrix_of = lambda t: [[format_rational(t[i, j]) for j in range(n)] for i in range(n)]
-    return {
-        "dim": n,
-        "basis": list(m.algebra.basis_labels),
-        "brackets": brackets,
-        "metric": matrix_of(m.g),
-        "P": matrix_of(m.P),
-    }
-
+# document parsing
 
 def _rational_field(value, where: str):
     if isinstance(value, bool):

@@ -12,7 +12,6 @@ from fractions import Fraction
 from .connection import Connection, curvature_operator
 from .errors import ValidationError, require
 from .manifold import LieAlgebraModel, WManifold
-from .scalar import ZERO
 from .tensor import DOWN, TensorDense, contract, lower_index, raise_index, transpose, vanishes
 
 
@@ -65,6 +64,3 @@ def riemann_twin(m: WManifold, conn_twin: Connection) -> CurvaturePack:
     """Curvature of the Levi-Civita connection of g~, lowered and traced with g~."""
     return riemann(conn_twin, m.algebra, m.g_twin, m.g_twin_inv)
 
-
-def is_scalar_flat(tau: Fraction) -> bool:
-    return tau == ZERO

@@ -16,16 +16,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 
 from . import tables
 from .classify import ClassLabel, lee_forms_closed
-from .errors import ValidationError, failure_detail
+from .errors import ValidationError
 from .manifold import (CheckItem, LieAlgebraModel, ValidationReport, WManifold,
                        build_manifold)
 from .scalar import ZERO, Q, format_rational, rational
-from .tensor import DOWN, UP, TensorDense, lower_index, transpose, vanishes
+from .tensor import DOWN, UP, TensorDense, apply_endo, lower_index, transpose, vanishes
 from .twin import build_twin_pack, w1_closed_forms
+
+
+DIM = 4
 
 
 @dataclass(frozen=True)
@@ -74,16 +77,15 @@ def family_brackets(p: FamilyParams) -> dict[tuple[int, int], list[Fraction]]:
 
 def build_family(p: FamilyParams) -> WManifold:
     """Build the family manifold; passes every structural validation."""
-    n = 4
-    shape = TensorDense.zeros(n, (UP, DOWN, DOWN))
-    data = [ZERO] * n ** 3
-    for (i, j), vec in family_brackets(p).items():
-        for k in range(n):
-            if vec[k]:
-                data[shape.flat((k, i, j))] = vec[k]
-                data[shape.flat((k, j, i))] = -vec[k]
-    alg = LieAlgebraModel(n, ("X1", "X2", "X3", "X4"),
-                          TensorDense(n, (UP, DOWN, DOWN), data))
+    brackets = family_brackets(p)
+
+    def c(k, i, j):
+        if (i, j) in brackets:
+            return brackets[i, j][k]
+        return -brackets[j, i][k] if (j, i) in brackets else ZERO
+
+    alg = LieAlgebraModel(DIM, ("X1", "X2", "X3", "X4"),
+                          TensorDense.from_function(DIM, (UP, DOWN, DOWN), c))
     P = TensorDense.from_matrix([[0, 1, 0, 0],
                                  [1, 0, 0, 0],
                                  [0, 0, 0, 1],
@@ -102,13 +104,20 @@ def family_pack(p: FamilyParams):
     return m, build_twin_pack(m)
 
 
-def _vec_of(t: TensorDense, *fixed) -> tuple:
-    """Column of a (1,k) tensor at the given covariant indices."""
-    return tuple(t[(a,) + fixed] for a in range(t.dim))
+def _entries(label: str, sep: str, rank: int, got, want):
+    """(label with the 1-based index, got(idx), want(idx)) for every index
+    tuple idx of the given rank; sep joins the index digits."""
+    for idx in product(range(DIM), repeat=rank):
+        yield f"{label}_{sep.join(str(i + 1) for i in idx)}", got(idx), want(idx)
 
 
-def _zero_vec(n: int) -> tuple:
-    return (ZERO,) * n
+def _table_check(name: str, *entries) -> CheckItem:
+    """The check that every (label, engine value, table value) of entries
+    agrees; a failure names the first that does not."""
+    for label, got, want in chain(*entries):
+        if got != want:
+            return CheckItem(name, False, f"{label}: got {got}, expected {want}")
+    return CheckItem(name, True)
 
 
 def theorem_checks(p: FamilyParams, perturb_curvature: bool = False) -> ValidationReport:
@@ -120,90 +129,78 @@ def theorem_checks(p: FamilyParams, perturb_curvature: bool = False) -> Validati
     """
     m, tp = family_pack(p)
     sp, spt = tp.sp, tp.sp_twin
-    n = m.dim
     l1, l2, e = p.lambda1, p.lambda2, p.epsilon
     on_diagonal = l1 == l2 or l1 == -l2
-    checks: list[CheckItem] = []
+    zero = (ZERO,) * DIM
 
-    def check(name: str, ok, detail: str = ""):
-        checks.append(CheckItem(name, bool(ok), "" if ok else detail or failure_detail(ok)))
+    def vec(t: TensorDense):
+        """The engine side: the column of a (1,k) tensor at covariant indices."""
+        return lambda idx: tuple(t.column(*idx))
 
-    def first_mismatch(pairs):
-        for label, got, want in pairs:
-            if got != want:
-                return f"{label}: got {got}, expected {want}"
-        return ""
+    def table(t: dict, default=ZERO):
+        """The table side: a component table with its zero entries omitted."""
+        return lambda idx: t.get(idx, default)
 
     # structural claims
     cls = tp.cls
     want_min = ClassLabel.W0 if (not l1 and not l2) else ClassLabel.W1
-    check("claim: minimal class", cls.minimal == want_min,
-          f"got {cls.minimal}, expected {want_min}")
-    check("claim: Lee forms closed",
-          lee_forms_closed(m.algebra, sp.theta, sp.theta_star)
-          and lee_forms_closed(m.algebra, spt.theta, spt.theta_star))
-    check("claim: isotropic iff l1 = +-l2", (sp.snorm == ZERO) == on_diagonal,
-          f"snorm = {sp.snorm}")
-    check("claim: scalar flat iff l1 = +-l2",
-          ((tp.curv.tau == ZERO) and (tp.curv_twin.tau == ZERO)) == on_diagonal,
-          f"tau = {tp.curv.tau}, twin tau = {tp.curv_twin.tau}")
-    check("claim: W0 iff l1 = l2 = 0",
-          (cls.minimal == ClassLabel.W0) == (not l1 and not l2))
-
-    # abelian structure property of P
-    abelian_P = all(
-        m.algebra.bracket_of(
-            m.apply_P([Q(a == i) for a in range(n)]),
-            m.apply_P([Q(a == j) for a in range(n)])) ==
-        [-c for c in m.algebra.bracket(i, j)]
-        for i, j in product(range(n), repeat=2))
-    check("P is an Abelian structure", abelian_P)
+    checks = [
+        CheckItem.of("claim: minimal class", cls.minimal == want_min,
+                     f"got {cls.minimal}, expected {want_min}"),
+        CheckItem.of("claim: Lee forms closed",
+                     lee_forms_closed(m.algebra, sp.theta, sp.theta_star)
+                     and lee_forms_closed(m.algebra, spt.theta, spt.theta_star)),
+        CheckItem.of("claim: isotropic iff l1 = +-l2", (sp.snorm == ZERO) == on_diagonal,
+                     f"snorm = {sp.snorm}"),
+        CheckItem.of("claim: scalar flat iff l1 = +-l2",
+                     ((tp.curv.tau == ZERO) and (tp.curv_twin.tau == ZERO)) == on_diagonal,
+                     f"tau = {tp.curv.tau}, twin tau = {tp.curv_twin.tau}"),
+        CheckItem.of("claim: W0 iff l1 = l2 = 0",
+                     (cls.minimal == ClassLabel.W0) == (not l1 and not l2)),
+        # abelian structure property of P: [Px, Py] = -[x, y]
+        CheckItem.of("P is an Abelian structure",
+                     vanishes((1, apply_endo(apply_endo(m.algebra.c, 1, m.P), 2, m.P)),
+                              (1, m.algebra.c))),
+    ]
 
     # connection components
     nabla_t, nabla_twin_t = tables.connection_tables(p)
-    zero = _zero_vec(n)
-    detail = first_mismatch(
-        (f"nabla_{i + 1},{j + 1}", tuple(tp.conn.derive(i, j)), nabla_t.get((i, j), zero))
-        for i, j in product(range(n), repeat=2))
-    check("table: connection", detail == "", detail)
-    detail = first_mismatch(
-        (f"twin nabla_{i + 1},{j + 1}", tuple(tp.conn_twin.derive(i, j)),
-         nabla_twin_t.get((i, j), zero))
-        for i, j in product(range(n), repeat=2))
-    check("table: twin connection", detail == "", detail)
+    checks.append(_table_check("table: connection",
+                               _entries("nabla", ",", 2, vec(tp.conn.gamma),
+                                        table(nabla_t, zero))))
+    checks.append(_table_check("table: twin connection",
+                               _entries("twin nabla", ",", 2, vec(tp.conn_twin.gamma),
+                                        table(nabla_twin_t, zero))))
 
     # potential and its 1-forms
     phi_t, f_t, f_star_t, f_sharp_t = tables.potential_table(p)
-    detail = first_mismatch(
-        [(f"Phi_{i + 1},{j + 1}", _vec_of(sp.Phi_vec, i, j), phi_t.get((i, j), zero))
-         for i, j in product(range(n), repeat=2)]
-        + [("f", tuple(sp.f.data), f_t), ("f*", tuple(sp.f_star.data), f_star_t),
-           ("f#", tuple(sp.f_sharp.data), f_sharp_t)])
-    check("table: potential", detail == "", detail)
+    checks.append(_table_check(
+        "table: potential",
+        _entries("Phi", ",", 2, vec(sp.Phi_vec), table(phi_t, zero)),
+        [("f", sp.f.data, f_t), ("f*", sp.f_star.data, f_star_t),
+         ("f#", sp.f_sharp.data, f_sharp_t)]))
 
     # fundamental tensor and its twin proportionality
-    F_t = tables.fundamental_table(p)
-    detail = first_mismatch(
-        (f"F_{i + 1}{j + 1}{k + 1}", sp.F[i, j, k], F_t.get((i, j, k), ZERO))
-        for i, j, k in product(range(n), repeat=3))
-    check("table: fundamental tensor", detail == "", detail)
-    check("identity: twin F = eps F", vanishes((1, spt.F), (-e, sp.F)))
-    check("identity: twin F(x,y,z) = F(Px,y,z)", vanishes((1, spt.F), (-1, sp.F_P["x"])))
+    checks.append(_table_check("table: fundamental tensor",
+                               _entries("F", "", 3, sp.F.__getitem__,
+                                        table(tables.fundamental_table(p)))))
+    checks.append(CheckItem.of("identity: twin F = eps F", vanishes((1, spt.F), (-e, sp.F))))
+    checks.append(CheckItem.of("identity: twin F(x,y,z) = F(Px,y,z)",
+                               vanishes((1, spt.F), (-1, sp.F_P["x"]))))
 
     # square norms
     snorm_t, snorm_twin_t = tables.square_norm_table(p)
-    detail = first_mismatch([("|nabla P|^2", sp.snorm, snorm_t),
-                             ("twin |nabla P|^2", spt.snorm, snorm_twin_t)])
-    check("table: square norm", detail == "", detail)
+    checks.append(_table_check("table: square norm",
+                               [("|nabla P|^2", sp.snorm, snorm_t),
+                                ("twin |nabla P|^2", spt.snorm, snorm_twin_t)]))
 
     # Lee forms
     theta_t, theta_star_t = tables.lee_form_table(p)
-    detail = first_mismatch([
-        ("theta", tuple(sp.theta.data), theta_t),
-        ("theta*", tuple(sp.theta_star.data), theta_star_t),
-        ("twin theta", tuple(spt.theta.data), theta_t),
-        ("twin theta*", tuple(spt.theta_star.data), theta_star_t)])
-    check("table: Lee forms", detail == "", detail)
+    checks.append(_table_check("table: Lee forms", [
+        ("theta", sp.theta.data, theta_t),
+        ("theta*", sp.theta_star.data, theta_star_t),
+        ("twin theta", spt.theta.data, theta_t),
+        ("twin theta*", spt.theta_star.data, theta_star_t)]))
 
     # curvature tables
     R_t = tables.curvature_table(p)
@@ -211,58 +208,47 @@ def theorem_checks(p: FamilyParams, perturb_curvature: bool = False) -> Validati
         idx = (0, 1, 1, 0)
         R_t = dict(R_t)
         R_t[idx] = -R_t.get(idx, ZERO)
-    detail = first_mismatch(
-        (f"R_{i + 1}{j + 1}{k + 1}{l + 1}", tp.curv.R[i, j, k, l], R_t.get((i, j, k, l), ZERO))
-        for i, j, k, l in product(range(n), repeat=4))
-    check("table: curvature", detail == "", detail)
-
-    Rt_t = tables.twin_curvature_table(p)
-    detail = first_mismatch(
-        (f"twin R_{i + 1}{j + 1}{k + 1}{l + 1}", tp.curv_twin.R[i, j, k, l],
-         Rt_t.get((i, j, k, l), ZERO))
-        for i, j, k, l in product(range(n), repeat=4))
-    check("table: twin curvature", detail == "", detail)
+    checks.append(_table_check("table: curvature",
+                               _entries("R", "", 4, tp.curv.R.__getitem__, table(R_t))))
+    checks.append(_table_check("table: twin curvature",
+                               _entries("twin R", "", 4, tp.curv_twin.R.__getitem__,
+                                        table(tables.twin_curvature_table(p)))))
 
     rho_t, tau_t, rho_twin_t, tau_twin_t = tables.ricci_table(p)
-    detail = first_mismatch(
-        [(f"rho_{i + 1}{j + 1}", tp.curv.ricci[i, j], rho_t[i][j])
-         for i, j in product(range(n), repeat=2)]
-        + [(f"twin rho_{i + 1}{j + 1}", tp.curv_twin.ricci[i, j], rho_twin_t[i][j])
-           for i, j in product(range(n), repeat=2)]
-        + [("tau", tp.curv.tau, tau_t), ("twin tau", tp.curv_twin.tau, tau_twin_t)])
-    check("table: Ricci and scalar curvature", detail == "", detail)
+    checks.append(_table_check(
+        "table: Ricci and scalar curvature",
+        _entries("rho", "", 2, tp.curv.ricci.__getitem__, lambda idx: rho_t[idx[0]][idx[1]]),
+        _entries("twin rho", "", 2, tp.curv_twin.ricci.__getitem__,
+                 lambda idx: rho_twin_t[idx[0]][idx[1]]),
+        [("tau", tp.curv.tau, tau_t), ("twin tau", tp.curv_twin.tau, tau_twin_t)]))
 
     # twin interchange tensors
-    Q_t = tables.q_table(p)
-    detail = first_mismatch(
-        (f"Q_{i + 1}{j + 1}{k + 1}", _vec_of(tp.Q_vec, i, j, k), Q_t.get((i, j, k), zero))
-        for i, j, k in product(range(n), repeat=3))
-    check("table: twin difference tensor", detail == "", detail)
-
-    A_t = tables.a_table(p)
+    checks.append(_table_check("table: twin difference tensor",
+                               _entries("Q", "", 3, vec(tp.Q_vec),
+                                        table(tables.q_table(p), zero))))
     A_low = transpose(lower_index(tp.A_vec, 0, m.g), (1, 2, 3, 0))
-    detail = first_mismatch(
-        (f"A_{i + 1}{j + 1}{k + 1}{l + 1}", A_low[i, j, k, l], A_t.get((i, j, k, l), ZERO))
-        for i, j, k, l in product(range(n), repeat=4))
-    check("table: average curvature", detail == "", detail)
-
-    D_t = tables.average_connection_table(p)
-    detail = first_mismatch(
-        (f"D_{i + 1},{j + 1}", tuple(tp.D.derive(i, j)), D_t.get((i, j), zero))
-        for i, j in product(range(n), repeat=2))
-    check("table: average connection", detail == "", detail)
+    checks.append(_table_check("table: average curvature",
+                               _entries("A", "", 4, A_low.__getitem__,
+                                        table(tables.a_table(p)))))
+    checks.append(_table_check("table: average connection",
+                               _entries("D", ",", 2, vec(tp.D.gamma),
+                                        table(tables.average_connection_table(p), zero))))
 
     # family identities
-    check("identity: B = 0", vanishes((1, tp.B_vec)))
-    check("identity: K = A", vanishes((1, tp.K_vec), (-1, tp.A_vec)))
-    check("identity: N = 0", vanishes((1, sp.N_vec)))
-    check("identity: Nhat = -4 Phi (vector-valued)",
-          vanishes((1, sp.Nhat_vec), (4, sp.Phi_vec)))
+    checks += [
+        CheckItem.of("identity: B = 0", vanishes((1, tp.B_vec))),
+        CheckItem.of("identity: K = A", vanishes((1, tp.K_vec), (-1, tp.A_vec))),
+        CheckItem.of("identity: N = 0", vanishes((1, sp.N_vec))),
+        CheckItem.of("identity: Nhat = -4 Phi (vector-valued)",
+                     vanishes((1, sp.Nhat_vec), (4, sp.Phi_vec))),
+    ]
     try:
         _, _, H, _, _ = w1_closed_forms(m, tp)
-        check("identity: H = 0 and closed-form Q, B reconstruction", H.is_zero())
+        checks.append(CheckItem.of("identity: H = 0 and closed-form Q, B reconstruction",
+                                   H.is_zero()))
     except Exception as exc:                         # noqa: BLE001
-        check("identity: H = 0 and closed-form Q, B reconstruction", False, str(exc))
+        checks.append(CheckItem.of("identity: H = 0 and closed-form Q, B reconstruction",
+                                   False, str(exc)))
 
     return ValidationReport(tuple(checks))
 

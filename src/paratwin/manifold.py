@@ -9,13 +9,11 @@ associated twin metric is g~(x, y) = g(x, Py).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product
 
-from .errors import ValidationError
+from .errors import ValidationError, failure_detail
 from .scalar import ZERO, Q
-from .tensor import (DOWN, UP, TensorDense, _as_ints, matrix_determinant,
-                     matrix_inverse, symmetric_signature)
+from .tensor import DOWN, UP, TensorDense, matrix_determinant, matrix_inverse
 
 
 @dataclass(frozen=True)
@@ -36,33 +34,18 @@ class LieAlgebraModel:
         if self.c.dim != self.dim or self.c.variance != (UP, DOWN, DOWN):
             raise ValidationError("structure constants must form a (1,2) tensor of matching dimension")
 
-    def bracket(self, i: int, j: int) -> list[Fraction]:
-        """Components of [X_i, X_j] in the basis."""
-        n = self.dim
-        return list(self.c.data[i * n + j::n * n])
-
-    def bracket_of(self, x: list[Fraction], y: list[Fraction]) -> list[Fraction]:
-        """[x, y] for arbitrary coefficient vectors x, y."""
-        n = self.dim
-        out = [ZERO] * n
-        for i in range(n):
-            if not x[i]:
-                continue
-            for j in range(n):
-                if not y[j]:
-                    continue
-                s = x[i] * y[j]
-                for k, v in enumerate(self.bracket(i, j)):
-                    if v:
-                        out[k] += s * v
-        return out
-
 
 @dataclass(frozen=True)
 class CheckItem:
     name: str
     passed: bool
     detail: str = ""
+
+    @classmethod
+    def of(cls, name: str, ok, detail: str = "") -> "CheckItem":
+        """The item for a check result ok, a bool or a tensor.vanishes()
+        residual; a failure carries detail, else what the residual says."""
+        return cls(name, bool(ok), "" if ok else detail or failure_detail(ok))
 
 
 @dataclass(frozen=True)
@@ -85,7 +68,7 @@ def validate_lie_algebra(alg: LieAlgebraModel) -> ValidationReport:
     """
     n = alg.dim
     n2 = n * n
-    den, cd = _as_ints(alg.c.data)
+    den, cd = alg.c.den, alg.c.nums
     items: list[CheckItem] = []
     anti_ok = True
     for i, j, k in product(range(n), repeat=3):
@@ -156,12 +139,6 @@ class WManifold:
     def dim(self) -> int:
         return self.algebra.dim
 
-    def apply_P(self, x: list[Fraction]) -> list[Fraction]:
-        n = self.dim
-        rows = self.P.matrix()
-        return [sum((rows[k][i] * x[i] for i in range(n) if x[i] and rows[k][i]), ZERO)
-                for k in range(n)]
-
     def twin_view(self) -> "WManifold":
         """The same algebra and P with g and g~ swapped."""
         return WManifold(self.algebra, self.P,
@@ -227,109 +204,3 @@ def assemble_manifold(alg: LieAlgebraModel, P: TensorDense, g: TensorDense,
         raise ValidationError("twin metric is degenerate")
     g_twin_inv = TensorDense.from_matrix(twin_inv, (UP, UP))
     return WManifold(alg, P, g, g_inv, g_twin, g_twin_inv, name=name)
-
-
-def eigenbasis(m: WManifold) -> TensorDense:
-    """Change of basis diagonalizing P when P swaps basis vectors in pairs.
-
-    Returns the matrix whose columns are the unnormalized eigenvectors
-    a_{2k-1} = X_{2k-1} - X_{2k}, a_{2k} = X_{2k-1} + X_{2k} (the 1/sqrt(2)
-    normalization is dropped to stay rational).  In the new basis P is
-    diagonal with entries alternating -1, +1.
-    """
-    n = m.dim
-    Pm = m.P.matrix()
-    for k in range(0, n, 2):
-        expected = {(k, k + 1): Q(1), (k + 1, k): Q(1)}
-        for i in range(n):
-            for j in (k, k + 1):
-                if Pm[i][j] != expected.get((i, j), ZERO):
-                    raise ValidationError(
-                        "P is not in adapted pair-swap form; the eigenbasis "
-                        "diagnostic does not apply to this basis")
-    cols = [[ZERO] * n for _ in range(n)]
-    for k in range(0, n, 2):
-        cols[k][k] = Q(1)
-        cols[k + 1][k] = Q(-1)
-        cols[k][k + 1] = Q(1)
-        cols[k + 1][k + 1] = Q(1)
-    return TensorDense.from_matrix(cols, (UP, DOWN))
-
-
-def change_basis_bilinear(form: TensorDense, basis: TensorDense) -> TensorDense:
-    """Pull a (0,2) form back along a basis-change matrix: M^T form M."""
-    n = form.dim
-    fm = form.matrix()
-    bm = basis.matrix()
-    out = [[sum(bm[a][i] * fm[a][b] * bm[b][j]
-                for a in range(n) for b in range(n) if bm[a][i] and bm[b][j])
-            for j in range(n)] for i in range(n)]
-    return TensorDense.from_matrix(out, (DOWN, DOWN))
-
-
-def change_basis_endo(endo: TensorDense, basis: TensorDense) -> TensorDense:
-    """Conjugate a (1,1) tensor by a basis-change matrix: M^-1 endo M."""
-    n = endo.dim
-    em = endo.matrix()
-    bm = basis.matrix()
-    binv = matrix_inverse(bm)
-    if binv is None:
-        raise ValidationError("basis-change matrix is singular")
-    tmp = [[sum(em[i][a] * bm[a][j] for a in range(n)) for j in range(n)] for i in range(n)]
-    out = [[sum(binv[i][a] * tmp[a][j] for a in range(n)) for j in range(n)] for i in range(n)]
-    return TensorDense.from_matrix(out, (UP, DOWN))
-
-
-def metric_signature(g: TensorDense) -> tuple[int, int]:
-    """(positive, negative) inertia of a non-degenerate symmetric form."""
-    pos, neg, zero = symmetric_signature(g.matrix())
-    if zero:
-        raise ValidationError("form is degenerate")
-    return pos, neg
-
-
-def abelian_manifold(dim: int = 4, name: str = "abelian") -> WManifold:
-    """Flat reference manifold: Abelian algebra, pair-swap P, g = diag(1,..,-1,..)."""
-    labels = tuple(f"X{i + 1}" for i in range(dim))
-    alg = LieAlgebraModel(dim, labels, TensorDense.zeros(dim, (UP, DOWN, DOWN)))
-    P = TensorDense.from_function(dim, (UP, DOWN),
-                                  lambda i, j: Q(i == j + 1 and j % 2 == 0 or j == i + 1 and i % 2 == 0))
-    half = dim // 2
-    g = TensorDense.from_function(dim, (DOWN, DOWN),
-                                  lambda i, j: Q(0) if i != j else (Q(1) if i < half else Q(-1)))
-    return build_manifold(alg, P, g, name=name)
-
-
-def direct_sum(m1: WManifold, m2: WManifold, name: str | None = None) -> WManifold:
-    """Blockwise direct sum of two manifolds.
-
-    Structure constants, P and g are block-diagonal, so Jacobi and every
-    structural axiom hold automatically; used to grow the test corpus
-    beyond dimension 4.
-    """
-    n1, n2 = m1.dim, m2.dim
-    n = n1 + n2
-    labels = tuple(f"A{i + 1}" for i in range(n1)) + tuple(f"B{i + 1}" for i in range(n2))
-
-    def block3(t1: TensorDense, t2: TensorDense):
-        def fn(k, i, j):
-            if k < n1 and i < n1 and j < n1:
-                return t1[k, i, j]
-            if k >= n1 and i >= n1 and j >= n1:
-                return t2[k - n1, i - n1, j - n1]
-            return ZERO
-        return TensorDense.from_function(n, (UP, DOWN, DOWN), fn)
-
-    def block2(t1: TensorDense, t2: TensorDense, variance):
-        def fn(i, j):
-            if i < n1 and j < n1:
-                return t1[i, j]
-            if i >= n1 and j >= n1:
-                return t2[i - n1, j - n1]
-            return ZERO
-        return TensorDense.from_function(n, variance, fn)
-
-    alg = LieAlgebraModel(n, labels, block3(m1.algebra.c, m2.algebra.c))
-    P = block2(m1.P, m2.P, (UP, DOWN))
-    g = block2(m1.g, m2.g, (DOWN, DOWN))
-    return build_manifold(alg, P, g, name=name or f"{m1.name}(+){m2.name}")

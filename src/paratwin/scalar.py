@@ -1,11 +1,11 @@
 """Exact rational scalars.
 
-Every quantity in the engine is an arbitrary-precision rational,
-``fractions.Fraction`` (exported as ``Q``); there is no floating point
-anywhere, so tensor equalities can be decided exactly.  The tensor
-kernels read each rational through ``as_integer_ratio()``, do their sums
-in Python ints and form one rational per output component
-(paratwin.tensor).
+Every quantity in the engine is an arbitrary-precision rational; there is
+no floating point anywhere, so tensor equalities can be decided exactly.
+Scalars are ``fractions.Fraction`` (exported as ``Q``).  Tensors store
+integer numerators over one denominator instead (paratwin.tensor): they
+take rationals in through rational() and give them back, with the shared
+ZERO for every zero, only at their edges.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ def rational(value) -> Fraction:
             raise ValueError(f"not a rational: {value!r}") from exc
     else:
         raise TypeError(f"cannot interpret {value!r} as an exact rational")
-    return q if q else ZERO             # one shared zero, see paratwin.tensor
+    return q if q else ZERO             # one shared zero
 
 
 def format_rational(value) -> str:

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .connection import Connection, covariant_derivative, koszul
 from .errors import require
 from .manifold import WManifold
 from .scalar import ZERO, Q
-from .tensor import (DOWN, TensorDense, _as_ints, _from_ints, apply_endo, contract,
-                     lincomb, lower_index, raise_index, transpose, vanishes)
+from .tensor import (TensorDense, apply_endo, contract, lincomb, lower_index, raise_index,
+                     transpose, vanishes)
 
 #: a (0,3) tensor with P substituted into some arguments, keyed by those
 #: arguments: "z" is t(x,y,Pz), "yz" is t(x,Py,Pz), see p_substitutions
@@ -62,20 +63,7 @@ def fundamental_F(m: WManifold, conn: Connection) -> tuple[TensorDense, PSubs]:
     Returns F and its P-substitutions "x", "y", "z" and "yz".
     """
     nabla_p = covariant_derivative(conn, m.P)       # [a, j, i]: (nabla_{X_i} P)^a_j
-    n = m.dim
-    dden, nums = _as_ints(nabla_p.data)
-    gden, gm = _as_ints(m.g.data)
-    out = [0] * n ** 3
-    for p, v in enumerate(nums):
-        if not v:
-            continue
-        a, ji = divmod(p, n * n)
-        j, i = divmod(ji, n)
-        base = (i * n + j) * n
-        for k in range(n):
-            if w := gm[k * n + a]:
-                out[base + k] += w * v
-    F = TensorDense(n, (DOWN, DOWN, DOWN), _from_ints(out, dden * gden))
+    F = lincomb((1, "aji,ka->ijk", nabla_p, m.g))
     F_P = p_substitutions(F, m.P, "x", "y", "z", "yz")
 
     # F(x,y,z) = F(x,z,y) = -F(x,Py,Pz) and F(x,Py,z) = -F(x,y,Pz)
@@ -183,10 +171,8 @@ def square_norm(m: WManifold, F: TensorDense) -> Fraction:
     """||nabla P|| = g^{ij} g^{kl} g^{st} F_{iks} F_{jlt}."""
     ginv = m.g_inv
     raised = raise_index(raise_index(raise_index(F, 0, ginv), 1, ginv), 2, ginv)
-    fden, fnums = _as_ints(F.data)
-    rden, rnums = _as_ints(raised.data)
-    total = sum(v * r for v, r in zip(fnums, rnums) if v)
-    return Q(total, fden * rden) if total else ZERO
+    total = sum(map(mul, F.nums, raised.nums))
+    return Q(total, F.den * raised.den) if total else ZERO
 
 
 def build_structure_pack(m: WManifold, conn: Connection) -> StructurePack:

@@ -1,38 +1,48 @@
-"""Dense tensors with exact rational components.
+"""Dense tensors with exact rational components, stored as integers.
 
-A tensor is stored as a flat tuple of rationals, row-major over its index
-tuple.  Each slot carries a variance flag, "u" (contravariant) or "d"
-(covariant); tensors are built with all contravariant slots first, and
-raising or lowering flips the flag of a slot in place, so a raise followed
-by a lower of the same slot is the exact identity.
+A tensor holds one positive denominator den and a list nums of integer
+numerators, row-major over its index tuple: component p is nums[p] / den.
+The pair is reduced, gcd(den, *nums) == 1, so equal tensors have equal
+storage however they were built; the zero tensor has den 1.  Each slot
+carries a variance flag, "u" (contravariant) or "d" (covariant); tensors
+are built with all contravariant slots first, and raising or lowering
+flips the flag of a slot in place, so a raise followed by a lower of the
+same slot is the exact identity.  All values are immutable after
+construction and safe to share; nums is never mutated.  support lists
+the positions of the nonzero numerators, found once at construction, so
+the kernels visit only those.
 
-All values are immutable after construction and safe to share.
+Rationals appear only at the edges.  TensorDense(dim, variance, data),
+from_matrix, from_function and zeros take rationals and convert them once;
+t[idx], item(), matrix(), column() and data give rationals back, with the
+shared ZERO of paratwin.scalar for every zero component.  Everything in
+between is integer arithmetic.
 
-Sums of products do their arithmetic in Python ints: each operand is
-converted once to (den, nums) over the lcm of its denominators
-(_as_ints), products and sums accumulate as ints, and one rational is
-formed per nonzero output component (_from_ints).  Linear
-relations and route formulas take one integer pass too: lincomb builds
-sum c T, each term optionally transposed, and vanishes decides sum c T = 0
-without forming a rational, describing the first nonzero component when
-it is not.  Both visit only the nonzero components of each operand
-(_nonzero_ratios).  Every zero output is the shared ZERO, which rational()
-also returns for every zero.
+Every sum of products is a term of lincomb (which builds it) or vanishes
+(which decides that it is zero without forming a rational):
 
-The elementwise operators +, -, negation and scale and tensor_equal stay
-on rationals.  The engine no longer uses them; the tests keep them as the
-reference route.  They skip structural zeros, recognised by identity with
-ZERO; identity is only a fast path, and a zero that is another object goes
-through the rational arithmetic and still gives the exact result.
-transpose only reorders components.
+    (c, T)                  c T
+    (c, T, perm)            c transpose(T, perm)
+    (c, spec, A, B)         c times the product of A and B by an einsum
+                            spec such as "kxm,myz->kxyz"
+
+A product sums over at most one letter, shared by the two operands; its
+output letters are the other letters in any order, and each output slot
+keeps the variance its letter has in its operand.  All terms accumulate into one integer array over the lcm
+of their denominators, and only the nonzero components of each operand
+are visited.  Index raising and lowering, endomorphism insertion, the
+Koszul formula, covariant derivatives and curvature are all such terms.
+
+The elementwise operators +, -, negation and scale and tensor_equal work
+on rationals.  The engine does not use them; the tests keep them as the
+reference route for lincomb and vanishes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress, count, product, repeat
-from math import lcm
-from operator import is_not
+from itertools import compress, product
+from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
 
 from .errors import ValidationError
@@ -45,7 +55,7 @@ DOWN = "d"
 class TensorDense:
     """Dense type-(r,s) tensor over a fixed basis of an even-dimensional space."""
 
-    __slots__ = ("dim", "variance", "data")
+    __slots__ = ("dim", "variance", "den", "nums", "support")
 
     def __init__(self, dim: int, variance: Sequence[str], data: Iterable[Fraction]):
         if dim <= 0 or dim % 2 != 0:
@@ -53,14 +63,19 @@ class TensorDense:
         variance = tuple(variance)
         if any(v not in (UP, DOWN) for v in variance):
             raise ValidationError(f"bad variance mask {variance!r}")
-        data = tuple(data)
-        if len(data) != dim ** len(variance):
+        ratios = [(0, 1) if x is ZERO else rational(x).as_integer_ratio() for x in data]
+        if len(ratios) != dim ** len(variance):
             raise ValidationError(
-                f"component count {len(data)} != {dim}^{len(variance)}"
-            )
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "variance", variance)
-        object.__setattr__(self, "data", data)
+                f"component count {len(ratios)} != {dim}^{len(variance)}")
+        den = lcm(*{d for _, d in ratios})
+        _store(self, dim, variance, den, [a * (den // d) for a, d in ratios])
+
+    @classmethod
+    def _of(cls, dim: int, variance: tuple, den: int, nums: list[int]) -> "TensorDense":
+        """The tensor nums / den (den > 0), reduced; the shape is trusted."""
+        t = object.__new__(cls)
+        _store(t, dim, variance, den, nums)
+        return t
 
     def __setattr__(self, name, value):
         raise AttributeError("TensorDense is immutable")
@@ -71,30 +86,45 @@ class TensorDense:
     def nslots(self) -> int:
         return len(self.variance)
 
-    @property
-    def contra_rank(self) -> int:
-        return sum(1 for v in self.variance if v == UP)
-
-    @property
-    def cov_rank(self) -> int:
-        return sum(1 for v in self.variance if v == DOWN)
-
     def flat(self, idx: Sequence[int]) -> int:
         pos = 0
         for i in idx:
             pos = pos * self.dim + i
         return pos
 
+    # -- rationals at the edges ----------------------------------------------
+
+    def _ratio(self, num: int) -> Fraction:
+        return Q(num, self.den) if num else ZERO
+
+    @property
+    def data(self) -> tuple[Fraction, ...]:
+        """All components as rationals, row-major."""
+        return tuple(map(self._ratio, self.nums))
+
     def __getitem__(self, idx) -> Fraction:
         if isinstance(idx, int):
             idx = (idx,)
-        return self.data[self.flat(idx)]
+        return self._ratio(self.nums[self.flat(idx)])
+
+    def column(self, *fixed: int) -> list[Fraction]:
+        """The components t[a, *fixed] for a = 0..dim-1, e.g. [X_i, X_j]
+        from the structure constants."""
+        step = self.dim ** len(fixed)
+        return list(map(self._ratio, self.nums[self.flat(fixed)::step]))
 
     def item(self) -> Fraction:
         """The single component of a rank-(0,0) tensor."""
         if self.nslots != 0:
             raise ValidationError("item() requires a rank-(0,0) tensor")
-        return self.data[0]
+        return self._ratio(self.nums[0])
+
+    def matrix(self) -> list[list[Fraction]]:
+        """Two-slot tensor as a nested list, first slot indexing rows."""
+        if self.nslots != 2:
+            raise ValidationError("matrix() requires exactly two slots")
+        n = self.dim
+        return [list(map(self._ratio, self.nums[i * n:(i + 1) * n])) for i in range(n)]
 
     # -- constructors ------------------------------------------------------
 
@@ -106,81 +136,71 @@ class TensorDense:
     def from_function(cls, dim: int, variance: Sequence[str],
                       fn: Callable[..., Fraction]) -> "TensorDense":
         return cls(dim, variance,
-                   [rational(fn(*idx)) for idx in product(range(dim), repeat=len(variance))])
-
-    @classmethod
-    def identity(cls, dim: int) -> "TensorDense":
-        """Kronecker delta as a (1,1) tensor."""
-        return cls.from_function(dim, (UP, DOWN), lambda i, j: Q(i == j))
+                   [fn(*idx) for idx in product(range(dim), repeat=len(variance))])
 
     @classmethod
     def from_matrix(cls, rows: Sequence[Sequence], variance: Sequence[str]) -> "TensorDense":
         dim = len(rows)
         if len(variance) != 2 or any(len(r) != dim for r in rows):
             raise ValidationError("from_matrix needs a square matrix and two slots")
-        return cls(dim, variance, [rational(x) for row in rows for x in row])
+        return cls(dim, variance, [x for row in rows for x in row])
 
-    def matrix(self) -> list[list[Fraction]]:
-        """Two-slot tensor as a nested list, first slot indexing rows."""
-        if self.nslots != 2:
-            raise ValidationError("matrix() requires exactly two slots")
-        n = self.dim
-        return [list(self.data[i * n:(i + 1) * n]) for i in range(n)]
-
-    # -- algebra -----------------------------------------------------------
+    # -- rational reference algebra ------------------------------------------
 
     def _check_same_shape(self, other: "TensorDense"):
         if self.dim != other.dim or self.variance != other.variance:
             raise ValidationError(
                 f"shape mismatch: dim {self.dim} {self.variance} vs dim {other.dim} {other.variance}")
 
-    # A structural zero passes through instead of entering rational
-    # arithmetic: on sparse tensors most components are 0 + 0 or s * 0.
-
     def __add__(self, other: "TensorDense") -> "TensorDense":
         self._check_same_shape(other)
-        return TensorDense(self.dim, self.variance,
-                           [b if a is ZERO else a if b is ZERO else a + b or ZERO
-                            for a, b in zip(self.data, other.data)])
+        return TensorDense(self.dim, self.variance, map(Fraction.__add__, self.data, other.data))
 
     def __sub__(self, other: "TensorDense") -> "TensorDense":
         self._check_same_shape(other)
-        return TensorDense(self.dim, self.variance,
-                           [a if b is ZERO else -b if a is ZERO else a - b or ZERO
-                            for a, b in zip(self.data, other.data)])
+        return TensorDense(self.dim, self.variance, map(Fraction.__sub__, self.data, other.data))
 
     def __neg__(self) -> "TensorDense":
-        return TensorDense(self.dim, self.variance,
-                           [a if a is ZERO else -a for a in self.data])
+        return TensorDense(self.dim, self.variance, [-a for a in self.data])
 
     def scale(self, s) -> "TensorDense":
         s = rational(s)
-        if s is ZERO:
-            return TensorDense.zeros(self.dim, self.variance)
-        return TensorDense(self.dim, self.variance,
-                           [a if a is ZERO else s * a for a in self.data])
+        return TensorDense(self.dim, self.variance, [s * a for a in self.data])
 
     def is_zero(self) -> bool:
-        return all(a is ZERO or not a for a in self.data)
+        return not self.support
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TensorDense):
             return NotImplemented
         return (self.dim == other.dim and self.variance == other.variance
-                and self.data == other.data)
+                and self.den == other.den and self.nums == other.nums)
 
     def __hash__(self):
-        return hash((self.dim, self.variance, self.data))
+        return hash((self.dim, self.variance, self.den, tuple(self.nums)))
 
     def __repr__(self):
         return f"TensorDense(dim={self.dim}, variance={''.join(self.variance)})"
 
 
+def _store(t: TensorDense, dim: int, variance: tuple, den: int, nums: list[int]) -> None:
+    """Set the fields of t to nums / den reduced by their gcd, and its
+    support, the positions of the nonzero components."""
+    support = list(compress(range(len(nums)), nums))
+    g = gcd(den, *map(nums.__getitem__, support))
+    if g != 1:
+        den //= g
+        for p in support:
+            nums[p] //= g
+    for name, value in (("dim", dim), ("variance", variance), ("den", den),
+                        ("nums", nums), ("support", support)):
+        object.__setattr__(t, name, value)
+
+
 def tensor_equal(a: TensorDense, b: TensorDense) -> bool:
-    """Exact componentwise equality; rank or dimension mismatch is False."""
-    if a.dim != b.dim or a.variance != b.variance:
-        return False
-    return a.data == b.data
+    """Exact componentwise equality of the rationals; rank or dimension
+    mismatch is False."""
+    return a.dim == b.dim and a.variance == b.variance and a.data == b.data
 
 
 def contract(t: TensorDense, slot_a: int, slot_b: int) -> TensorDense:
@@ -199,15 +219,11 @@ def contract(t: TensorDense, slot_a: int, slot_b: int) -> TensorDense:
             "contract pairs one contravariant and one covariant slot "
             f"(got {t.variance[slot_a]!r} at {slot_a}, {t.variance[slot_b]!r} at {slot_b})")
     keep = [k for k in range(n) if k not in (slot_a, slot_b)]
-    variance = tuple(t.variance[k] for k in keep)
-    data = t.data
-    out = [ZERO] * t.dim ** len(keep)
+    nums = t.nums
+    out = [0] * t.dim ** len(keep)
     for src, dst in _diagonal_map(t.dim, n, slot_a, slot_b):
-        v = data[src]
-        if v is not ZERO:
-            o = out[dst]
-            out[dst] = v if o is ZERO else o + v or ZERO
-    return TensorDense(t.dim, variance, out)
+        out[dst] += nums[src]
+    return TensorDense._of(t.dim, tuple(t.variance[k] for k in keep), t.den, out)
 
 
 _DIAGONAL_MAPS: dict[tuple, tuple] = {}
@@ -231,125 +247,194 @@ def _diagonal_map(dim: int, nslots: int, slot_a: int, slot_b: int) -> tuple:
     return cached
 
 
-def _nonzero_ratios(data: Sequence[Fraction]) -> tuple[int, list[tuple[int, int]]]:
-    """(den, entries): entries lists (p, num) for each nonzero data[p], with
-    data[p] == num / den and den the lcm of their denominators.  Positions
-    holding the shared ZERO are skipped without a Python-level step."""
-    ratios = [(p, data[p].as_integer_ratio())
-              for p in compress(count(), map(is_not, data, repeat(ZERO)))]
-    den = lcm(*{d for _, (_, d) in ratios})
-    return den, [(p, a * (den // d)) for p, (a, d) in ratios if a]
+# -- placements ----------------------------------------------------------------
+#
+# Where a component lands in an output is linear in its index digits: the
+# flat source position p = sum_k digit_k dim^(nslots-1-k) goes to sum_k
+# digit_k weights[k].  Splitting p into its high and low digits gives that
+# target as hi[p // m] + lo[p % m], from two tables of at most
+# dim^ceil(nslots/2) entries each.
+
+_PLACEMENTS: dict[tuple, tuple] = {}
 
 
-def _as_ints(data: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """(den, nums) with data[p] == nums[p] / den, den the lcm of the
-    denominators; every zero, the shared ZERO or not, becomes 0."""
-    den, entries = _nonzero_ratios(data)
-    nums = [0] * len(data)
-    for p, a in entries:
-        nums[p] = a
-    return den, nums
+def _placement(dim: int, weights: tuple[int, ...]) -> tuple[int, list[int], list[int]]:
+    """(m, hi, lo) with hi[p // m] + lo[p % m] the target of source p.  Cached."""
+    key = (dim, weights)
+    cached = _PLACEMENTS.get(key)
+    if cached is None:
+        split = (len(weights) + 1) // 2
+
+        def table(ws):
+            return [sum(w * i for w, i in zip(ws, idx))
+                    for idx in product(range(dim), repeat=len(ws))]
+
+        cached = (dim ** (len(weights) - split), table(weights[:split]), table(weights[split:]))
+        _PLACEMENTS[key] = cached
+    return cached
 
 
-def _from_ints(nums: Sequence[int], den: int) -> list[Fraction]:
-    """The rationals nums[p] / den, with the shared ZERO for each 0."""
-    out = [ZERO] * len(nums)
-    for p in compress(count(), nums):
-        out[p] = Q(nums[p], den)
-    return out
+def _strides(dim: int, nslots: int) -> list[int]:
+    return [dim ** (nslots - 1 - k) for k in range(nslots)]
 
 
-def _slot_map(t: TensorDense, slot: int, mat: TensorDense, transposed: bool) -> list:
-    """Components of t after a linear map acts on one slot.
+def _check_perm(t: TensorDense, perm) -> tuple:
+    perm = tuple(perm)
+    if sorted(perm) != list(range(t.nslots)):
+        raise ValidationError(f"{perm!r} is not a permutation of the slots")
+    return perm
 
-    Each t[.., j, ..] adds mat[i, j] * t[.., j, ..] (mat[j, i] when
-    transposed) to out[.., i, ..].  Only the nonzero components of t and
-    of mat are visited.
-    """
-    n = t.dim
-    stride = n ** (t.nslots - 1 - slot)
-    mden, m = _as_ints(mat.data)
-    cols = [[(i * stride, w) for i in range(n)
-             if (w := m[j * n + i] if transposed else m[i * n + j])] for j in range(n)]
-    den, entries = _nonzero_ratios(t.data)
-    out = [0] * len(t.data)
-    for p, v in entries:
-        j = p // stride % n
-        base = p - j * stride
-        for shift, w in cols[j]:
-            out[base + shift] += w * v
-    return _from_ints(out, den * mden)
+
+def _perm_placement(t: TensorDense, perm: tuple) -> tuple:
+    """The placement of transpose(t, perm): old slot perm[k] moves to slot k."""
+    out = _strides(t.dim, t.nslots)
+    weights = [0] * t.nslots
+    for k, old in enumerate(perm):
+        weights[old] = out[k]
+    return _placement(t.dim, tuple(weights))
+
+
+def transpose(t: TensorDense, perm: Sequence[int]) -> TensorDense:
+    """Reorder slots by perm: new slot k reads old slot perm[k]."""
+    perm = _check_perm(t, perm)
+    m, hi, lo = _perm_placement(t, perm)
+    nums = t.nums
+    out = [0] * len(nums)
+    for p in t.support:
+        out[hi[p // m] + lo[p % m]] = nums[p]
+    return TensorDense._of(t.dim, tuple(t.variance[k] for k in perm), t.den, out)
+
+
+# -- products --------------------------------------------------------------------
+
+_PRODUCT_PLANS: dict[tuple, tuple] = {}
+
+
+def _product_plan(spec: str, a: TensorDense, b: TensorDense) -> tuple:
+    """(variance, operand plans) of a product term; each operand plan is
+    (key stride, m, hi, lo): a source position p has the summed index
+    p // (key stride) % dim and lands at hi[p // m] + lo[p % m] of the
+    output, summed over that index.  Validated and cached per (spec, dim,
+    variances)."""
+    cache_key = (spec, a.dim, a.variance, b.variance)
+    plan = _PRODUCT_PLANS.get(cache_key)
+    if plan is not None:
+        return plan
+    if a.dim != b.dim:
+        raise ValidationError(f"product operands differ in dimension: {a.dim} vs {b.dim}")
+    inputs, arrow, out = spec.partition("->")
+    la, comma, lb = inputs.partition(",")
+    if not (arrow and comma) or len(la) != a.nslots or len(lb) != b.nslots:
+        raise ValidationError(f"product spec {spec!r} does not fit operands with "
+                              f"{a.nslots} and {b.nslots} slots")
+    summed = set(la) & set(lb)
+    free = (set(la) | set(lb)) - summed
+    if (len(set(la)) != len(la) or len(set(lb)) != len(lb) or len(summed) > 1
+            or len(out) != len(set(out)) or set(out) != free):
+        raise ValidationError(f"product spec {spec!r} must sum over at most one letter, "
+                              "shared by both operands, and list every other letter once")
+    variance_of = dict(zip(la + lb, a.variance + b.variance))
+    n = a.dim
+    stride = dict(zip(out, _strides(n, len(out))))
+    operands = []
+    for letters, t in ((la, a), (lb, b)):
+        # with no summed letter the key is p // dim^nslots % dim = 0
+        key_stride = n ** t.nslots
+        for k, ch in enumerate(letters):
+            if ch in summed:
+                key_stride = n ** (t.nslots - 1 - k)
+        operands.append((key_stride,) + _placement(
+            n, tuple(stride.get(ch, 0) for ch in letters)))
+    plan = (tuple(variance_of[ch] for ch in out), operands)
+    _PRODUCT_PLANS[cache_key] = plan
+    return plan
 
 
 # -- linear combinations -----------------------------------------------------
 #
-# A term is (c, T) for c T or (c, T, perm) for c transpose(T, perm); c is an
-# int or a rational.  Every term must have the shape of the first.
+# A term is (c, T), (c, T, perm) or (c, spec, A, B), see the module
+# docstring; c is an int or a rational.  Every term must have the shape of
+# the first.
 
 def _accumulate(terms) -> tuple[int, tuple, int, list[int]]:
     """(dim, variance, den, acc) with sum c T == acc[p] / den at each p.
 
-    Each distinct tensor is read once, and terms naming the same tensor and
-    permutation add their coefficients first.
+    Terms naming the same tensor and permutation add their coefficients
+    first.
     """
     shape = None
-    coefs: dict[tuple, list] = {}       # (id(T), perm) -> [T, perm, sum of c]
-    for c, t, *perm in terms:
-        variance = t.variance
-        if perm:
-            perm = tuple(perm[0])
-            if sorted(perm) != list(range(t.nslots)):
-                raise ValidationError(f"{perm!r} is not a permutation of the slots")
-            variance = tuple(variance[k] for k in perm)
+    merged: dict[tuple, list] = {}      # (id(T), perm) -> [sum of c, T, perm]
+    products = []                       # (c, operand plans, A, B)
+    for term in terms:
+        if isinstance(term[1], str):
+            c, spec, a, b = term
+            variance, operands = _product_plan(spec, a, b)
+            dim = a.dim
+            products.append((rational(c), operands, a, b))
         else:
-            perm = None
+            c, t, *perm = term
+            dim, variance = t.dim, t.variance
+            if perm:
+                perm = _check_perm(t, perm[0])
+                variance = tuple(variance[k] for k in perm)
+            else:
+                perm = None
+            entry = merged.get((id(t), perm))
+            if entry is None:
+                merged[id(t), perm] = [rational(c), t, perm]
+            else:
+                entry[0] += rational(c)
         if shape is None:
-            shape = (t.dim, variance)
-        elif shape != (t.dim, variance):
+            shape = (dim, variance)
+        elif shape != (dim, variance):
             raise ValidationError(
-                f"shape mismatch: dim {shape[0]} {shape[1]} vs dim {t.dim} {variance}")
-        c = rational(c)
-        entry = coefs.get((id(t), perm))
-        if entry is None:
-            coefs[id(t), perm] = [t, perm, c]
-        else:
-            entry[2] += c
+                f"shape mismatch: dim {shape[0]} {shape[1]} vs dim {dim} {variance}")
     if shape is None:
         raise ValidationError("a linear combination needs at least one term")
-    ratios: dict[int, tuple] = {}       # id(T) -> _nonzero_ratios(T.data)
-    parts = []
-    for t, perm, c in coefs.values():
-        if not c:
-            continue
-        if id(t) not in ratios:
-            ratios[id(t)] = _nonzero_ratios(t.data)
-        tden, entries = ratios[id(t)]
-        if entries:
-            cn, cd = c.as_integer_ratio()
-            # the flat target position of each flat source position, from the
-            # map of the inverse permutation
-            where = None if perm is None else _transpose_map(
-                t.dim, t.nslots, tuple(perm.index(k) for k in range(len(perm))))
-            parts.append((cn, cd * tden, entries, where))
     dim, variance = shape
-    den = lcm(*{d for _, d, _, _ in parts})
+    singles = [(c, c.denominator * t.den, t, perm)
+               for c, t, perm in merged.values() if c and t.support]
+    products = [(c, c.denominator * a.den * b.den, operands, a, b)
+                for c, operands, a, b in products if c and a.support and b.support]
+    den = lcm(*{d for _, d, *_ in singles + products})
     acc = [0] * dim ** len(variance)
-    for cn, d, entries, where in parts:
-        s = cn * (den // d)
-        if where is None:
-            for p, a in entries:
-                acc[p] += s * a
+    for c, d, t, perm in singles:
+        s, nums = c.numerator * (den // d), t.nums
+        if perm is None:
+            for p in t.support:
+                acc[p] += s * nums[p]
         else:
-            for p, a in entries:
-                acc[where[p]] += s * a
+            m, hi, lo = _perm_placement(t, perm)
+            for p in t.support:
+                acc[hi[p // m] + lo[p % m]] += s * nums[p]
+    for c, d, operands, a, b in products:
+        _add_product(acc, c.numerator * (den // d), dim, operands, a, b)
     return dim, variance, den, acc
 
 
+def _add_product(acc: list[int], s: int, n: int, operands, a: TensorDense,
+                 b: TensorDense) -> None:
+    """acc += s times the product of the numerators of a and b."""
+    (ka, ma, hia, loa), (kb, mb, hib, lob) = operands
+    bnums = b.nums
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for p in b.support:
+        rows[p // kb % n].append((hib[p // mb] + lob[p % mb], bnums[p]))
+    anums = a.nums
+    for p in a.support:
+        row = rows[p // ka % n]
+        if row:
+            x = s * anums[p]
+            base = hia[p // ma] + loa[p % ma]
+            for q, y in row:
+                acc[base + q] += x * y
+
+
 def lincomb(*terms) -> TensorDense:
-    """The tensor sum c T over terms (c, T) or (c, T, perm), in one integer
-    pass; a term with perm contributes c transpose(T, perm)."""
+    """The tensor sum c T over terms (c, T), (c, T, perm) and (c, spec, A,
+    B), in one integer pass."""
     dim, variance, den, acc = _accumulate(terms)
-    return TensorDense(dim, variance, _from_ints(acc, den))
+    return TensorDense._of(dim, variance, den, acc)
 
 
 class Residual:
@@ -366,10 +451,10 @@ class Residual:
         self.dim, self.nslots, self.den, self.acc = dim, nslots, den, acc
 
     def __bool__(self) -> bool:
-        return self.acc.count(0) == len(self.acc)
+        return not any(self.acc)
 
     def __str__(self) -> str:
-        nonzero = list(compress(count(), self.acc))
+        nonzero = list(compress(range(len(self.acc)), self.acc))
         p = nonzero[0]
         index = ", ".join(str(p // self.dim ** k % self.dim + 1)
                           for k in reversed(range(self.nslots)))
@@ -385,55 +470,43 @@ def vanishes(*terms) -> Residual:
     return Residual(dim, len(variance), den, acc)
 
 
-def _metric_apply(t: TensorDense, slot: int, mat: TensorDense, want: str) -> TensorDense:
+# -- one matrix on one slot ----------------------------------------------------
+
+_LETTERS = "abcdefgh"
+
+
+def _on_slot(t: TensorDense, slot: int, mat: TensorDense, transposed: bool,
+             flag: str) -> TensorDense:
+    """t with mat applied to one slot, which gets the variance flag:
+    out[.., i, ..] = sum_m mat[i, m] t[.., m, ..], or mat[m, i] when
+    transposed."""
     if not (0 <= slot < t.nslots):
         raise ValidationError(f"slot {slot} out of range")
     if mat.dim != t.dim or mat.nslots != 2:
-        raise ValidationError("metric tensor must be a two-slot tensor of matching dimension")
-    variance = list(t.variance)
-    variance[slot] = want
-    return TensorDense(t.dim, variance, _slot_map(t, slot, mat, False))
+        raise ValidationError("the matrix must be a two-slot tensor of matching dimension")
+    out = _LETTERS[:t.nslots]
+    i = out[slot]
+    src = out[:slot] + "m" + out[slot + 1:]
+    r = lincomb((1, f"{'m' + i if transposed else i + 'm'},{src}->{out}", mat, t))
+    if r.variance[slot] == flag:
+        return r
+    # the flag is the operation's, whatever the variance of mat
+    return TensorDense._of(r.dim, r.variance[:slot] + (flag,) + r.variance[slot + 1:],
+                           r.den, r.nums)
 
 
 def raise_index(t: TensorDense, slot: int, inverse_metric: TensorDense) -> TensorDense:
     """Raise a covariant slot with the inverse metric; the slot keeps its position."""
     if t.variance[slot] != DOWN:
         raise ValidationError(f"slot {slot} is not covariant")
-    return _metric_apply(t, slot, inverse_metric, UP)
+    return _on_slot(t, slot, inverse_metric, False, UP)
 
 
 def lower_index(t: TensorDense, slot: int, metric: TensorDense) -> TensorDense:
     """Lower a contravariant slot with the metric; the slot keeps its position."""
     if t.variance[slot] != UP:
         raise ValidationError(f"slot {slot} is not contravariant")
-    return _metric_apply(t, slot, metric, DOWN)
-
-
-_TRANSPOSE_MAPS: dict[tuple, tuple] = {}
-
-
-def _transpose_map(dim: int, nslots: int, perm: tuple) -> tuple:
-    """Flat source position for each flat target position, cached."""
-    key = (dim, nslots, perm)
-    cached = _TRANSPOSE_MAPS.get(key)
-    if cached is None:
-        strides = [dim ** (nslots - 1 - k) for k in range(nslots)]
-        cached = tuple(
-            sum(strides[p] * i for p, i in zip(perm, idx))
-            for idx in product(range(dim), repeat=nslots))
-        _TRANSPOSE_MAPS[key] = cached
-    return cached
-
-
-def transpose(t: TensorDense, perm: Sequence[int]) -> TensorDense:
-    """Reorder slots by perm: new slot k reads old slot perm[k]."""
-    perm = tuple(perm)
-    if sorted(perm) != list(range(t.nslots)):
-        raise ValidationError(f"{perm!r} is not a permutation of the slots")
-    variance = tuple(t.variance[p] for p in perm)
-    data = t.data
-    out = [data[i] for i in _transpose_map(t.dim, t.nslots, perm)]
-    return TensorDense(t.dim, variance, out)
+    return _on_slot(t, slot, metric, False, DOWN)
 
 
 def apply_endo(t: TensorDense, slot: int, endo: TensorDense) -> TensorDense:
@@ -443,11 +516,10 @@ def apply_endo(t: TensorDense, slot: int, endo: TensorDense) -> TensorDense:
     t(.., Ex, ..); for a contravariant slot it post-composes the output
     with E.  Variance is unchanged.
     """
-    if not (0 <= slot < t.nslots):
-        raise ValidationError(f"slot {slot} out of range")
     if endo.dim != t.dim or endo.variance != (UP, DOWN):
         raise ValidationError("endomorphism must be a (1,1) tensor of matching dimension")
-    return TensorDense(t.dim, t.variance, _slot_map(t, slot, endo, t.variance[slot] == DOWN))
+    covariant = t.variance[slot:slot + 1] == (DOWN,)
+    return _on_slot(t, slot, endo, covariant, DOWN if covariant else UP)
 
 
 # -- exact matrix helpers --------------------------------------------------
@@ -493,45 +565,3 @@ def matrix_determinant(rows: Sequence[Sequence[Fraction]]) -> Fraction:
                 f = a[r][col] / p
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     return det
-
-
-def symmetric_signature(rows: Sequence[Sequence[Fraction]]) -> tuple[int, int, int]:
-    """(positive, negative, zero) inertia of a symmetric rational matrix.
-
-    Symmetric Gaussian diagonalization: congruence transformations only, so
-    the pivot signs give the signature exactly (Sylvester's law).
-    """
-    n = len(rows)
-    a = [list(r) for r in rows]
-    pos = neg = zero = 0
-    for k in range(n):
-        if not a[k][k]:
-            # find a nonzero diagonal below, else create one from an
-            # off-diagonal entry by a congruence row+column addition
-            swap = next((r for r in range(k + 1, n) if a[r][r]), None)
-            if swap is not None:
-                a[k], a[swap] = a[swap], a[k]
-                for row in a:
-                    row[k], row[swap] = row[swap], row[k]
-            else:
-                j = next((j for j in range(k + 1, n) if a[k][j]), None)
-                if j is None:
-                    zero += 1
-                    continue
-                for col in range(n):
-                    a[k][col] += a[j][col]
-                for row in a:
-                    row[k] += row[j]
-        p = a[k][k]
-        if p > 0:
-            pos += 1
-        else:
-            neg += 1
-        for r in range(k + 1, n):
-            if a[r][k]:
-                f = a[r][k] / p
-                for col in range(n):
-                    a[r][col] -= f * a[k][col]
-                for i in range(n):
-                    a[i][r] -= f * a[i][k]
-    return pos, neg, zero

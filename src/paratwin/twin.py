@@ -12,17 +12,15 @@ computed once per route and reused by every comparison that needs it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 
 from .classify import ClassificationResult, ClassLabel, classify, classify_phi
 from .connection import Connection, covariant_derivative, curvature_operator, koszul
 from .curvature import CurvaturePack, riemann_metric, riemann_twin
-from .errors import ValidationError, failure_detail, recording, require
+from .errors import ValidationError, recording, require
 from .manifold import CheckItem, ValidationReport, WManifold
 from .scalar import Q
 from .structure import StructurePack, build_structure_pack
-from .tensor import (DOWN, UP, TensorDense, _as_ints, _from_ints, apply_endo, lincomb,
-                     vanishes)
+from .tensor import TensorDense, apply_endo, lincomb, vanishes
 
 HALF = Q(1, 2)
 QUARTER = Q(1, 4)
@@ -60,36 +58,10 @@ def twin_connection(m: WManifold, conn: Connection, Phi_vec: TensorDense) -> Con
     return independent
 
 
-def average_connection(conn: Connection, conn_twin: Connection) -> Connection:
-    """D = (nabla + nabla~)/2, the invariant connection."""
-    if conn.dim != conn_twin.dim:
-        raise ValidationError("connection dimensions differ")
-    return conn.average(conn_twin)
-
-
-def _phi_compose(Phi_vec: TensorDense) -> TensorDense:
-    """(1,3) tensor C[k,x,y,z] = Phi(x, Phi(y,z))^k."""
-    n = Phi_vec.dim
-    n2 = n * n
-    den, data = _as_ints(Phi_vec.data)
-    # inner[m] lists the nonzero (y n + z, Phi^m_{yz})
-    inner = [[(yz, v) for yz, v in enumerate(data[m * n2:(m + 1) * n2]) if v]
-             for m in range(n)]
-    out = [0] * n ** 4
-    for p, outer in enumerate(data):
-        if not outer:
-            continue
-        kx, m = divmod(p, n)
-        base = kx * n2
-        for yz, v in inner[m]:
-            out[base + yz] += outer * v
-    return TensorDense(n, (UP, DOWN, DOWN, DOWN), _from_ints(out, den * den))
-
-
 def tensor_B(Phi_vec: TensorDense) -> TensorDense:
     """B(x,y)z = Phi(x, Phi(y,z)) - Phi(y, Phi(x,z))."""
-    C = _phi_compose(Phi_vec)
-    return lincomb((1, C), (-1, C, (0, 2, 1, 3)))
+    return lincomb((1, "kxm,myz->kxyz", Phi_vec, Phi_vec),
+                   (-1, "kym,mxz->kxyz", Phi_vec, Phi_vec))
 
 
 def tensor_Q(conn: Connection, Phi_vec: TensorDense):
@@ -135,7 +107,7 @@ def build_twin_pack(m: WManifold) -> TwinPack:
         curv = riemann_metric(m, conn)
         curv_twin = riemann_twin(m, conn_twin)
 
-        D = average_connection(conn, conn_twin)
+        D = conn.average(conn_twin)
         # rebuilding D from the tilde side must give the same coefficients
         require(vanishes((1, D.gamma), (-1, conn_twin.gamma), (-HALF, sp_twin.Phi_vec)),
                 "average connection is not twin-invariant")
@@ -176,26 +148,16 @@ def w1_closed_forms(m: WManifold, tp: TwinPack):
     """
     if ClassLabel.W1 not in tp.cls.satisfied:
         raise ValidationError("closed forms apply only to W1-manifolds")
-    conn, sp = tp.conn, tp.sp
-    n = m.dim
-    fs = list(sp.f_sharp.data)
-    Pfs = m.apply_P(fs)
-    fP = apply_endo(sp.f, 0, m.P)      # f(Px)
+    conn, sp, P = tp.conn, tp.sp, m.P
+    h = Q(1, m.dim)                                     # 1/2n
+    Pfs = apply_endo(sp.f_sharp, 0, P)
+    H = lincomb((1, "k,x->kx", sp.f_sharp, sp.f),
+                (-1, "k,x->kx", Pfs, apply_endo(sp.f, 0, P)))
+    HP = apply_endo(H, 1, P)
+    S = lincomb((1, covariant_derivative(conn, sp.f_sharp)), (h, H))
+    S_star = lincomb((1, covariant_derivative(conn, Pfs)), (h, HP))
 
-    def endo(columns) -> TensorDense:
-        return TensorDense.from_function(n, (UP, DOWN), lambda k, x: columns[x][k])
-
-    n2 = Q(n)                   # 2n
-    H = endo([[sp.f[x] * fs[k] - fP[x] * Pfs[k] for k in range(n)] for x in range(n)])
-    Hm = H.matrix()
-    HP = [[sum(Hm[k][a] * m.P[a, x] for a in range(n)) for x in range(n)] for k in range(n)]
-    S = endo([[d + Hm[k][x] / n2
-               for k, d in enumerate(conn.derive_vector(x, fs))] for x in range(n)])
-    S_star = endo([[d + HP[k][x] / n2
-                    for k, d in enumerate(conn.derive_vector(x, Pfs))] for x in range(n)])
-
-    Q_rebuilt, B_rebuilt = _w1_assemble(m.g.matrix(), m.g_twin.matrix(), S.matrix(),
-                                        S_star.matrix(), Hm, HP, sp.F, Pfs)
+    Q_rebuilt, B_rebuilt = _w1_assemble(m.g, m.g_twin, S, S_star, H, HP, sp.F, Pfs)
     require(vanishes((1, Q_rebuilt), (-1, tp.Q_vec)),
             "W1 closed-form Q disagrees with the direct Q")
     require(vanishes((1, B_rebuilt), (-1, tp.B_vec)),
@@ -203,64 +165,19 @@ def w1_closed_forms(m: WManifold, tp: TwinPack):
     return S, S_star, H, Q_rebuilt, B_rebuilt
 
 
-def _w1_assemble(gm, tm, Sm, Ssm, Hm, HP, F: TensorDense,
-                 Pfs) -> tuple[TensorDense, TensorDense]:
-    """The closed-form Q and B of w1_closed_forms from the matrices of g,
-    g~ and of the endomorphisms S, S*, H, HP (indexed [k][x]), F and Pf#.
+def _w1_assemble(g, g_twin, S, S_star, H, HP, F, Pfs) -> tuple[TensorDense, TensorDense]:
+    """The closed-form Q and B of w1_closed_forms from g, g~, the (1,1)
+    tensors S, S*, H and HP, F and Pf#, as outer products."""
+    h = Q(1, g.dim)                                     # 1/2n
 
-    Only nonzero entries are visited: a product form[a][c] E[k][e] enters
-    [k,e,a,c] through form(y,z) E(x)^k and, negated, [k,a,e,c] through
-    -form(x,z) E(y)^k.
-    """
-    n = len(gm)
-    n2, n3 = n * n, n ** 3
+    def antisymmetrized(c, form, E):
+        """c form(y,z) E(x) - c form(x,z) E(y), indexed [k, x, y, z]."""
+        return (c, "yz,kx->kxyz", form, E), (-c, "xz,ky->kxyz", form, E)
 
-    def ints(*mats):
-        return _as_ints([v for mat in mats for row in mat for v in row])
-
-    # g and g~, S and S*, H and HP each share a denominator; Q is assembled
-    # over the lcm q_den of its two groups of products, B over b_den
-    fden, forms = ints(gm, tm)
-    sden, s_endos = ints(Sm, Ssm)
-    hden, h_endos = ints(Hm, HP)
-    Fden, Fnums = _as_ints(F.data)
-    pden, pnums = _as_ints(Pfs)
-    q_den = lcm(fden * sden, Fden * pden)
-    b_den = fden * hden
-    q_out = [0] * n ** 4
-    b_out = [0] * n ** 4
-
-    qs = q_den // (fden * sden)
-    for out, form, E, s in ((q_out, forms[:n2], s_endos[:n2], qs),
-                            (q_out, forms[n2:], s_endos[n2:], -qs),
-                            (b_out, forms[:n2], h_endos[:n2], 1),
-                            (b_out, forms[n2:], h_endos[n2:], -1)):
-        entries = [(a, c, v) for a in range(n) for c in range(n) if (v := form[a * n + c])]
-        for ke, w in enumerate(E):
-            if not w:
-                continue
-            k, e = divmod(ke, n)
-            w *= s
-            for a, c, v in entries:
-                x = w * v
-                out[k * n3 + e * n2 + a * n + c] += x
-                out[k * n3 + a * n2 + e * n + c] -= x
-    # F[a,b,c] Pf#^k enters [k,a,c,b] through -F(x,z,y) and [k,c,a,b] through +F(y,z,x)
-    fs = q_den // (Fden * pden)
-    Pf = [(k, v * fs) for k, v in enumerate(pnums) if v]
-    for p, w in enumerate(Fnums):
-        if not w:
-            continue
-        a, bc = divmod(p, n2)
-        b, c = divmod(bc, n)
-        for k, v in Pf:
-            x = w * v
-            q_out[k * n3 + a * n2 + c * n + b] -= x
-            q_out[k * n3 + c * n2 + a * n + b] += x
-    # the factors 1/2n and 1/4n^2 enter through the output denominators
-    variance = (UP, DOWN, DOWN, DOWN)
-    return (TensorDense(n, variance, _from_ints(q_out, q_den * n)),
-            TensorDense(n, variance, _from_ints(b_out, b_den * n * n)))
+    Q_rebuilt = lincomb(*antisymmetrized(h, g, S), *antisymmetrized(-h, g_twin, S_star),
+                        (-h, "xzy,k->kxyz", F, Pfs), (h, "yzx,k->kxyz", F, Pfs))
+    B_rebuilt = lincomb(*antisymmetrized(h * h, g, H), *antisymmetrized(-h * h, g_twin, HP))
+    return Q_rebuilt, B_rebuilt
 
 
 def invariance_suite(m: WManifold, pack: TwinPack | None = None) -> ValidationReport:
@@ -281,48 +198,44 @@ def invariance_suite(m: WManifold, pack: TwinPack | None = None) -> ValidationRe
     # its curvature is K; tensor_K checks it against the tilde-side formulas
     K_t = tensor_K(tp.K_vec, tp.curv_twin.R_vec, Q_t, A_t, B_t)
 
-    checks: list[CheckItem] = []
-
-    def check(name: str, ok):
-        checks.append(CheckItem(name, bool(ok), "" if ok else failure_detail(ok)))
-
     def same(a: TensorDense, b: TensorDense):
         return vanishes((1, a), (-1, b))
 
     def opposite(a: TensorDense, b: TensorDense):
         return vanishes((1, a), (1, b))
 
-    check("Phi~ = -Phi (vector-valued)", opposite(spt.Phi_vec, sp.Phi_vec))
-    check("f~ = f", same(spt.f, sp.f))
-    check("f*~ = f*", same(spt.f_star, sp.f_star))
-    check("theta~ = theta", same(spt.theta, sp.theta))
-    check("theta*~ = theta*", same(spt.theta_star, sp.theta_star))
+    results = [
+        ("Phi~ = -Phi (vector-valued)", opposite(spt.Phi_vec, sp.Phi_vec)),
+        ("f~ = f", same(spt.f, sp.f)),
+        ("f*~ = f*", same(spt.f_star, sp.f_star)),
+        ("theta~ = theta", same(spt.theta, sp.theta)),
+        ("theta*~ = theta*", same(spt.theta_star, sp.theta_star)),
 
-    check("class set invariant", tp.classes_twin == tp.cls.satisfied)
-    check("classify_f = classify_phi", tp.cls.agreement)
+        ("class set invariant", tp.classes_twin == tp.cls.satisfied),
+        ("classify_f = classify_phi", tp.cls.agreement),
 
-    # D~ = (nabla~ + twin of nabla~)/2
-    check("D~ = D", vanishes((HALF, tp.conn_twin.gamma), (HALF, conn_tt.gamma),
-                             (-1, tp.D.gamma)))
-    check("N~ = N (vector-valued)", same(spt.N_vec, sp.N_vec))
-    check("N^~ = -N^ (vector-valued)", opposite(spt.Nhat_vec, sp.Nhat_vec))
-    check("N~(x,y,z) = N(x,y,Pz)", same(spt.N, apply_endo(sp.N, 2, m.P)))
-    check("N^~(x,y,z) = -N^(x,y,Pz)", opposite(spt.Nhat, apply_endo(sp.Nhat, 2, m.P)))
+        # D~ = (nabla~ + twin of nabla~)/2
+        ("D~ = D", vanishes((HALF, tp.conn_twin.gamma), (HALF, conn_tt.gamma),
+                            (-1, tp.D.gamma))),
+        ("N~ = N (vector-valued)", same(spt.N_vec, sp.N_vec)),
+        ("N^~ = -N^ (vector-valued)", opposite(spt.Nhat_vec, sp.Nhat_vec)),
+        ("N~(x,y,z) = N(x,y,Pz)", same(spt.N, apply_endo(sp.N, 2, m.P))),
+        ("N^~(x,y,z) = -N^(x,y,Pz)", opposite(spt.Nhat, apply_endo(sp.Nhat, 2, m.P))),
 
-    check("Q~ = -Q", opposite(Q_t, tp.Q_vec))
-    check("B~ = B", same(B_t, tp.B_vec))
-    check("A~ = A", same(A_t, tp.A_vec))
-    check("K~ = K", same(K_t, tp.K_vec))
-    check("K = A - B/4", vanishes((1, tp.K_vec), (-1, tp.A_vec), (QUARTER, tp.B_vec)))
-    check("R~ = R + Q",
-          vanishes((1, tp.curv_twin.R_vec), (-1, tp.curv.R_vec), (-1, tp.Q_vec)))
+        ("Q~ = -Q", opposite(Q_t, tp.Q_vec)),
+        ("B~ = B", same(B_t, tp.B_vec)),
+        ("A~ = A", same(A_t, tp.A_vec)),
+        ("K~ = K", same(K_t, tp.K_vec)),
+        ("K = A - B/4", vanishes((1, tp.K_vec), (-1, tp.A_vec), (QUARTER, tp.B_vec))),
+        ("R~ = R + Q",
+         vanishes((1, tp.curv_twin.R_vec), (-1, tp.curv.R_vec), (-1, tp.Q_vec))),
 
-    # antisymmetrized covariant derivative relation with the -2B term
-    check("(nabla~ Phi~) antisymmetrized = -(nabla Phi) antisymmetrized - 2B",
-          vanishes((1, curl_t), (1, tp.curl), (2, tp.B_vec)))
-
+        # antisymmetrized covariant derivative relation with the -2B term
+        ("(nabla~ Phi~) antisymmetrized = -(nabla Phi) antisymmetrized - 2B",
+         vanishes((1, curl_t), (1, tp.curl), (2, tp.B_vec))),
+    ]
     for alpha, beta in ((Q(2), Q(-3)), (Q(1, 2), Q(5, 7))):
-        check(f"{alpha}A + {beta}K invariant",
-              vanishes((alpha, tp.A_vec), (beta, tp.K_vec), (-alpha, A_t), (-beta, K_t)))
-
-    return ValidationReport(tuple(checks))
+        results.append((f"{alpha}A + {beta}K invariant",
+                        vanishes((alpha, tp.A_vec), (beta, tp.K_vec), (-alpha, A_t),
+                                 (-beta, K_t))))
+    return ValidationReport(tuple(CheckItem.of(name, ok) for name, ok in results))

@@ -6,8 +6,9 @@ from __future__ import annotations
 import pytest
 
 from paratwin.family import FamilyParams, family_pack
-from paratwin.manifold import abelian_manifold, direct_sum
 from paratwin.scalar import Q
+
+from manifolds import abelian_manifold, direct_sum
 
 
 @pytest.fixture(scope="session")

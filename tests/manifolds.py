@@ -1,0 +1,180 @@
+"""Manifolds, documents and diagnostics that only the tests use.
+
+The Abelian reference manifold and block direct sums grow the test corpus
+beyond the family; basis changes, the eigenbasis of P and Sylvester
+signatures check invariance under a change of frame; document_of writes a
+manifold back as a CLI document; identity and derive_vector are small
+references.  The engine itself needs none of them.
+"""
+
+from paratwin.errors import ValidationError
+from paratwin.manifold import LieAlgebraModel, WManifold, build_manifold
+from paratwin.scalar import Q, ZERO, format_rational
+from paratwin.tensor import DOWN, UP, TensorDense, matrix_inverse
+
+
+def identity(dim: int) -> TensorDense:
+    """Kronecker delta as a (1,1) tensor."""
+    return TensorDense.from_function(dim, (UP, DOWN), lambda i, j: Q(i == j))
+
+
+def derive_vector(conn, i: int, y: list) -> list:
+    """nabla_{X_i} y for a constant coefficient vector y, by plain sums."""
+    n = conn.dim
+    return [sum((conn.gamma[k, i, j] * y[j] for j in range(n)), ZERO) for k in range(n)]
+
+
+def abelian_manifold(dim: int = 4, name: str = "abelian") -> WManifold:
+    """Flat reference manifold: Abelian algebra, pair-swap P, g = diag(1,..,-1,..)."""
+    labels = tuple(f"X{i + 1}" for i in range(dim))
+    alg = LieAlgebraModel(dim, labels, TensorDense.zeros(dim, (UP, DOWN, DOWN)))
+    P = TensorDense.from_function(dim, (UP, DOWN),
+                                  lambda i, j: Q(i == j + 1 and j % 2 == 0 or j == i + 1 and i % 2 == 0))
+    half = dim // 2
+    g = TensorDense.from_function(dim, (DOWN, DOWN),
+                                  lambda i, j: Q(0) if i != j else (Q(1) if i < half else Q(-1)))
+    return build_manifold(alg, P, g, name=name)
+
+
+def direct_sum(m1: WManifold, m2: WManifold, name: str | None = None) -> WManifold:
+    """Blockwise direct sum of two manifolds.
+
+    Structure constants, P and g are block-diagonal, so Jacobi and every
+    structural axiom hold automatically.
+    """
+    n1, n2 = m1.dim, m2.dim
+    n = n1 + n2
+    labels = tuple(f"A{i + 1}" for i in range(n1)) + tuple(f"B{i + 1}" for i in range(n2))
+
+    def block(t1: TensorDense, t2: TensorDense):
+        def fn(*idx):
+            if all(i < n1 for i in idx):
+                return t1[idx]
+            if all(i >= n1 for i in idx):
+                return t2[tuple(i - n1 for i in idx)]
+            return ZERO
+        return TensorDense.from_function(n, t1.variance, fn)
+
+    alg = LieAlgebraModel(n, labels, block(m1.algebra.c, m2.algebra.c))
+    return build_manifold(alg, block(m1.P, m2.P), block(m1.g, m2.g),
+                          name=name or f"{m1.name}(+){m2.name}")
+
+
+def change_basis_bilinear(form: TensorDense, basis: TensorDense) -> TensorDense:
+    """Pull a (0,2) form back along a basis-change matrix: M^T form M."""
+    n = form.dim
+    fm = form.matrix()
+    bm = basis.matrix()
+    out = [[sum(bm[a][i] * fm[a][b] * bm[b][j] for a in range(n) for b in range(n))
+            for j in range(n)] for i in range(n)]
+    return TensorDense.from_matrix(out, (DOWN, DOWN))
+
+
+def change_basis_endo(endo: TensorDense, basis: TensorDense) -> TensorDense:
+    """Conjugate a (1,1) tensor by a basis-change matrix: M^-1 endo M."""
+    n = endo.dim
+    em = endo.matrix()
+    bm = basis.matrix()
+    binv = matrix_inverse(bm)
+    if binv is None:
+        raise ValidationError("basis-change matrix is singular")
+    tmp = [[sum(em[i][a] * bm[a][j] for a in range(n)) for j in range(n)] for i in range(n)]
+    out = [[sum(binv[i][a] * tmp[a][j] for a in range(n)) for j in range(n)] for i in range(n)]
+    return TensorDense.from_matrix(out, (UP, DOWN))
+
+
+def eigenbasis(m: WManifold) -> TensorDense:
+    """Change of basis diagonalizing P when P swaps basis vectors in pairs.
+
+    Returns the matrix whose columns are the unnormalized eigenvectors
+    a_{2k-1} = X_{2k-1} - X_{2k}, a_{2k} = X_{2k-1} + X_{2k} (the 1/sqrt(2)
+    normalization is dropped to stay rational).  In the new basis P is
+    diagonal with entries alternating -1, +1.
+    """
+    n = m.dim
+    Pm = m.P.matrix()
+    for k in range(0, n, 2):
+        expected = {(k, k + 1): Q(1), (k + 1, k): Q(1)}
+        for i in range(n):
+            for j in (k, k + 1):
+                if Pm[i][j] != expected.get((i, j), ZERO):
+                    raise ValidationError(
+                        "P is not in adapted pair-swap form; the eigenbasis "
+                        "diagnostic does not apply to this basis")
+    cols = [[ZERO] * n for _ in range(n)]
+    for k in range(0, n, 2):
+        cols[k][k] = Q(1)
+        cols[k + 1][k] = Q(-1)
+        cols[k][k + 1] = Q(1)
+        cols[k + 1][k + 1] = Q(1)
+    return TensorDense.from_matrix(cols, (UP, DOWN))
+
+
+def symmetric_signature(rows) -> tuple[int, int, int]:
+    """(positive, negative, zero) inertia of a symmetric rational matrix.
+
+    Symmetric Gaussian diagonalization: congruence transformations only, so
+    the pivot signs give the signature exactly (Sylvester's law).
+    """
+    n = len(rows)
+    a = [list(r) for r in rows]
+    pos = neg = zero = 0
+    for k in range(n):
+        if not a[k][k]:
+            # find a nonzero diagonal below, else create one from an
+            # off-diagonal entry by a congruence row+column addition
+            swap = next((r for r in range(k + 1, n) if a[r][r]), None)
+            if swap is not None:
+                a[k], a[swap] = a[swap], a[k]
+                for row in a:
+                    row[k], row[swap] = row[swap], row[k]
+            else:
+                j = next((j for j in range(k + 1, n) if a[k][j]), None)
+                if j is None:
+                    zero += 1
+                    continue
+                for col in range(n):
+                    a[k][col] += a[j][col]
+                for row in a:
+                    row[k] += row[j]
+        p = a[k][k]
+        if p > 0:
+            pos += 1
+        else:
+            neg += 1
+        for r in range(k + 1, n):
+            if a[r][k]:
+                f = a[r][k] / p
+                for col in range(n):
+                    a[r][col] -= f * a[k][col]
+                for i in range(n):
+                    a[i][r] -= f * a[i][k]
+    return pos, neg, zero
+
+
+def metric_signature(g: TensorDense) -> tuple[int, int]:
+    """(positive, negative) inertia of a non-degenerate symmetric form."""
+    pos, neg, zero = symmetric_signature(g.matrix())
+    if zero:
+        raise ValidationError("form is degenerate")
+    return pos, neg
+
+
+def document_of(m: WManifold) -> dict:
+    """Manifold document for m; re-ingesting yields an identical manifold."""
+    n = m.dim
+    brackets = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            vec = m.algebra.c.column(i, j)
+            coeffs = {str(k + 1): format_rational(vec[k]) for k in range(n) if vec[k]}
+            if coeffs:
+                brackets.append({"i": i + 1, "j": j + 1, "coeffs": coeffs})
+    matrix_of = lambda t: [[format_rational(t[i, j]) for j in range(n)] for i in range(n)]  # noqa: E731
+    return {
+        "dim": n,
+        "basis": list(m.algebra.basis_labels),
+        "brackets": brackets,
+        "metric": matrix_of(m.g),
+        "P": matrix_of(m.P),
+    }

@@ -26,11 +26,12 @@ from paratwin.classify import classify
 from paratwin.errors import ValidationError
 from paratwin.family import (FamilyParams, build_family, family_brackets,
                              family_pack, grid_points, grid_verification)
-from paratwin.manifold import (LieAlgebraModel, abelian_manifold,
-                               build_manifold, direct_sum)
+from paratwin.manifold import LieAlgebraModel, build_manifold
 from paratwin.scalar import Q
 from paratwin.tensor import DOWN, UP, TensorDense, tensor_equal
 from paratwin.twin import build_twin_pack, invariance_suite
+
+from manifolds import abelian_manifold, direct_sum
 
 
 def announce(capfd, number: int, title: str, ok: bool, reason: str = "") -> None:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from paratwin.classify import (ClassLabel, classify, is_isotropic_w0,
+from paratwin.classify import (ClassLabel, classify,
                                is_upward_closed, lattice_leq, lee_forms_closed,
                                minimal_class)
 from paratwin.connection import koszul
@@ -61,8 +61,9 @@ def test_abelian_is_w0(abelian4):
 
 def test_isotropic_flag(family121):
     _, tp = family121
-    assert not is_isotropic_w0(tp.sp.snorm)
-    assert is_isotropic_w0(ZERO)
+    assert tp.sp.snorm != ZERO
+    _, tp = family_pack(FamilyParams(Q(1), Q(-1), Q(1)))      # l1 = -l2: isotropic
+    assert tp.sp.snorm == ZERO
 
 
 def test_lee_forms_closed_on_family(family121):

@@ -13,9 +13,11 @@ import pytest
 
 from paratwin import cli, manifold
 from paratwin.family import FamilyParams, build_family
-from paratwin.manifold import abelian_manifold, build_manifold, direct_sum
+from paratwin.manifold import build_manifold
 from paratwin.scalar import Q
 from paratwin.tensor import tensor_equal
+
+from manifolds import abelian_manifold, direct_sum, document_of
 
 FIXTURE = Path(__file__).parent / "fixtures" / "family-1-2-1.json"
 
@@ -28,7 +30,7 @@ def run(argv):
 
 def test_document_round_trip():
     m = build_family(FamilyParams(Q(-3), Q(1, 2), Q(-1)))
-    doc = cli.document_of(m)
+    doc = document_of(m)
     alg, P, g, _ = cli.parse_document(doc)
     m2 = build_manifold(alg, P, g)
     assert tensor_equal(m.algebra.c, m2.algebra.c)
@@ -40,7 +42,7 @@ def test_document_round_trip():
 def test_fixture_matches_generator():
     doc = json.loads(FIXTURE.read_text())
     m = build_family(FamilyParams(Q(1), Q(2), Q(1)))
-    assert doc == cli.document_of(m)
+    assert doc == document_of(m)
 
 
 def test_validate_fixture():

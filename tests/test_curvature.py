@@ -2,14 +2,14 @@
 
 import pytest
 
-from paratwin.curvature import (check_curvature_like, is_scalar_flat,
-                                riemann_metric, riemann_twin)
+from paratwin.curvature import check_curvature_like, riemann_metric, riemann_twin
 from paratwin.connection import koszul
 from paratwin.errors import ConsistencyError
 from paratwin.family import FamilyParams, family_pack
-from paratwin.manifold import abelian_manifold
 from paratwin.scalar import Q, ZERO
 from paratwin.tensor import tensor_equal, transpose
+
+from manifolds import abelian_manifold
 
 
 def test_curvature_like_symmetries(family121):
@@ -55,9 +55,9 @@ def test_ricci_trace_gives_tau(family121):
 
 def test_scalar_flat_locus():
     _, tp = family_pack(FamilyParams(Q(2), Q(-2), Q(-1)))
-    assert is_scalar_flat(tp.curv.tau) and is_scalar_flat(tp.curv_twin.tau)
+    assert tp.curv.tau == ZERO and tp.curv_twin.tau == ZERO
     _, tp = family_pack(FamilyParams(Q(2), Q(1), Q(-1)))
-    assert not is_scalar_flat(tp.curv.tau)
+    assert tp.curv.tau != ZERO
 
 
 def test_abelian_is_flat():

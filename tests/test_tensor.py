@@ -1,18 +1,20 @@
 """Dense rational tensors: algebra, contraction, raising and lowering."""
 
 from itertools import permutations, product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paratwin.errors import ConsistencyError, ValidationError, require
-from paratwin.scalar import Q, ZERO
+from paratwin.scalar import Q, ZERO, format_rational, rational
 from paratwin.tensor import (DOWN, UP, TensorDense, apply_endo, contract, lincomb,
                              lower_index, matrix_determinant, matrix_inverse,
-                             raise_index, symmetric_signature, tensor_equal,
+                             raise_index, tensor_equal,
                              transpose, vanishes)
 
+from manifolds import identity, symmetric_signature
 from strategies import (V3, V4, any_tensors, block_tensors, dense_tensors,
                         mixed_rationals, rationals, tensor_pairs)
 
@@ -91,17 +93,17 @@ def test_contract_requires_mixed_pair():
     with pytest.raises(ValidationError):
         contract(t, 0, 1)
     with pytest.raises(ValidationError):
-        contract(TensorDense.identity(2), 0, 0)
+        contract(identity(2), 0, 0)
 
 
 def test_contract_identity_gives_dimension():
     for n in (2, 4, 6):
-        assert contract(TensorDense.identity(n), 0, 1).item() == Q(n)
+        assert contract(identity(n), 0, 1).item() == Q(n)
 
 
 @given(tensors())
 def test_apply_identity_endo_is_identity(t):
-    e = TensorDense.identity(t.dim)
+    e = identity(t.dim)
     for slot in range(t.nslots):
         assert tensor_equal(apply_endo(t, slot, e), t)
 
@@ -314,3 +316,161 @@ def test_failed_require_names_the_first_differing_component():
     with pytest.raises(ConsistencyError) as err:
         require(False, "t != 0")
     assert str(err.value) == "t != 0"
+
+
+# -- product terms against a naive Fraction einsum --------------------------
+#
+# A term (c, spec, A, B) sums over at most one letter shared by A and B;
+# the reference evaluates the spec at every output index with Fractions.
+
+def naive_product(spec, a, b):
+    """The components of the product of a and b by spec, row-major."""
+    inputs, out = spec.split("->")
+    la, lb = inputs.split(",")
+    summed = sorted(set(la) & set(lb))
+    total = []
+    for idx in product(range(a.dim), repeat=len(out)):
+        s = Q(0)
+        for m in product(range(a.dim), repeat=len(summed)):
+            at = dict(zip(out, idx)) | dict(zip(summed, m))
+            s += a[tuple(at[ch] for ch in la)] * b[tuple(at[ch] for ch in lb)]
+        total.append(s)
+    return total
+
+
+def naive_transpose(t, perm):
+    """Components of transpose(t, perm) read through t[...]."""
+    out = []
+    for idx in product(range(t.dim), repeat=t.nslots):
+        old = [0] * t.nslots
+        for k, p in enumerate(perm):
+            old[p] = idx[k]
+        out.append(t[tuple(old)])
+    return out
+
+
+@st.composite
+def product_terms(draw):
+    """Terms of one shape around a product (c, spec, A, B): A and B dense
+    with small, tall or mixed-zero rationals, or block-sparse; sometimes
+    one tensor as both operands; a summed letter or an outer product; any
+    output order; then more products with a reordered output and
+    (permuted) tensors of the output's shape, with zero coefficients
+    among them."""
+    dim = draw(st.sampled_from((2, 4)))
+
+    def tensor(variance):
+        kinds = [dense_tensors(dim, variance, mixed_rationals)]
+        if dim == 4:
+            kinds.append(block_tensors(variance))
+        return draw(st.one_of(*kinds))
+
+    ka, kb = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    summed = ka + kb > 4 or draw(st.booleans())
+    va = tuple(draw(st.sampled_from((UP, DOWN))) for _ in range(ka))
+    a = tensor(va)
+    if kb == ka and draw(st.booleans()):
+        b, vb = a, va
+    else:
+        vb = tuple(draw(st.sampled_from((UP, DOWN))) for _ in range(kb))
+        b = tensor(vb)
+    la, lb = list("pqr"[:ka]), list("stu"[:kb])
+    if summed:
+        la[draw(st.integers(0, ka - 1))] = lb[draw(st.integers(0, kb - 1))] = "m"
+    variance_of = {ch: v for ch, v in zip(la + lb, va + vb) if ch != "m"}
+    out = draw(st.permutations(sorted(variance_of)))
+    variance = tuple(variance_of[ch] for ch in out)
+    inputs = f"{''.join(la)},{''.join(lb)}->"
+    terms = [(draw(coefficients), inputs + "".join(out), a, b)]
+    perms = [p for p in permutations(range(len(out)))
+             if all(variance[i] == variance[k] for k, i in enumerate(p))]
+    for _ in range(draw(st.integers(0, 3))):
+        c, p = draw(coefficients), draw(st.sampled_from(perms))
+        kind = draw(st.sampled_from(("product", "tensor", "permuted")))
+        if kind == "product":
+            terms.append((c, inputs + "".join(out[i] for i in p), a, b))
+        elif kind == "tensor":
+            terms.append((c, tensor(variance)))
+        else:
+            terms.append((c, tensor(variance), p))
+    return dim, variance, terms
+
+
+@given(product_terms())
+@settings(max_examples=80, deadline=None)
+def test_product_terms_match_a_naive_einsum(case):
+    dim, variance, terms = case
+    want = [Q(0)] * dim ** len(variance)
+    for c, *rest in terms:
+        if isinstance(rest[0], str):
+            part = naive_product(*rest)
+        elif len(rest) == 2:
+            part = naive_transpose(*rest)
+        else:
+            part = list(rest[0].data)
+        want = [w + rational(c) * x for w, x in zip(want, part)]
+    got = lincomb(*terms)
+    assert (got.dim, got.variance) == (dim, variance)
+    assert list(got.data) == want
+    assert all(v is ZERO for v in got.data if not v)
+    assert bool(vanishes(*terms)) == (not any(want))
+    assert vanishes(*terms, (-1, TensorDense(dim, variance, want)))
+
+
+@pytest.mark.parametrize("spec", [
+    "kmn,mnz->kz",          # two summed letters
+    "kxm,myz->kxymz",       # the summed letter in the output
+    "kxm,myz->kxy",         # an output letter missing
+    "kxm,myz->kxyzw",       # a letter of neither operand
+    "kxm,myz->kxyy",        # a repeated output letter
+    "kx,myz->kxyz",         # too few letters for the first operand
+    "kxmm,myz->kxyz",       # too many
+    "kxk,myz->xyz",         # a letter repeated within one operand
+    "kxmmyz->kxyz",         # no comma
+    "kxm,myz",              # no output
+])
+def test_invalid_product_specs_are_rejected(spec):
+    t = TensorDense.zeros(2, V3)
+    with pytest.raises(ValidationError):
+        lincomb((1, spec, t, t))
+    with pytest.raises(ValidationError):
+        vanishes((0, spec, t, t))
+
+
+def test_product_operands_must_share_a_dimension():
+    with pytest.raises(ValidationError):
+        lincomb((1, "kxm,myz->kxyz", TensorDense.zeros(2, V3), TensorDense.zeros(4, V3)))
+
+
+# -- the stored form ------------------------------------------------------------
+
+@given(st.one_of(any_tensors(V3), any_tensors(V4)), mixed_rationals)
+@settings(max_examples=60, deadline=None)
+def test_storage_is_reduced_and_canonical(t, s):
+    assert t.den > 0 and gcd(t.den, *t.nums) == 1
+    assert t.support == [p for p, v in enumerate(t.nums) if v]
+    assert t.is_zero() == (t.den == 1 and not any(t.nums))
+    # the same values built in other ways give an equal tensor and hash
+    same = [TensorDense(t.dim, t.variance, [format_rational(v) for v in t.data]),
+            lincomb((Q(1, 3), t), (Q(2, 3), t)),
+            lincomb((1, t, tuple(range(t.nslots)))),
+            transpose(transpose(t, (0, 2, 1) + tuple(range(3, t.nslots))),
+                      (0, 2, 1) + tuple(range(3, t.nslots)))]
+    if s:
+        same.append(lincomb((1 / s, lincomb((s, t)))))
+    for u in same:
+        assert u == t and hash(u) == hash(t)
+    # zeros come back as the shared ZERO, through [] and data alike
+    zero = lincomb((1, t), (-1, t))
+    assert zero.den == 1 and zero.is_zero() and set(map(id, zero.data)) == {id(ZERO)}
+    for idx, v in zip(product(range(t.dim), repeat=t.nslots), t.data):
+        assert t[idx] == v
+        assert (t[idx] is ZERO) == (not v) and (v is ZERO) == (not v)
+
+
+def test_equal_values_from_different_inputs_are_equal():
+    a = TensorDense(2, (UP,), ["2/4", 3])
+    b = TensorDense(2, (UP,), [Q(1, 2), Q(6, 2)])
+    assert (a.den, a.nums) == (b.den, b.nums) == (2, [1, 6])
+    assert a == b and hash(a) == hash(b)
+    assert TensorDense(2, (UP,), [Q(0), 0]).den == 1
