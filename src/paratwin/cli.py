@@ -92,7 +92,6 @@ def parse_document(doc, name: str = "manifold") -> tuple[LieAlgebraModel, Tensor
     entries = doc.get("brackets")
     if not isinstance(entries, list):
         raise DocumentError("brackets: expected a list of {i, j, coeffs} objects")
-    shape = TensorDense.zeros(n, (UP, DOWN, DOWN))
     data = [ZERO] * n ** 3
     named: dict[frozenset, int] = {}            # unordered pair -> first entry
     for pos, entry in enumerate(entries):
@@ -115,8 +114,8 @@ def parse_document(doc, name: str = "manifold") -> tuple[LieAlgebraModel, Tensor
             except (ValueError, TypeError) as exc:
                 raise DocumentError(f"{where}.coeffs: bad key {key!r}") from exc
             v = _rational_field(value, f"{where}.coeffs[{key}]")
-            data[shape.flat((k, i, j))] = v
-            data[shape.flat((k, j, i))] = -v
+            data[(k * n + i) * n + j] = v
+            data[(k * n + j) * n + i] = -v
     alg = LieAlgebraModel(n, tuple(basis), TensorDense(n, (UP, DOWN, DOWN), data))
     P = TensorDense.from_matrix(_matrix_field(doc, "P", n), (UP, DOWN))
     g = TensorDense.from_matrix(_matrix_field(doc, "metric", n), (DOWN, DOWN))

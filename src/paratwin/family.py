@@ -111,12 +111,45 @@ def _entries(label: str, sep: str, rank: int, got, want):
         yield f"{label}_{sep.join(str(i + 1) for i in idx)}", got(idx), want(idx)
 
 
+def _table_entries(label: str, sep: str, t: TensorDense, table: dict, vector: bool = False):
+    """The entries of _table_check comparing t with a table of its nonzero
+    components by index tuple; with vector, t is a (1,k) tensor and each
+    table value is the vector t[:, *idx].
+
+    The table's nonzero components must be as many as t's and each equal
+    to nums[p] / den, compared in integers.  A match gives no entries; a
+    mismatch gives every entry in index order, as _entries does.
+    """
+    nums, den, rank = t.nums, t.den, t.nslots - vector
+    if vector:
+        wanted = [(p, w) for idx, v in table.items()
+                  for p, w in zip(range(t.flat(idx), len(nums), DIM ** rank), v) if w]
+    else:
+        wanted = [(t.flat(idx), w) for idx, w in table.items() if w]
+    if len(wanted) == len(t.support) and all(
+            nums[p] * w.denominator == w.numerator * den for p, w in wanted):
+        return ()
+    got = (lambda idx: tuple(t.column(*idx))) if vector else t.__getitem__
+    zero = (ZERO,) * DIM if vector else ZERO
+    return _entries(label, sep, rank, got, lambda idx: table.get(idx, zero))
+
+
+def _show(value) -> str:
+    if isinstance(value, tuple):
+        return f"({', '.join(map(format_rational, value))})"
+    return format_rational(value)
+
+
 def _table_check(name: str, *entries) -> CheckItem:
     """The check that every (label, engine value, table value) of entries
-    agrees; a failure names the first that does not."""
+    agrees; a failure names the first that does not.
+
+    Tensor tables come from _table_entries, which decides them in integers
+    and yields entries, and so formats labels, only when they disagree.
+    """
     for label, got, want in chain(*entries):
         if got != want:
-            return CheckItem(name, False, f"{label}: got {got}, expected {want}")
+            return CheckItem(name, False, f"{label}: got {_show(got)}, expected {_show(want)}")
     return CheckItem(name, True)
 
 
@@ -131,15 +164,6 @@ def theorem_checks(p: FamilyParams, perturb_curvature: bool = False) -> Validati
     sp, spt = tp.sp, tp.sp_twin
     l1, l2, e = p.lambda1, p.lambda2, p.epsilon
     on_diagonal = l1 == l2 or l1 == -l2
-    zero = (ZERO,) * DIM
-
-    def vec(t: TensorDense):
-        """The engine side: the column of a (1,k) tensor at covariant indices."""
-        return lambda idx: tuple(t.column(*idx))
-
-    def table(t: dict, default=ZERO):
-        """The table side: a component table with its zero entries omitted."""
-        return lambda idx: t.get(idx, default)
 
     # structural claims
     cls = tp.cls
@@ -166,24 +190,22 @@ def theorem_checks(p: FamilyParams, perturb_curvature: bool = False) -> Validati
     # connection components
     nabla_t, nabla_twin_t = tables.connection_tables(p)
     checks.append(_table_check("table: connection",
-                               _entries("nabla", ",", 2, vec(tp.conn.gamma),
-                                        table(nabla_t, zero))))
+                               _table_entries("nabla", ",", tp.conn.gamma, nabla_t, True)))
     checks.append(_table_check("table: twin connection",
-                               _entries("twin nabla", ",", 2, vec(tp.conn_twin.gamma),
-                                        table(nabla_twin_t, zero))))
+                               _table_entries("twin nabla", ",", tp.conn_twin.gamma,
+                                              nabla_twin_t, True)))
 
     # potential and its 1-forms
     phi_t, f_t, f_star_t, f_sharp_t = tables.potential_table(p)
     checks.append(_table_check(
         "table: potential",
-        _entries("Phi", ",", 2, vec(sp.Phi_vec), table(phi_t, zero)),
+        _table_entries("Phi", ",", sp.Phi_vec, phi_t, True),
         [("f", sp.f.data, f_t), ("f*", sp.f_star.data, f_star_t),
          ("f#", sp.f_sharp.data, f_sharp_t)]))
 
     # fundamental tensor and its twin proportionality
     checks.append(_table_check("table: fundamental tensor",
-                               _entries("F", "", 3, sp.F.__getitem__,
-                                        table(tables.fundamental_table(p)))))
+                               _table_entries("F", "", sp.F, tables.fundamental_table(p))))
     checks.append(CheckItem.of("identity: twin F = eps F", vanishes((1, spt.F), (-e, sp.F))))
     checks.append(CheckItem.of("identity: twin F(x,y,z) = F(Px,y,z)",
                                vanishes((1, spt.F), (-1, sp.F_P["x"]))))
@@ -202,17 +224,16 @@ def theorem_checks(p: FamilyParams, perturb_curvature: bool = False) -> Validati
         ("twin theta", spt.theta.data, theta_t),
         ("twin theta*", spt.theta_star.data, theta_star_t)]))
 
-    # curvature tables
+    # curvature tables; the twin table is built from the unperturbed one
     R_t = tables.curvature_table(p)
+    twin_R_t = tables.twin_curvature_table(p, R_t)
     if perturb_curvature:
         idx = (0, 1, 1, 0)
-        R_t = dict(R_t)
-        R_t[idx] = -R_t.get(idx, ZERO)
+        R_t = {**R_t, idx: -R_t.get(idx, ZERO)}
     checks.append(_table_check("table: curvature",
-                               _entries("R", "", 4, tp.curv.R.__getitem__, table(R_t))))
+                               _table_entries("R", "", tp.curv.R, R_t)))
     checks.append(_table_check("table: twin curvature",
-                               _entries("twin R", "", 4, tp.curv_twin.R.__getitem__,
-                                        table(tables.twin_curvature_table(p)))))
+                               _table_entries("twin R", "", tp.curv_twin.R, twin_R_t)))
 
     rho_t, tau_t, rho_twin_t, tau_twin_t = tables.ricci_table(p)
     checks.append(_table_check(
@@ -224,15 +245,14 @@ def theorem_checks(p: FamilyParams, perturb_curvature: bool = False) -> Validati
 
     # twin interchange tensors
     checks.append(_table_check("table: twin difference tensor",
-                               _entries("Q", "", 3, vec(tp.Q_vec),
-                                        table(tables.q_table(p), zero))))
+                               _table_entries("Q", "", tp.Q_vec,
+                                              tables.q_table(p, f_sharp_t), True)))
     A_low = transpose(lower_index(tp.A_vec, 0, m.g), (1, 2, 3, 0))
     checks.append(_table_check("table: average curvature",
-                               _entries("A", "", 4, A_low.__getitem__,
-                                        table(tables.a_table(p)))))
+                               _table_entries("A", "", A_low, tables.a_table(p))))
     checks.append(_table_check("table: average connection",
-                               _entries("D", ",", 2, vec(tp.D.gamma),
-                                        table(tables.average_connection_table(p), zero))))
+                               _table_entries("D", ",", tp.D.gamma,
+                                              tables.average_connection_table(p), True)))
 
     # family identities
     checks += [

@@ -13,7 +13,7 @@ from itertools import combinations, product
 
 from .errors import ValidationError, failure_detail
 from .scalar import ZERO, Q
-from .tensor import DOWN, UP, TensorDense, matrix_determinant, matrix_inverse
+from .tensor import DOWN, UP, TensorDense, matrix_inverse
 
 
 @dataclass(frozen=True)
@@ -185,7 +185,8 @@ def assemble_manifold(alg: LieAlgebraModel, P: TensorDense, g: TensorDense,
         raise ValidationError("trace of P is not zero")
     if any(gm[i][j] != gm[j][i] for i in range(n) for j in range(n)):
         raise ValidationError("metric is not symmetric")
-    if not matrix_determinant(gm):
+    inv = matrix_inverse(gm)
+    if inv is None:
         raise ValidationError("metric is degenerate")
     # g(Px, Py) = g(x, y) on basis pairs: P^T g P = g
     for i, j in product(range(n), repeat=2):
@@ -198,7 +199,7 @@ def assemble_manifold(alg: LieAlgebraModel, P: TensorDense, g: TensorDense,
     twin = [[sum((gm[i][a] * v for a, v in Pcols[j]), ZERO) for j in range(n)]
             for i in range(n)]
     g_twin = TensorDense.from_matrix(twin, (DOWN, DOWN))
-    g_inv = TensorDense.from_matrix(matrix_inverse(gm), (UP, UP))
+    g_inv = TensorDense.from_matrix(inv, (UP, UP))
     twin_inv = matrix_inverse(twin)
     if twin_inv is None:
         raise ValidationError("twin metric is degenerate")

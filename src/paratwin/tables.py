@@ -1,10 +1,12 @@
 """Reference component tables for the two-parameter family.
 
 Every function returns the reference closed-form components of one family
-quantity as exact rationals in (lambda1, lambda2, epsilon).  The engine's
-verification report compares its own output against these tables entry by
-entry; each entry is polynomial of degree at most two per parameter, so
-agreement on a seven-point grid per parameter proves the identity.
+quantity as exact rationals in (lambda1, lambda2, epsilon), a tensor by
+its nonzero components.  family.theorem_checks builds each table once per
+point and compares it with the engine in integers, formatting component
+labels only for a table that disagrees.  Each entry is polynomial of
+degree at most two per parameter, so agreement on a seven-point grid per
+parameter proves the identity.
 
 Indices here are 0-based; the docstring component names use the 1-based
 basis labels X1..X4.
@@ -29,7 +31,10 @@ def _vec(*components) -> Vec:
 
 
 def _scale(c: Fraction, v: Vec) -> Vec:
-    return tuple(c * t for t in v)
+    """c v; most tables scale by epsilon, so +-1 skip the products."""
+    if c == 1:
+        return v
+    return tuple([-t for t in v] if c == -1 else [c * t for t in v])
 
 
 def connection_tables(p: FamilyParams) -> tuple[dict, dict]:
@@ -171,11 +176,12 @@ def curvature_table(p: FamilyParams) -> dict:
         (3, 1, 4, 3): -4 * e * l1 * l2, (4, 2, 3, 4): -4 * e * l1 * l2,
     }
     closed = _close_curvature({k: v for k, v in gen.items() if v})
-    return {tuple(t - 1 for t in idx): v for idx, v in closed.items()}
+    return {(i - 1, j - 1, k - 1, l - 1): v for (i, j, k, l), v in closed.items()}
 
 
-def twin_curvature_table(p: FamilyParams) -> dict:
-    """The reference twin-curvature components: epsilon times curvature_table.
+def twin_curvature_table(p: FamilyParams, curvature: dict) -> dict:
+    """The reference twin-curvature components: epsilon times curvature,
+    the curvature_table at p.
 
     Known defect, kept as bundled: R~ = eps R holds only where tau = 0
     (l1 = +-l2).  The curvature of the twin connection table, lowered with
@@ -185,8 +191,7 @@ def twin_curvature_table(p: FamilyParams) -> dict:
     This table differs from it in 64 of 256 components at a generic point
     and fails at 76 of the 98 default grid points.
     """
-    e = p.epsilon
-    return {idx: e * v for idx, v in curvature_table(p).items()}
+    return dict(curvature) if p.epsilon == 1 else {idx: -v for idx, v in curvature.items()}
 
 
 def ricci_table(p: FamilyParams):
@@ -227,8 +232,9 @@ def ricci_table(p: FamilyParams):
     return rho, tau, rho_twin, tau_twin
 
 
-def q_table(p: FamilyParams) -> dict:
-    """Nonzero vectors Q(X_i, X_j)X_k, all proportional to f#.
+def q_table(p: FamilyParams, f_sharp: Vec) -> dict:
+    """Nonzero vectors Q(X_i, X_j)X_k, all proportional to f#, the last
+    1-form of potential_table at p.
 
     Closed under the antisymmetry Q(x,y)z = -Q(y,x)z.
 
@@ -239,7 +245,6 @@ def q_table(p: FamilyParams) -> dict:
     R~ = R + Q; this table fails at 76 of the 98 default grid points.
     """
     l1, l2, e = p.lambda1, p.lambda2, p.epsilon
-    f_sharp = potential_table(p)[3]
     half = Q(1, 2)
     coef = {
         (1, 3, 1): half * e * l1, (1, 4, 2): -half * e * l1,

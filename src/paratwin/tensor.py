@@ -13,7 +13,7 @@ the positions of the nonzero numerators, found once at construction, so
 the kernels visit only those.
 
 Rationals appear only at the edges.  TensorDense(dim, variance, data),
-from_matrix, from_function and zeros take rationals and convert them once;
+from_matrix and from_function take rationals and convert them once;
 t[idx], item(), matrix(), column() and data give rationals back, with the
 shared ZERO of paratwin.scalar for every zero component.  Everything in
 between is integer arithmetic.
@@ -127,10 +127,6 @@ class TensorDense:
         return [list(map(self._ratio, self.nums[i * n:(i + 1) * n])) for i in range(n)]
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zeros(cls, dim: int, variance: Sequence[str]) -> "TensorDense":
-        return cls(dim, variance, [ZERO] * (dim ** len(variance)))
 
     @classmethod
     def from_function(cls, dim: int, variance: Sequence[str],
@@ -544,24 +540,3 @@ def matrix_inverse(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]] |
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
                 inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
     return inv
-
-
-def matrix_determinant(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
-    n = len(rows)
-    a = [list(r) for r in rows]
-    det = Q(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col]), None)
-        if pivot is None:
-            return ZERO
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        p = a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col]:
-                f = a[r][col] / p
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return det

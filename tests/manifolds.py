@@ -3,14 +3,19 @@
 The Abelian reference manifold and block direct sums grow the test corpus
 beyond the family; basis changes, the eigenbasis of P and Sylvester
 signatures check invariance under a change of frame; document_of writes a
-manifold back as a CLI document; identity and derive_vector are small
-references.  The engine itself needs none of them.
+manifold back as a CLI document; zeros, identity and derive_vector are
+small references.  The engine itself needs none of them.
 """
 
 from paratwin.errors import ValidationError
 from paratwin.manifold import LieAlgebraModel, WManifold, build_manifold
 from paratwin.scalar import Q, ZERO, format_rational
 from paratwin.tensor import DOWN, UP, TensorDense, matrix_inverse
+
+
+def zeros(dim: int, variance) -> TensorDense:
+    """The zero tensor of the given dimension and variance."""
+    return TensorDense(dim, variance, [ZERO] * dim ** len(variance))
 
 
 def identity(dim: int) -> TensorDense:
@@ -27,7 +32,7 @@ def derive_vector(conn, i: int, y: list) -> list:
 def abelian_manifold(dim: int = 4, name: str = "abelian") -> WManifold:
     """Flat reference manifold: Abelian algebra, pair-swap P, g = diag(1,..,-1,..)."""
     labels = tuple(f"X{i + 1}" for i in range(dim))
-    alg = LieAlgebraModel(dim, labels, TensorDense.zeros(dim, (UP, DOWN, DOWN)))
+    alg = LieAlgebraModel(dim, labels, zeros(dim, (UP, DOWN, DOWN)))
     P = TensorDense.from_function(dim, (UP, DOWN),
                                   lambda i, j: Q(i == j + 1 and j % 2 == 0 or j == i + 1 and i % 2 == 0))
     half = dim // 2

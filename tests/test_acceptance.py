@@ -31,7 +31,7 @@ from paratwin.scalar import Q
 from paratwin.tensor import DOWN, UP, TensorDense, tensor_equal
 from paratwin.twin import build_twin_pack, invariance_suite
 
-from manifolds import abelian_manifold, direct_sum
+from manifolds import abelian_manifold, direct_sum, zeros
 
 
 def announce(capfd, number: int, title: str, ok: bool, reason: str = "") -> None:
@@ -214,7 +214,7 @@ def test_criterion_7_negative_controls(capfd):
     failed = []
 
     # (a) Jacobi-violating structure constants are rejected
-    shape = TensorDense.zeros(4, (UP, DOWN, DOWN))
+    shape = zeros(4, (UP, DOWN, DOWN))
     data = [Q(0)] * 64
     data[shape.flat((2, 0, 1))], data[shape.flat((2, 1, 0))] = Q(1), Q(-1)
     data[shape.flat((0, 0, 2))], data[shape.flat((0, 2, 0))] = Q(1), Q(-1)

@@ -20,6 +20,8 @@ from paratwin.tensor import tensor_equal
 from manifolds import abelian_manifold, direct_sum, document_of
 
 FIXTURE = Path(__file__).parent / "fixtures" / "family-1-2-1.json"
+#: stdout of `paratwin theorem --grid=1,-2/3,3/2`, then "[exit <code>]"
+GOLDEN = Path(__file__).parent / "fixtures" / "theorem-golden.txt"
 
 
 def run(argv):
@@ -198,6 +200,11 @@ def test_theorem_small_grid_names_failing_tables():
     assert "table: twin curvature" in out
     assert "[pass] claim: minimal class" in out
     assert "[pass] identity: B = 0" in out
+
+
+def test_theorem_output_matches_golden_file():
+    code, out, _ = run(["theorem", "--grid=1,-2/3,3/2"])
+    assert (out + f"[exit {code}]\n").encode() == GOLDEN.read_bytes()
 
 
 def test_theorem_self_test():

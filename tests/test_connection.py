@@ -13,7 +13,7 @@ from paratwin.manifold import LieAlgebraModel
 from paratwin.scalar import Q, ZERO
 from paratwin.tensor import DOWN, UP, TensorDense, matrix_inverse, tensor_equal, transpose
 
-from manifolds import abelian_manifold
+from manifolds import abelian_manifold, zeros
 from strategies import V3, antisymmetrized, dense_tensors, matrices, mixed_rationals, tensor_pairs
 
 
@@ -70,9 +70,9 @@ def test_abelian_connection_is_flat():
 
 def test_connection_shape_validation():
     with pytest.raises(ValidationError):
-        Connection(4, TensorDense.zeros(4, (UP, UP, DOWN)))
+        Connection(4, zeros(4, (UP, UP, DOWN)))
     with pytest.raises(ValidationError):
-        Connection(4, TensorDense.zeros(2, (UP, DOWN, DOWN)))
+        Connection(4, zeros(2, (UP, DOWN, DOWN)))
 
 
 def test_average_of_connection_with_itself(family121):

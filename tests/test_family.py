@@ -7,17 +7,18 @@ mismatches, and these tests pin the failure set to exactly that list.
 """
 
 import dataclasses
+from itertools import product
 
 import pytest
 
-from paratwin import family
+from paratwin import family, tables
 from paratwin.errors import ValidationError
 from paratwin.family import (DEFAULT_GRID, FamilyParams, build_family,
                              family_brackets, family_pack, grid_points,
                              grid_verification, theorem_checks)
 from paratwin.manifold import validate_lie_algebra
-from paratwin.scalar import Q
-from paratwin.tensor import TensorDense
+from paratwin.scalar import Q, ZERO
+from paratwin.tensor import TensorDense, lower_index, transpose
 
 #: table checks that disagree with the engine on generic parameters; the
 #: discrepancies are documented in the project notes
@@ -103,3 +104,116 @@ def test_failed_identity_names_the_component_that_differs(monkeypatch):
     assert not items["identity: K = A"].passed
     assert items["identity: K = A"].detail == (
         "first nonzero residual at (1, 1, 2, 2) is 2; 1 of 256 components differ")
+
+
+#: every table check: the tables function it reads, which part of that
+#: function's result it compares first (None: the whole result), and the
+#: label and index separator that part's entries carry in a detail
+TABLE_CHECKS = {
+    "table: connection": ("connection_tables", 0, "nabla", ","),
+    "table: twin connection": ("connection_tables", 1, "twin nabla", ","),
+    "table: potential": ("potential_table", 0, "Phi", ","),
+    "table: fundamental tensor": ("fundamental_table", None, "F", ""),
+    "table: square norm": ("square_norm_table", 0, "|nabla P|^2", ""),
+    "table: Lee forms": ("lee_form_table", 0, "theta", ""),
+    "table: curvature": ("curvature_table", None, "R", ""),
+    "table: twin curvature": ("twin_curvature_table", None, "twin R", ""),
+    "table: Ricci and scalar curvature": ("ricci_table", 0, "rho", ""),
+    "table: twin difference tensor": ("q_table", None, "Q", ""),
+    "table: average curvature": ("a_table", None, "A", ""),
+    "table: average connection": ("average_connection_table", None, "D", ","),
+}
+
+
+def engine_tables(m, tp) -> dict:
+    """The engine's own values in the shape of the four tables of
+    KNOWN_TABLE_FAILURES, so that those checks pass and can flip too."""
+    def nonzero(t, vector=False):
+        values = {idx: tuple(t.column(*idx)) if vector else t[idx]
+                  for idx in product(range(4), repeat=t.nslots - vector)}
+        return {idx: v for idx, v in values.items() if (any(v) if vector else v)}
+
+    def matrix(t):
+        return tuple(map(tuple, t.matrix()))
+
+    return {
+        "twin_curvature_table": nonzero(tp.curv_twin.R),
+        "ricci_table": (matrix(tp.curv.ricci), tp.curv.tau,
+                        matrix(tp.curv_twin.ricci), tp.curv_twin.tau),
+        "q_table": nonzero(tp.Q_vec, vector=True),
+        "a_table": nonzero(transpose(lower_index(tp.A_vec, 0, m.g), (1, 2, 3, 0))),
+    }
+
+
+def perturbed_value(v, kind):
+    """A rational, or a vector's first nonzero component, plus 1 or dropped."""
+    if isinstance(v, tuple):
+        a = next(a for a, x in enumerate(v) if x)
+        return v[:a] + (perturbed_value(v[a], kind),) + v[a + 1:]
+    return v + 1 if kind == "changed" else ZERO
+
+
+def perturbed(part, kind):
+    """(part with one nonzero component changed or dropped, or one added
+    where it is zero, the index of that component), or None when part is a
+    bare value and so has no index to add at."""
+    if isinstance(part, tuple) and isinstance(part[0], tuple):      # a matrix
+        change = perturbed({(i, j): v for i, row in enumerate(part)
+                            for j, v in enumerate(row) if v}, kind)
+        if change is None:
+            return None
+        new, idx = change
+        return tuple(tuple(new.get((i, j), ZERO) for j in range(4)) for i in range(4)), idx
+    if not isinstance(part, dict):
+        return None if kind == "added" else (perturbed_value(part, kind), ())
+    if kind != "added":
+        idx = min(part)
+        return {**part, idx: perturbed_value(part[idx], kind)}, idx
+    vector = isinstance(next(iter(part.values())), tuple)
+    for idx in product(range(4), repeat=len(next(iter(part)))):
+        v = part.get(idx, (ZERO,) * 4 if vector else ZERO)
+        if vector and not all(v):
+            a = v.index(ZERO)
+            return {**part, idx: v[:a] + (Q(1),) + v[a + 1:]}, idx
+        if not vector and not v:
+            return {**part, idx: Q(1)}, idx
+    return None
+
+
+@pytest.mark.parametrize("point", [(1, 2, 1), ("-1/2", 3, -1)])
+def test_every_table_check_is_falsifiable(point, monkeypatch):
+    """One table component changed, dropped, or added where the engine is
+    zero flips exactly its check, whose detail names that component.  The
+    four tables that already fail here are first replaced by the engine's
+    values.  A dropped component is caught only because a check also
+    counts the engine's nonzero components."""
+    p = FamilyParams(*point)
+    m, tp = family_pack(p)
+    engine = engine_tables(m, tp)
+    added = set()
+    for name, (fn_name, part, label, sep) in TABLE_CHECKS.items():
+        base = engine[fn_name] if fn_name in engine else getattr(tables, fn_name)(p)
+
+        def checks(result):
+            with monkeypatch.context() as mp:
+                mp.setattr(tables, fn_name, lambda *args: result)
+                return {c.name: c for c in theorem_checks(p).checks}
+
+        before = checks(base)
+        assert before[name].passed, name
+        for kind in ("changed", "dropped", "added"):
+            change = perturbed(base if part is None else base[part], kind)
+            if change is None:
+                continue
+            new, idx = change
+            after = checks(new if part is None else base[:part] + (new,) + base[part + 1:])
+            flipped = {n for n in before if before[n].passed != after[n].passed}
+            assert flipped == {name}, (name, kind, flipped)
+            where = f"{label}_{sep.join(str(i + 1) for i in idx)}" if idx else label
+            assert after[name].detail.startswith(f"{where}: got "), (after[name].detail, where)
+            if kind == "added":
+                added.add(name)
+    # the square norms, the Lee forms and the Ricci matrices have no zero
+    # component at these points
+    assert added == set(TABLE_CHECKS) - {"table: square norm", "table: Lee forms",
+                                         "table: Ricci and scalar curvature"}

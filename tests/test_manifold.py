@@ -13,7 +13,7 @@ from paratwin.scalar import Q, ZERO
 from paratwin.tensor import DOWN, UP, TensorDense, tensor_equal
 
 from manifolds import (abelian_manifold, change_basis_bilinear, change_basis_endo,
-                       eigenbasis, identity, metric_signature)
+                       eigenbasis, identity, metric_signature, zeros)
 from strategies import V3, any_tensors
 
 P4 = TensorDense.from_matrix([[0, 1, 0, 0], [1, 0, 0, 0],
@@ -24,7 +24,7 @@ G4 = TensorDense.from_matrix([[1, 0, 0, 0], [0, 1, 0, 0],
 
 def _abelian_algebra(n=4):
     return LieAlgebraModel(n, tuple(f"X{i+1}" for i in range(n)),
-                           TensorDense.zeros(n, (UP, DOWN, DOWN)))
+                           zeros(n, (UP, DOWN, DOWN)))
 
 
 def test_family_algebra_is_valid():
@@ -34,9 +34,9 @@ def test_family_algebra_is_valid():
 
 
 def test_broken_jacobi_is_named():
-    c = TensorDense.zeros(4, (UP, DOWN, DOWN)).data
+    c = zeros(4, (UP, DOWN, DOWN)).data
     data = list(c)
-    shape = TensorDense.zeros(4, (UP, DOWN, DOWN))
+    shape = zeros(4, (UP, DOWN, DOWN))
     # [X1,X2] = X3, [X1,X3] = X1: fails Jacobi on (X1, X2, X3)
     data[shape.flat((2, 0, 1))], data[shape.flat((2, 1, 0))] = Q(1), Q(-1)
     data[shape.flat((0, 0, 2))], data[shape.flat((0, 2, 0))] = Q(1), Q(-1)
@@ -49,7 +49,7 @@ def test_broken_jacobi_is_named():
 
 def test_odd_dimension_rejected():
     with pytest.raises(ValidationError):
-        TensorDense.zeros(3, (UP, DOWN, DOWN))
+        zeros(3, (UP, DOWN, DOWN))
 
 
 @pytest.mark.parametrize("P, g, message", [
@@ -58,7 +58,7 @@ def test_odd_dimension_rejected():
     (identity(4), G4, "trace"),
     (P4, TensorDense.from_matrix([[1, 1, 0, 0], [0, 1, 0, 0],
                                   [0, 0, -1, 0], [0, 0, 0, -1]], (DOWN, DOWN)), "symmetric"),
-    (P4, TensorDense.zeros(4, (DOWN, DOWN)), "degenerate"),
+    (P4, zeros(4, (DOWN, DOWN)), "degenerate"),
     (P4, TensorDense.from_matrix([[1, 0, 0, 0], [0, 2, 0, 0],
                                   [0, 0, -1, 0], [0, 0, 0, -1]], (DOWN, DOWN)), "compatible"),
 ])

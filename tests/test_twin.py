@@ -18,7 +18,7 @@ from paratwin.twin import (_w1_assemble, build_twin_pack, invariance_suite, tens
                            tensor_K, tensor_Q, w1_closed_forms)
 
 from manifolds import (change_basis_bilinear, change_basis_endo, derive_vector, direct_sum,
-                       document_of)
+                       document_of, zeros)
 from strategies import V3, V4, any_tensors, dense_tensors, mixed_rationals, rationals
 
 #: every route cross-check that one report runs; taken from the version
@@ -202,7 +202,7 @@ def test_report_forms_no_intermediate_tensors(family121, monkeypatch):
     assert all(P.data) and all(g.data)
     for m in (family121[0], build_manifold(alg, P, g, name=name)):
         build_report(m)
-    TensorDense.zeros(2, V3) + TensorDense.zeros(2, V3)     # the counter works
+    zeros(2, V3) + zeros(2, V3)     # the counter works
     assert calls == ["__add__"]
 
 
