@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .errors import ParatwinError, ValidationError
@@ -276,8 +277,19 @@ def cmd_theorem(args, out, err) -> int:
     return EXIT_OK if report.valid else EXIT_CHECK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads any argument starting with "-" and a
+    digit as a value, so that a negative rational such as -2/3, or a grid
+    starting with one, is not taken for an option.  Its subparsers are of
+    the same class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\d")
+
+
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="paratwin",
         description="Exact tensor engine for almost paracomplex pseudo-Riemannian Lie groups")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -301,25 +313,13 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _attach_grid_values(argv: list[str]) -> list[str]:
-    """Join "--grid V" into "--grid=V", so that a grid starting with a
-    negative value such as -2/3 is not read by argparse as an option."""
-    out: list[str] = []
-    for arg in argv:
-        if out and out[-1] == "--grid" and arg.startswith("-") and arg[1:2].isdigit():
-            out[-1] = f"--grid={arg}"
-        else:
-            out.append(arg)
-    return out
-
-
 def main(argv=None, out=None, err=None) -> int:
     """Run one command; out and err default to the current sys.stdout and
     sys.stderr, read at call time."""
     argv = sys.argv[1:] if argv is None else list(argv)
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
-    args = make_parser().parse_args(_attach_grid_values(argv))
+    args = make_parser().parse_args(argv)
     if args.command == "report" and (args.file is None) == (args.family is None):
         print("report: exactly one of <file> or --family is required", file=err)
         return EXIT_PARSE

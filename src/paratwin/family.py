@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, product
+from math import lcm
 
 from . import tables
 from .classify import ClassLabel, lee_forms_closed
@@ -47,6 +47,12 @@ class FamilyParams:
     def label(self) -> str:
         return (f"family(l1={format_rational(self.lambda1)}, "
                 f"l2={format_rational(self.lambda2)}, e={format_rational(self.epsilon)})")
+
+    def integer_parameters(self) -> tuple[int, int, int, int]:
+        """(D, D l1, D l2, e) with D the lcm of the denominators of l1 and
+        l2: the point as the reference tables take it."""
+        d = lcm(self.lambda1.denominator, self.lambda2.denominator)
+        return d, int(d * self.lambda1), int(d * self.lambda2), int(self.epsilon)
 
 
 #: grid on which "for arbitrary l1, l2" claims are verified; every table
@@ -104,34 +110,50 @@ def family_pack(p: FamilyParams):
     return m, build_twin_pack(m)
 
 
-def _entries(label: str, sep: str, rank: int, got, want):
-    """(label with the 1-based index, got(idx), want(idx)) for every index
-    tuple idx of the given rank; sep joins the index digits."""
-    for idx in product(range(DIM), repeat=rank):
-        yield f"{label}_{sep.join(str(i + 1) for i in idx)}", got(idx), want(idx)
-
-
-def _table_entries(label: str, sep: str, t: TensorDense, table: dict, vector: bool = False):
-    """The entries of _table_check comparing t with a table of its nonzero
-    components by index tuple; with vector, t is a (1,k) tensor and each
-    table value is the vector t[:, *idx].
-
-    The table's nonzero components must be as many as t's and each equal
-    to nums[p] / den, compared in integers.  A match gives no entries; a
-    mismatch gives every entry in index order, as _entries does.
+def _tensor_mismatch(label: str, sep: str, t: TensorDense, table: dict, factor: int,
+                     vector: bool = False):
+    """(label, engine value, table value) at the first index where t and a
+    table of its nonzero components, each factor times its value, disagree;
+    None if they agree.  With vector, t is a (1,k) tensor and each table
+    value is the vector t[:, *idx].  The table must match t's nonzero count
+    and each nums[p] / den, by cross-multiplication; the label (its 1-based
+    index joined by sep) and the rationals are formed only for a mismatch.
     """
     nums, den, rank = t.nums, t.den, t.nslots - vector
+    size = DIM ** rank
     if vector:
         wanted = [(p, w) for idx, v in table.items()
-                  for p, w in zip(range(t.flat(idx), len(nums), DIM ** rank), v) if w]
+                  for p, w in zip(range(t.flat(idx), len(nums), size), v) if w]
     else:
         wanted = [(t.flat(idx), w) for idx, w in table.items() if w]
-    if len(wanted) == len(t.support) and all(
-            nums[p] * w.denominator == w.numerator * den for p, w in wanted):
-        return ()
-    got = (lambda idx: tuple(t.column(*idx))) if vector else t.__getitem__
-    zero = (ZERO,) * DIM if vector else ZERO
-    return _entries(label, sep, rank, got, lambda idx: table.get(idx, zero))
+    if len(wanted) == len(t.support) and all(nums[p] * factor == w * den for p, w in wanted):
+        return None
+    want = [0] * len(nums)
+    for p, w in wanted:
+        want[p] = w
+    first = min(p % size for p, (n, w) in enumerate(zip(nums, want)) if n * factor != w * den)
+    idx = tuple(first // DIM ** k % DIM for k in reversed(range(rank)))
+    label = f"{label}_{sep.join(str(i + 1) for i in idx)}"
+    if vector:
+        return label, tuple(t.column(*idx)), tuple(Q(w, factor) for w in want[first::size])
+    return label, t[idx], Q(want[first], factor)
+
+
+def _value_mismatch(label: str, got, want, factor: int):
+    """(label, got, table value) if an engine scalar or 1-form got differs
+    from the table's integers want, factor times its value; else None."""
+    if isinstance(got, TensorDense):
+        if all(n * factor == w * got.den for n, w in zip(got.nums, want)):
+            return None
+        return label, got.data, tuple(Q(w, factor) for w in want)
+    if got.numerator * factor == want * got.denominator:
+        return None
+    return label, got, Q(want, factor)
+
+
+def _nonzero(rows) -> dict:
+    """The nonzero entries of a matrix given by its rows, by index pair."""
+    return {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row) if v}
 
 
 def _show(value) -> str:
@@ -140,17 +162,15 @@ def _show(value) -> str:
     return format_rational(value)
 
 
-def _table_check(name: str, *entries) -> CheckItem:
-    """The check that every (label, engine value, table value) of entries
-    agrees; a failure names the first that does not.
-
-    Tensor tables come from _table_entries, which decides them in integers
-    and yields entries, and so formats labels, only when they disagree.
-    """
-    for label, got, want in chain(*entries):
-        if got != want:
-            return CheckItem(name, False, f"{label}: got {_show(got)}, expected {_show(want)}")
-    return CheckItem(name, True)
+def _table_check(name: str, *mismatches) -> CheckItem:
+    """The check that every part of a table agrees with the engine, each
+    part's _tensor_mismatch or _value_mismatch given in order; a failure
+    names the first mismatch."""
+    first = next((m for m in mismatches if m), None)
+    if first is None:
+        return CheckItem(name, True)
+    label, got, want = first
+    return CheckItem(name, False, f"{label}: got {_show(got)}, expected {_show(want)}")
 
 
 def theorem_checks(p: FamilyParams, perturb_curvature: bool = False) -> ValidationReport:
@@ -187,72 +207,75 @@ def theorem_checks(p: FamilyParams, perturb_curvature: bool = False) -> Validati
                               (1, m.algebra.c))),
     ]
 
+    # the tables at the point's integer parameters: degree-1 entries are
+    # d times their value, degree-2 entries d^2 times
+    d, a1, a2, e_int = p.integer_parameters()
+    at, d2 = (a1, a2, e_int), d * d
+
     # connection components
-    nabla_t, nabla_twin_t = tables.connection_tables(p)
-    checks.append(_table_check("table: connection",
-                               _table_entries("nabla", ",", tp.conn.gamma, nabla_t, True)))
-    checks.append(_table_check("table: twin connection",
-                               _table_entries("twin nabla", ",", tp.conn_twin.gamma,
-                                              nabla_twin_t, True)))
+    nabla_t, nabla_twin_t = tables.connection_tables(*at)
+    checks.append(_table_check("table: connection", _tensor_mismatch(
+        "nabla", ",", tp.conn.gamma, nabla_t, d, True)))
+    checks.append(_table_check("table: twin connection", _tensor_mismatch(
+        "twin nabla", ",", tp.conn_twin.gamma, nabla_twin_t, d, True)))
 
     # potential and its 1-forms
-    phi_t, f_t, f_star_t, f_sharp_t = tables.potential_table(p)
+    phi_t, f_t, f_star_t, f_sharp_t = tables.potential_table(*at)
     checks.append(_table_check(
         "table: potential",
-        _table_entries("Phi", ",", sp.Phi_vec, phi_t, True),
-        [("f", sp.f.data, f_t), ("f*", sp.f_star.data, f_star_t),
-         ("f#", sp.f_sharp.data, f_sharp_t)]))
+        _tensor_mismatch("Phi", ",", sp.Phi_vec, phi_t, d, True),
+        _value_mismatch("f", sp.f, f_t, d), _value_mismatch("f*", sp.f_star, f_star_t, d),
+        _value_mismatch("f#", sp.f_sharp, f_sharp_t, d)))
 
     # fundamental tensor and its twin proportionality
-    checks.append(_table_check("table: fundamental tensor",
-                               _table_entries("F", "", sp.F, tables.fundamental_table(p))))
+    checks.append(_table_check("table: fundamental tensor", _tensor_mismatch(
+        "F", "", sp.F, tables.fundamental_table(*at), d)))
     checks.append(CheckItem.of("identity: twin F = eps F", vanishes((1, spt.F), (-e, sp.F))))
     checks.append(CheckItem.of("identity: twin F(x,y,z) = F(Px,y,z)",
                                vanishes((1, spt.F), (-1, sp.F_P["x"]))))
 
     # square norms
-    snorm_t, snorm_twin_t = tables.square_norm_table(p)
+    snorm_t, snorm_twin_t = tables.square_norm_table(*at)
     checks.append(_table_check("table: square norm",
-                               [("|nabla P|^2", sp.snorm, snorm_t),
-                                ("twin |nabla P|^2", spt.snorm, snorm_twin_t)]))
+                               _value_mismatch("|nabla P|^2", sp.snorm, snorm_t, d2),
+                               _value_mismatch("twin |nabla P|^2", spt.snorm, snorm_twin_t, d2)))
 
     # Lee forms
-    theta_t, theta_star_t = tables.lee_form_table(p)
-    checks.append(_table_check("table: Lee forms", [
-        ("theta", sp.theta.data, theta_t),
-        ("theta*", sp.theta_star.data, theta_star_t),
-        ("twin theta", spt.theta.data, theta_t),
-        ("twin theta*", spt.theta_star.data, theta_star_t)]))
+    theta_t, theta_star_t = tables.lee_form_table(*at)
+    checks.append(_table_check(
+        "table: Lee forms",
+        _value_mismatch("theta", sp.theta, theta_t, d),
+        _value_mismatch("theta*", sp.theta_star, theta_star_t, d),
+        _value_mismatch("twin theta", spt.theta, theta_t, d),
+        _value_mismatch("twin theta*", spt.theta_star, theta_star_t, d)))
 
     # curvature tables; the twin table is built from the unperturbed one
-    R_t = tables.curvature_table(p)
-    twin_R_t = tables.twin_curvature_table(p, R_t)
+    R_t = tables.curvature_table(*at)
+    twin_R_t = tables.twin_curvature_table(e_int, R_t)
     if perturb_curvature:
         idx = (0, 1, 1, 0)
-        R_t = {**R_t, idx: -R_t.get(idx, ZERO)}
+        R_t = {**R_t, idx: -R_t.get(idx, 0)}
     checks.append(_table_check("table: curvature",
-                               _table_entries("R", "", tp.curv.R, R_t)))
+                               _tensor_mismatch("R", "", tp.curv.R, R_t, d2)))
     checks.append(_table_check("table: twin curvature",
-                               _table_entries("twin R", "", tp.curv_twin.R, twin_R_t)))
+                               _tensor_mismatch("twin R", "", tp.curv_twin.R, twin_R_t, d2)))
 
-    rho_t, tau_t, rho_twin_t, tau_twin_t = tables.ricci_table(p)
+    rho_t, tau_t, rho_twin_t, tau_twin_t = tables.ricci_table(*at)
     checks.append(_table_check(
         "table: Ricci and scalar curvature",
-        _entries("rho", "", 2, tp.curv.ricci.__getitem__, lambda idx: rho_t[idx[0]][idx[1]]),
-        _entries("twin rho", "", 2, tp.curv_twin.ricci.__getitem__,
-                 lambda idx: rho_twin_t[idx[0]][idx[1]]),
-        [("tau", tp.curv.tau, tau_t), ("twin tau", tp.curv_twin.tau, tau_twin_t)]))
+        _tensor_mismatch("rho", "", tp.curv.ricci, _nonzero(rho_t), d2),
+        _tensor_mismatch("twin rho", "", tp.curv_twin.ricci, _nonzero(rho_twin_t), d2),
+        _value_mismatch("tau", tp.curv.tau, tau_t, d2),
+        _value_mismatch("twin tau", tp.curv_twin.tau, tau_twin_t, d2)))
 
     # twin interchange tensors
-    checks.append(_table_check("table: twin difference tensor",
-                               _table_entries("Q", "", tp.Q_vec,
-                                              tables.q_table(p, f_sharp_t), True)))
+    checks.append(_table_check("table: twin difference tensor", _tensor_mismatch(
+        "Q", "", tp.Q_vec, tables.q_table(*at, f_sharp_t), d2, True)))
     A_low = transpose(lower_index(tp.A_vec, 0, m.g), (1, 2, 3, 0))
-    checks.append(_table_check("table: average curvature",
-                               _table_entries("A", "", A_low, tables.a_table(p))))
-    checks.append(_table_check("table: average connection",
-                               _table_entries("D", ",", tp.D.gamma,
-                                              tables.average_connection_table(p), True)))
+    checks.append(_table_check("table: average curvature", _tensor_mismatch(
+        "A", "", A_low, tables.a_table(*at), d2)))
+    checks.append(_table_check("table: average connection", _tensor_mismatch(
+        "D", ",", tp.D.gamma, tables.average_connection_table(*at), d, True)))
 
     # family identities
     checks += [

@@ -9,11 +9,13 @@ associated twin metric is g~(x, y) = g(x, Py).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from functools import lru_cache
+from itertools import combinations, islice, product
+from typing import Iterator
 
-from .errors import ValidationError, failure_detail
-from .scalar import ZERO, Q
-from .tensor import DOWN, UP, TensorDense, matrix_inverse
+from .errors import ValidationError, failure_detail, require
+from .scalar import Q
+from .tensor import DOWN, UP, TensorDense, inverse, lincomb, vanishes
 
 
 @dataclass(frozen=True)
@@ -60,26 +62,37 @@ class ValidationReport:
         return [c for c in self.checks if not c.passed]
 
 
+#: failing components that validate_lie_algebra formats per axiom; one more
+#: item counts the rest, so a dense invalid document is rejected quickly
+LISTED_FAILURES = 20
+
+
+def _failure_items(name: str, failures: Iterator[tuple], describe) -> list[CheckItem]:
+    """A failed CheckItem for each of the first LISTED_FAILURES failures,
+    with describe(*failure) as its detail, and one counting the rest; a
+    passed one if there are none."""
+    items = [CheckItem(name, False, describe(*f)) for f in islice(failures, LISTED_FAILURES)]
+    rest = sum(1 for _ in failures)
+    if rest:
+        items.append(CheckItem(name, False, f"and {rest} more failing components"))
+    return items or [CheckItem(name, True)]
+
+
 def validate_lie_algebra(alg: LieAlgebraModel) -> ValidationReport:
     """Check antisymmetry and the Jacobi identity over all basis triples.
 
     Violations become report entries, not exceptions, so a caller can show
-    every offending index combination at once.
+    the first LISTED_FAILURES offending index combinations of each at once.
     """
     n = alg.dim
     n2 = n * n
     den, cd = alg.c.den, alg.c.nums
-    items: list[CheckItem] = []
-    anti_ok = True
-    for i, j, k in product(range(n), repeat=3):
-        a, b = cd[k * n2 + i * n + j], cd[k * n2 + j * n + i]
-        if (a or b) and a != -b:
-            anti_ok = False
-            items.append(CheckItem(
-                "antisymmetry", False,
-                f"c^{k + 1}_{{{i + 1},{j + 1}}} != -c^{k + 1}_{{{j + 1},{i + 1}}}"))
-    if anti_ok:
-        items.append(CheckItem("antisymmetry", True))
+
+    items = _failure_items(
+        "antisymmetry", ((i, j, k) for i, j, k in product(range(n), repeat=3)
+                         if cd[k * n2 + i * n + j] != -cd[k * n2 + j * n + i]),
+        lambda i, j, k: f"c^{k + 1}_{{{i + 1},{j + 1}}} != -c^{k + 1}_{{{j + 1},{i + 1}}}")
+    anti_ok = items[0].passed
 
     # pairs[a][b] lists the nonzero (s, c^s_{ab} * den)
     pairs = [[[(s, v) for s, v in enumerate(cd[a * n + b::n2]) if v] for b in range(n)]
@@ -110,16 +123,11 @@ def validate_lie_algebra(alg: LieAlgebraModel) -> ValidationReport:
     else:
         triples, failing = product(range(n), repeat=3), cyclic_sum
 
-    jacobi_ok = True
-    for i, j, l in triples:
-        for m, v in failing(i, j, l):
-            jacobi_ok = False
-            items.append(CheckItem(
-                "jacobi", False,
-                f"cyclic sum for (X_{i + 1}, X_{j + 1}, X_{l + 1}) has nonzero "
-                f"X_{m + 1} component {Q(v, den * den)}"))
-    if jacobi_ok:
-        items.append(CheckItem("jacobi", True))
+    jacobi_failures = ((i, j, l, m, v) for i, j, l in triples for m, v in failing(i, j, l))
+    items += _failure_items(
+        "jacobi", jacobi_failures,
+        lambda i, j, l, m, v: f"cyclic sum for (X_{i + 1}, X_{j + 1}, X_{l + 1}) has nonzero "
+                              f"X_{m + 1} component {Q(v, den * den)}")
     return ValidationReport(tuple(items))
 
 
@@ -160,12 +168,25 @@ def build_manifold(alg: LieAlgebraModel, P: TensorDense, g: TensorDense,
     return assemble_manifold(alg, P, g, name=name)
 
 
+@lru_cache(maxsize=None)
+def _identity(n: int) -> TensorDense:
+    return TensorDense.from_function(n, (UP, DOWN), lambda i, j: int(i == j))
+
+
+def check_inverse(metric: TensorDense, metric_inv: TensorDense, what: str) -> None:
+    """Raise ConsistencyError(what) unless metric_inv is the inverse of
+    metric, exactly."""
+    require(vanishes((1, "im,mj->ij", metric_inv, metric), (-1, _identity(metric.dim))), what)
+
+
 def assemble_manifold(alg: LieAlgebraModel, P: TensorDense, g: TensorDense,
                       name: str = "manifold") -> WManifold:
     """The part of build_manifold after the Lie algebra is validated.
 
     Raises ValidationError naming the first violated axiom: P^2 != id,
     tr P != 0, g not symmetric, g degenerate, or g not P-compatible.
+    Every axiom is decided in integers.  g^-1 comes from the fraction-free
+    inverse, and g~^-1 = P g^-1 because P^2 = id; both are checked exactly.
     """
     n = alg.dim
     if P.dim != n or P.variance != (UP, DOWN):
@@ -173,35 +194,23 @@ def assemble_manifold(alg: LieAlgebraModel, P: TensorDense, g: TensorDense,
     if g.dim != n or g.variance != (DOWN, DOWN):
         raise ValidationError("g must be a (0,2) tensor of matching dimension")
 
-    Pm = P.matrix()
-    gm = g.matrix()
-
-    Pcols = [[(a, Pm[a][j]) for a in range(n) if Pm[a][j]] for j in range(n)]
-    p2 = [[sum((Pm[i][k] * v for k, v in Pcols[j] if Pm[i][k]), ZERO) for j in range(n)]
-          for i in range(n)]
-    if any(p2[i][j] != Q(i == j) for i in range(n) for j in range(n)):
+    if not vanishes((1, "im,mj->ij", P, P), (-1, _identity(n))):
         raise ValidationError("P^2 is not the identity")
-    if sum(Pm[i][i] for i in range(n)):
+    if sum(P.nums[::n + 1]):
         raise ValidationError("trace of P is not zero")
-    if any(gm[i][j] != gm[j][i] for i in range(n) for j in range(n)):
+    if not vanishes((1, g), (-1, g, (1, 0))):
         raise ValidationError("metric is not symmetric")
-    inv = matrix_inverse(gm)
-    if inv is None:
+    g_inv = inverse(g)
+    if g_inv is None:
         raise ValidationError("metric is degenerate")
-    # g(Px, Py) = g(x, y) on basis pairs: P^T g P = g
-    for i, j in product(range(n), repeat=2):
-        lhs = sum((pa * gm[a][b] * pb for a, pa in Pcols[i] for b, pb in Pcols[j]), ZERO)
-        if lhs != gm[i][j]:
-            raise ValidationError(
-                f"metric is not P-compatible: g(PX_{i + 1},PX_{j + 1}) != g(X_{i + 1},X_{j + 1})")
-
-    # twin metric g~(x, y) = g(x, Py)
-    twin = [[sum((gm[i][a] * v for a, v in Pcols[j]), ZERO) for j in range(n)]
-            for i in range(n)]
-    g_twin = TensorDense.from_matrix(twin, (DOWN, DOWN))
-    g_inv = TensorDense.from_matrix(inv, (UP, UP))
-    twin_inv = matrix_inverse(twin)
-    if twin_inv is None:
-        raise ValidationError("twin metric is degenerate")
-    g_twin_inv = TensorDense.from_matrix(twin_inv, (UP, UP))
+    # twin metric g~(x, y) = g(x, Py); g(Px, Py) = g(x, y) is P^T g~ = g
+    g_twin = lincomb((1, "im,mj->ij", g, P))
+    compatible = vanishes((1, "ai,aj->ij", P, g_twin), (-1, g))
+    if not compatible:
+        i, j = divmod(next(p for p, v in enumerate(compatible.acc) if v), n)
+        raise ValidationError(
+            f"metric is not P-compatible: g(PX_{i + 1},PX_{j + 1}) != g(X_{i + 1},X_{j + 1})")
+    g_twin_inv = lincomb((1, "im,mj->ij", P, g_inv))
+    check_inverse(g, g_inv, "inverse metric: g^-1 g = I")
+    check_inverse(g_twin, g_twin_inv, "inverse twin metric: g~^-1 g~ = I")
     return WManifold(alg, P, g, g_inv, g_twin, g_twin_inv, name=name)

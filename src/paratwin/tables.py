@@ -1,54 +1,51 @@
 """Reference component tables for the two-parameter family.
 
 Every function returns the reference closed-form components of one family
-quantity as exact rationals in (lambda1, lambda2, epsilon), a tensor by
-its nonzero components.  family.theorem_checks builds each table once per
-point and compares it with the engine in integers, formatting component
-labels only for a table that disagrees.  Each entry is polynomial of
-degree at most two per parameter, so agreement on a seven-point grid per
-parameter proves the identity.
+quantity, a tensor by its nonzero components, in integers.  A point
+(l1, l2, e) is given by its integer parameters a1 = D l1 and a2 = D l2,
+where D is the lcm of the denominators of l1 and l2, and e = +-1.  Every
+entry is homogeneous in (l1, l2), so evaluated at (a1, a2, e) it is D^k
+times its value, where k is its degree:
 
-Indices here are 0-based; the docstring component names use the 1-based
-basis labels X1..X4.
+    k = 1   nabla, twin nabla, the average connection, Phi, f, f*, f#,
+            theta, theta*, F
+    k = 2   R, twin R, rho, tau, the square norms, Q, A
+
+family.theorem_checks builds each table once per point and decides it
+against the engine's numerators by cross-multiplication; it forms
+rationals only to word a mismatch.  Each entry is polynomial of degree at
+most two per parameter, so agreement on a seven-point grid per parameter
+proves the identity.
+
+Below, l1 and l2 name a1 and a2.  Indices here are 0-based; the
+docstring component names use the 1-based basis labels X1..X4.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import TYPE_CHECKING
-
 from .errors import ConsistencyError
-from .scalar import ZERO, Q
 
-if TYPE_CHECKING:
-    from .family import FamilyParams
-
-Vec = tuple[Fraction, Fraction, Fraction, Fraction]
+Vec = tuple[int, int, int, int]
 
 
-def _vec(*components) -> Vec:
-    return tuple(Q(c) for c in components)
-
-
-def _scale(c: Fraction, v: Vec) -> Vec:
+def _scale(c: int, v: Vec) -> Vec:
     """c v; most tables scale by epsilon, so +-1 skip the products."""
     if c == 1:
         return v
     return tuple([-t for t in v] if c == -1 else [c * t for t in v])
 
 
-def connection_tables(p: FamilyParams) -> tuple[dict, dict]:
+def connection_tables(l1: int, l2: int, e: int) -> tuple[dict, dict]:
     """Nonzero components of both Levi-Civita connections.
 
     Returns ({(i, j): vector of nabla_{X_i} X_j}, same for the twin side).
     """
-    l1, l2, e = p.lambda1, p.lambda2, p.epsilon
-    v1 = _vec(0, -2 * l2, -e * l1, l1)
-    v2 = _vec(2 * l2, 0, -l1, e * l1)
-    v3 = _vec(-e * l1, -l1, 0, 0)
-    v4 = _vec(0, 0, -e * l2, -l2)
-    v5 = _vec(-e * l2, l2, 0, -2 * l1)
-    v6 = _vec(-l2, e * l2, 2 * l1, 0)
+    v1 = (0, -2 * l2, -e * l1, l1)
+    v2 = (2 * l2, 0, -l1, e * l1)
+    v3 = (-e * l1, -l1, 0, 0)
+    v4 = (0, 0, -e * l2, -l2)
+    v5 = (-e * l2, l2, 0, -2 * l1)
+    v6 = (-l2, e * l2, 2 * l1, 0)
     shared = {
         (0, 2): v3, (0, 3): _scale(-e, v3), (1, 2): _scale(e, v3), (1, 3): _scale(-1, v3),
         (2, 0): v4, (2, 1): _scale(-e, v4), (3, 0): _scale(e, v4), (3, 1): _scale(-1, v4),
@@ -70,13 +67,12 @@ def connection_tables(p: FamilyParams) -> tuple[dict, dict]:
     return nabla, nabla_twin
 
 
-def average_connection_table(p: FamilyParams) -> dict:
+def average_connection_table(l1: int, l2: int, e: int) -> dict:
     """Nonzero components of the invariant connection D."""
-    l1, l2, e = p.lambda1, p.lambda2, p.epsilon
-    w1 = _vec(-e * l2, -l2, 0, 0)
-    w2 = _vec(-e * l1, -l1, 0, 0)
-    w3 = _vec(0, 0, -e * l2, -l2)
-    w4 = _vec(0, 0, -e * l1, -l1)
+    w1 = (-e * l2, -l2, 0, 0)
+    w2 = (-e * l1, -l1, 0, 0)
+    w3 = (0, 0, -e * l2, -l2)
+    w4 = (0, 0, -e * l1, -l1)
     out = {}
     for base, w in (((0, 0), w1), ((0, 2), w2), ((2, 0), w3), ((2, 2), w4)):
         i, j = base
@@ -87,33 +83,30 @@ def average_connection_table(p: FamilyParams) -> dict:
     return out
 
 
-def potential_table(p: FamilyParams) -> tuple[dict, Vec, Vec, Vec]:
+def potential_table(l1: int, l2: int, e: int) -> tuple[dict, Vec, Vec, Vec]:
     """Nonzero Phi(X_i, X_j) vectors plus the 1-forms f, f* and f#."""
-    l1, l2, e = p.lambda1, p.lambda2, p.epsilon
-    quarter = _vec(-2 * e * l2, 2 * l2, 2 * e * l1, -2 * l1)
-    f_sharp = _scale(Q(4), quarter)
+    quarter = (-2 * e * l2, 2 * l2, 2 * e * l1, -2 * l1)
+    f_sharp = _scale(4, quarter)
     phi = {
         (0, 0): quarter, (0, 1): _scale(e, quarter),
         (1, 0): _scale(e, quarter), (1, 1): quarter,
         (2, 2): _scale(-1, quarter), (2, 3): _scale(-e, quarter),
         (3, 2): _scale(-e, quarter), (3, 3): _scale(-1, quarter),
     }
-    f = _vec(-8 * e * l2, 8 * l2, -8 * e * l1, 8 * l1)
-    f_star = _vec(-8 * l2, 8 * e * l2, -8 * l1, 8 * e * l1)
+    f = (-8 * e * l2, 8 * l2, -8 * e * l1, 8 * l1)
+    f_star = (-8 * l2, 8 * e * l2, -8 * l1, 8 * e * l1)
     return phi, f, f_star, f_sharp
 
 
-def lee_form_table(p: FamilyParams) -> tuple[Vec, Vec]:
+def lee_form_table(l1: int, l2: int, e: int) -> tuple[Vec, Vec]:
     """Components of the Lee forms theta and theta* (twin sides coincide)."""
-    l1, l2, e = p.lambda1, p.lambda2, p.epsilon
-    theta = _vec(8 * l2, -8 * e * l2, 8 * l1, -8 * e * l1)
-    theta_star = _vec(8 * e * l2, -8 * l2, 8 * e * l1, -8 * l1)
+    theta = (8 * l2, -8 * e * l2, 8 * l1, -8 * e * l1)
+    theta_star = (8 * e * l2, -8 * l2, 8 * e * l1, -8 * l1)
     return theta, theta_star
 
 
-def fundamental_table(p: FamilyParams) -> dict:
+def fundamental_table(l1: int, l2: int, e: int) -> dict:
     """Nonzero components F(X_i, X_j, X_k); the twin side is epsilon times these."""
-    l1, l2, e = p.lambda1, p.lambda2, p.epsilon
     a, b = 2 * l1, 2 * l2
     table = {
         (1, 1, 3): a, (1, 2, 4): -a, (1, 3, 1): a, (1, 4, 2): -a,
@@ -130,9 +123,8 @@ def fundamental_table(p: FamilyParams) -> dict:
     return {(i - 1, j - 1, k - 1): v for (i, j, k), v in table.items() if v}
 
 
-def square_norm_table(p: FamilyParams) -> tuple[Fraction, Fraction]:
+def square_norm_table(l1: int, l2: int, e: int) -> tuple[int, int]:
     """Square norms of nabla P and of its twin counterpart."""
-    l1, l2, e = p.lambda1, p.lambda2, p.epsilon
     snorm = -128 * (l1 * l1 - l2 * l2)
     return snorm, -e * snorm
 
@@ -160,9 +152,8 @@ def _close_curvature(generators: dict) -> dict:
     return out
 
 
-def curvature_table(p: FamilyParams) -> dict:
+def curvature_table(l1: int, l2: int, e: int) -> dict:
     """Nonzero components R_{ijkl}, closed under the curvature symmetries."""
-    l1, l2, e = p.lambda1, p.lambda2, p.epsilon
     gen = {
         (1, 2, 2, 1): -8 * l2 ** 2,
         (1, 3, 4, 1): 4 * e * l2 ** 2, (2, 3, 4, 2): 4 * e * l2 ** 2,
@@ -179,9 +170,9 @@ def curvature_table(p: FamilyParams) -> dict:
     return {(i - 1, j - 1, k - 1, l - 1): v for (i, j, k, l), v in closed.items()}
 
 
-def twin_curvature_table(p: FamilyParams, curvature: dict) -> dict:
+def twin_curvature_table(e: int, curvature: dict) -> dict:
     """The reference twin-curvature components: epsilon times curvature,
-    the curvature_table at p.
+    the curvature_table at the same point.
 
     Known defect, kept as bundled: R~ = eps R holds only where tau = 0
     (l1 = +-l2).  The curvature of the twin connection table, lowered with
@@ -191,10 +182,10 @@ def twin_curvature_table(p: FamilyParams, curvature: dict) -> dict:
     This table differs from it in 64 of 256 components at a generic point
     and fails at 76 of the 98 default grid points.
     """
-    return dict(curvature) if p.epsilon == 1 else {idx: -v for idx, v in curvature.items()}
+    return dict(curvature) if e == 1 else {idx: -v for idx, v in curvature.items()}
 
 
-def ricci_table(p: FamilyParams):
+def ricci_table(l1: int, l2: int, e: int):
     """Ricci matrices and scalar curvatures (rho, tau, rho_twin, tau_twin).
 
     Known defects, kept as bundled.  The g-side rho lacks
@@ -205,8 +196,7 @@ def ricci_table(p: FamilyParams):
     (1, 2, 1), as Besse's connection-free formula, Einstein Manifolds
     7.39, confirms), a third of which is given here.  tau is right.
     """
-    l1, l2, e = p.lambda1, p.lambda2, p.epsilon
-    z = ZERO
+    z = 0
     mixed = -8 * l1 * l2
     mixed_e = 8 * e * l1 * l2
     d1 = 8 * (l1 ** 2 - 2 * l2 ** 2)
@@ -232,9 +222,9 @@ def ricci_table(p: FamilyParams):
     return rho, tau, rho_twin, tau_twin
 
 
-def q_table(p: FamilyParams, f_sharp: Vec) -> dict:
+def q_table(l1: int, l2: int, e: int, f_sharp: Vec) -> dict:
     """Nonzero vectors Q(X_i, X_j)X_k, all proportional to f#, the last
-    1-form of potential_table at p.
+    1-form of potential_table at the same point.
 
     Closed under the antisymmetry Q(x,y)z = -Q(y,x)z.
 
@@ -244,29 +234,29 @@ def q_table(p: FamilyParams, f_sharp: Vec) -> dict:
     slot of Phi) dropped.  The true Q keeps that term and satisfies
     R~ = R + Q; this table fails at 76 of the 98 default grid points.
     """
-    l1, l2, e = p.lambda1, p.lambda2, p.epsilon
-    half = Q(1, 2)
+    # the coefficients of f#/2, whose components are even
+    half = tuple(v // 2 for v in f_sharp)
     coef = {
-        (1, 3, 1): half * e * l1, (1, 4, 2): -half * e * l1,
-        (2, 3, 2): half * e * l1, (2, 4, 1): -half * e * l1, (3, 4, 4): e * l1,
-        (1, 3, 2): half * l1, (1, 4, 1): -half * l1,
-        (2, 3, 1): half * l1, (2, 4, 2): -half * l1, (3, 4, 3): l1,
-        (1, 3, 3): half * e * l2, (1, 4, 4): half * e * l2,
-        (2, 3, 4): -half * e * l2, (2, 4, 3): -half * e * l2, (1, 2, 2): -e * l2,
-        (1, 3, 4): half * l2, (1, 4, 3): half * l2,
-        (2, 3, 3): -half * l2, (2, 4, 4): -half * l2, (1, 2, 1): -l2,
+        (1, 3, 1): e * l1, (1, 4, 2): -e * l1,
+        (2, 3, 2): e * l1, (2, 4, 1): -e * l1, (3, 4, 4): 2 * e * l1,
+        (1, 3, 2): l1, (1, 4, 1): -l1,
+        (2, 3, 1): l1, (2, 4, 2): -l1, (3, 4, 3): 2 * l1,
+        (1, 3, 3): e * l2, (1, 4, 4): e * l2,
+        (2, 3, 4): -e * l2, (2, 4, 3): -e * l2, (1, 2, 2): -2 * e * l2,
+        (1, 3, 4): l2, (1, 4, 3): l2,
+        (2, 3, 3): -l2, (2, 4, 4): -l2, (1, 2, 1): -2 * l2,
     }
     out = {}
     for (i, j, k), c in coef.items():
         if not c:
             continue
-        vec = _scale(c, f_sharp)
+        vec = _scale(c, half)
         out[(i - 1, j - 1, k - 1)] = vec
-        out[(j - 1, i - 1, k - 1)] = _scale(Q(-1), vec)
+        out[(j - 1, i - 1, k - 1)] = _scale(-1, vec)
     return out
 
 
-def a_table(p: FamilyParams) -> dict:
+def a_table(l1: int, l2: int, e: int) -> dict:
     """Nonzero components A_{ijkl} of the g-lowered average curvature.
 
     Closed under the antisymmetry A_{ijkl} = -A_{jikl}.
@@ -276,7 +266,6 @@ def a_table(p: FamilyParams) -> dict:
     contradicts A = (R + R~)/2; it fails at 76 of the 98 default grid
     points.
     """
-    l1, l2, e = p.lambda1, p.lambda2, p.epsilon
     q1, q2, mm = 2 * l1 ** 2, 2 * l2 ** 2, 2 * l1 * l2
     m13, m24 = 2 * l1 ** 2 - 4 * l2 ** 2, 2 * l2 ** 2 - 4 * l1 ** 2
     base = {

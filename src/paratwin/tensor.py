@@ -14,7 +14,7 @@ the kernels visit only those.
 
 Rationals appear only at the edges.  TensorDense(dim, variance, data),
 from_matrix and from_function take rationals and convert them once;
-t[idx], item(), matrix(), column() and data give rationals back, with the
+t[idx], item(), column() and data give rationals back, with the
 shared ZERO of paratwin.scalar for every zero component.  Everything in
 between is integer arithmetic.
 
@@ -32,6 +32,8 @@ keeps the variance its letter has in its operand.  All terms accumulate into one
 of their denominators, and only the nonzero components of each operand
 are visited.  Index raising and lowering, endomorphism insertion, the
 Koszul formula, covariant derivatives and curvature are all such terms.
+
+inverse() inverts a metric by fraction-free elimination on its numerators.
 
 The elementwise operators +, -, negation and scale and tensor_equal work
 on rationals.  The engine does not use them; the tests keep them as the
@@ -63,7 +65,8 @@ class TensorDense:
         variance = tuple(variance)
         if any(v not in (UP, DOWN) for v in variance):
             raise ValidationError(f"bad variance mask {variance!r}")
-        ratios = [(0, 1) if x is ZERO else rational(x).as_integer_ratio() for x in data]
+        ratios = [x.as_integer_ratio() if isinstance(x, (int, Fraction)) else
+                  rational(x).as_integer_ratio() for x in data]
         if len(ratios) != dim ** len(variance):
             raise ValidationError(
                 f"component count {len(ratios)} != {dim}^{len(variance)}")
@@ -118,13 +121,6 @@ class TensorDense:
         if self.nslots != 0:
             raise ValidationError("item() requires a rank-(0,0) tensor")
         return self._ratio(self.nums[0])
-
-    def matrix(self) -> list[list[Fraction]]:
-        """Two-slot tensor as a nested list, first slot indexing rows."""
-        if self.nslots != 2:
-            raise ValidationError("matrix() requires exactly two slots")
-        n = self.dim
-        return [list(map(self._ratio, self.nums[i * n:(i + 1) * n])) for i in range(n)]
 
     # -- constructors ------------------------------------------------------
 
@@ -274,31 +270,36 @@ def _strides(dim: int, nslots: int) -> list[int]:
     return [dim ** (nslots - 1 - k) for k in range(nslots)]
 
 
-def _check_perm(t: TensorDense, perm) -> tuple:
+_PERM_PLANS: dict[tuple, tuple] = {}
+
+
+def _perm_plan(t: TensorDense, perm) -> tuple:
+    """(variance, m, hi, lo) of transpose(t, perm), where old slot perm[k]
+    moves to slot k: its variance and placement.  Validated and cached per
+    (dim, variance, perm)."""
     perm = tuple(perm)
-    if sorted(perm) != list(range(t.nslots)):
-        raise ValidationError(f"{perm!r} is not a permutation of the slots")
-    return perm
-
-
-def _perm_placement(t: TensorDense, perm: tuple) -> tuple:
-    """The placement of transpose(t, perm): old slot perm[k] moves to slot k."""
-    out = _strides(t.dim, t.nslots)
-    weights = [0] * t.nslots
-    for k, old in enumerate(perm):
-        weights[old] = out[k]
-    return _placement(t.dim, tuple(weights))
+    key = (t.dim, t.variance, perm)
+    plan = _PERM_PLANS.get(key)
+    if plan is None:
+        if sorted(perm) != list(range(t.nslots)):
+            raise ValidationError(f"{perm!r} is not a permutation of the slots")
+        out = _strides(t.dim, t.nslots)
+        weights = [0] * t.nslots
+        for k, old in enumerate(perm):
+            weights[old] = out[k]
+        plan = _PERM_PLANS[key] = ((tuple(t.variance[k] for k in perm),)
+                                   + _placement(t.dim, tuple(weights)))
+    return plan
 
 
 def transpose(t: TensorDense, perm: Sequence[int]) -> TensorDense:
     """Reorder slots by perm: new slot k reads old slot perm[k]."""
-    perm = _check_perm(t, perm)
-    m, hi, lo = _perm_placement(t, perm)
+    variance, m, hi, lo = _perm_plan(t, perm)
     nums = t.nums
     out = [0] * len(nums)
     for p in t.support:
         out[hi[p // m] + lo[p % m]] = nums[p]
-    return TensorDense._of(t.dim, tuple(t.variance[k] for k in perm), t.den, out)
+    return TensorDense._of(t.dim, variance, t.den, out)
 
 
 # -- products --------------------------------------------------------------------
@@ -349,8 +350,8 @@ def _product_plan(spec: str, a: TensorDense, b: TensorDense) -> tuple:
 # -- linear combinations -----------------------------------------------------
 #
 # A term is (c, T), (c, T, perm) or (c, spec, A, B), see the module
-# docstring; c is an int or a rational.  Every term must have the shape of
-# the first.
+# docstring; c is an int or a rational, and an int or a Fraction is used as
+# it is.  Every term must have the shape of the first.
 
 def _accumulate(terms) -> tuple[int, tuple, int, list[int]]:
     """(dim, variance, den, acc) with sum c T == acc[p] / den at each p.
@@ -359,27 +360,23 @@ def _accumulate(terms) -> tuple[int, tuple, int, list[int]]:
     first.
     """
     shape = None
-    merged: dict[tuple, list] = {}      # (id(T), perm) -> [sum of c, T, perm]
+    merged: dict[tuple, list] = {}      # (id(T), id(plan)) -> [sum of c, T, plan]
     products = []                       # (c, operand plans, A, B)
     for term in terms:
         if isinstance(term[1], str):
             c, spec, a, b = term
             variance, operands = _product_plan(spec, a, b)
             dim = a.dim
-            products.append((rational(c), operands, a, b))
+            products.append((_coefficient(c), operands, a, b))
         else:
             c, t, *perm = term
-            dim, variance = t.dim, t.variance
-            if perm:
-                perm = _check_perm(t, perm[0])
-                variance = tuple(variance[k] for k in perm)
-            else:
-                perm = None
-            entry = merged.get((id(t), perm))
+            plan = _perm_plan(t, perm[0]) if perm else None
+            dim, variance = t.dim, plan[0] if plan else t.variance
+            entry = merged.get((id(t), id(plan)))
             if entry is None:
-                merged[id(t), perm] = [rational(c), t, perm]
+                merged[id(t), id(plan)] = [_coefficient(c), t, plan]
             else:
-                entry[0] += rational(c)
+                entry[0] += _coefficient(c)
         if shape is None:
             shape = (dim, variance)
         elif shape != (dim, variance):
@@ -388,24 +385,28 @@ def _accumulate(terms) -> tuple[int, tuple, int, list[int]]:
     if shape is None:
         raise ValidationError("a linear combination needs at least one term")
     dim, variance = shape
-    singles = [(c, c.denominator * t.den, t, perm)
-               for c, t, perm in merged.values() if c and t.support]
+    singles = [(c, c.denominator * t.den, t, plan)
+               for c, t, plan in merged.values() if c and t.support]
     products = [(c, c.denominator * a.den * b.den, operands, a, b)
                 for c, operands, a, b in products if c and a.support and b.support]
     den = lcm(*{d for _, d, *_ in singles + products})
     acc = [0] * dim ** len(variance)
-    for c, d, t, perm in singles:
+    for c, d, t, plan in singles:
         s, nums = c.numerator * (den // d), t.nums
-        if perm is None:
+        if plan is None:
             for p in t.support:
                 acc[p] += s * nums[p]
         else:
-            m, hi, lo = _perm_placement(t, perm)
+            _, m, hi, lo = plan
             for p in t.support:
                 acc[hi[p // m] + lo[p % m]] += s * nums[p]
     for c, d, operands, a, b in products:
         _add_product(acc, c.numerator * (den // d), dim, operands, a, b)
     return dim, variance, den, acc
+
+
+def _coefficient(c) -> int | Fraction:
+    return c if isinstance(c, (int, Fraction)) else rational(c)
 
 
 def _add_product(acc: list[int], s: int, n: int, operands, a: TensorDense,
@@ -447,7 +448,8 @@ class Residual:
         self.dim, self.nslots, self.den, self.acc = dim, nslots, den, acc
 
     def __bool__(self) -> bool:
-        return not any(self.acc)
+        # count() beats any() on the all-zero acc of every passing check
+        return self.acc.count(0) == len(self.acc)
 
     def __str__(self) -> str:
         nonzero = list(compress(range(len(self.acc)), self.acc))
@@ -518,25 +520,31 @@ def apply_endo(t: TensorDense, slot: int, endo: TensorDense) -> TensorDense:
     return _on_slot(t, slot, endo, covariant, DOWN if covariant else UP)
 
 
-# -- exact matrix helpers --------------------------------------------------
+# -- exact matrix inverse ----------------------------------------------------
 
-def matrix_inverse(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]] | None:
-    """Gauss-Jordan inverse over the rationals; None if singular."""
-    n = len(rows)
-    a = [list(r) for r in rows]
-    inv = [[Q(i == j) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col]), None)
+def inverse(t: TensorDense) -> TensorDense | None:
+    """The inverse matrix of a two-slot tensor, both slots' variance
+    flipped; None if t is singular.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss) on the numerators N
+    of t: every division is exact, and it ends with d I beside d N^-1,
+    where d = +-det N, so the inverse is den d N^-1 / d.
+    """
+    n, nums = t.dim, t.nums
+    rows = [nums[i * n:(i + 1) * n] + [int(i == j) for j in range(n)] for i in range(n)]
+    prev = 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if rows[r][k]), None)
         if pivot is None:
             return None
-        a[col], a[pivot] = a[pivot], a[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
-        p = a[col][col]
-        a[col] = [x / p for x in a[col]]
-        inv[col] = [x / p for x in inv[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return inv
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        top = rows[k]
+        d = top[k]
+        for r, row in enumerate(rows):
+            if r != k:
+                f = row[k]
+                rows[r] = [(d * x - f * y) // prev for x, y in zip(row, top)]
+        prev = d
+    sign = 1 if prev > 0 else -1
+    return TensorDense._of(n, tuple(DOWN if v == UP else UP for v in t.variance),
+                           sign * prev, [sign * t.den * x for row in rows for x in row[n:]])

@@ -3,14 +3,15 @@
 The Abelian reference manifold and block direct sums grow the test corpus
 beyond the family; basis changes, the eigenbasis of P and Sylvester
 signatures check invariance under a change of frame; document_of writes a
-manifold back as a CLI document; zeros, identity and derive_vector are
-small references.  The engine itself needs none of them.
+manifold back as a CLI document; zeros, identity, derive_vector, rows_of
+and matrix_inverse are small references.  The engine itself needs none
+of them.
 """
 
 from paratwin.errors import ValidationError
 from paratwin.manifold import LieAlgebraModel, WManifold, build_manifold
 from paratwin.scalar import Q, ZERO, format_rational
-from paratwin.tensor import DOWN, UP, TensorDense, matrix_inverse
+from paratwin.tensor import DOWN, UP, TensorDense
 
 
 def zeros(dim: int, variance) -> TensorDense:
@@ -21,6 +22,34 @@ def zeros(dim: int, variance) -> TensorDense:
 def identity(dim: int) -> TensorDense:
     """Kronecker delta as a (1,1) tensor."""
     return TensorDense.from_function(dim, (UP, DOWN), lambda i, j: Q(i == j))
+
+
+def rows_of(t: TensorDense) -> list[list]:
+    """A two-slot tensor as a nested list of rationals, first slot indexing rows."""
+    return [[t[i, j] for j in range(t.dim)] for i in range(t.dim)]
+
+
+def matrix_inverse(rows):
+    """Gauss-Jordan inverse over the rationals; None if singular.  The
+    reference route for tensor.inverse."""
+    n = len(rows)
+    a = [list(r) for r in rows]
+    inv = [[Q(i == j) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col]), None)
+        if pivot is None:
+            return None
+        a[col], a[pivot] = a[pivot], a[col]
+        inv[col], inv[pivot] = inv[pivot], inv[col]
+        p = a[col][col]
+        a[col] = [x / p for x in a[col]]
+        inv[col] = [x / p for x in inv[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
+    return inv
 
 
 def derive_vector(conn, i: int, y: list) -> list:
@@ -68,8 +97,8 @@ def direct_sum(m1: WManifold, m2: WManifold, name: str | None = None) -> WManifo
 def change_basis_bilinear(form: TensorDense, basis: TensorDense) -> TensorDense:
     """Pull a (0,2) form back along a basis-change matrix: M^T form M."""
     n = form.dim
-    fm = form.matrix()
-    bm = basis.matrix()
+    fm = rows_of(form)
+    bm = rows_of(basis)
     out = [[sum(bm[a][i] * fm[a][b] * bm[b][j] for a in range(n) for b in range(n))
             for j in range(n)] for i in range(n)]
     return TensorDense.from_matrix(out, (DOWN, DOWN))
@@ -78,8 +107,8 @@ def change_basis_bilinear(form: TensorDense, basis: TensorDense) -> TensorDense:
 def change_basis_endo(endo: TensorDense, basis: TensorDense) -> TensorDense:
     """Conjugate a (1,1) tensor by a basis-change matrix: M^-1 endo M."""
     n = endo.dim
-    em = endo.matrix()
-    bm = basis.matrix()
+    em = rows_of(endo)
+    bm = rows_of(basis)
     binv = matrix_inverse(bm)
     if binv is None:
         raise ValidationError("basis-change matrix is singular")
@@ -97,7 +126,7 @@ def eigenbasis(m: WManifold) -> TensorDense:
     diagonal with entries alternating -1, +1.
     """
     n = m.dim
-    Pm = m.P.matrix()
+    Pm = rows_of(m.P)
     for k in range(0, n, 2):
         expected = {(k, k + 1): Q(1), (k + 1, k): Q(1)}
         for i in range(n):
@@ -159,7 +188,7 @@ def symmetric_signature(rows) -> tuple[int, int, int]:
 
 def metric_signature(g: TensorDense) -> tuple[int, int]:
     """(positive, negative) inertia of a non-degenerate symmetric form."""
-    pos, neg, zero = symmetric_signature(g.matrix())
+    pos, neg, zero = symmetric_signature(rows_of(g))
     if zero:
         raise ValidationError("form is degenerate")
     return pos, neg

@@ -31,7 +31,7 @@ from paratwin.scalar import Q
 from paratwin.tensor import DOWN, UP, TensorDense, tensor_equal
 from paratwin.twin import build_twin_pack, invariance_suite
 
-from manifolds import abelian_manifold, direct_sum, zeros
+from manifolds import abelian_manifold, direct_sum, rows_of, zeros
 
 
 def announce(capfd, number: int, title: str, ok: bool, reason: str = "") -> None:
@@ -131,9 +131,9 @@ def test_criterion_2_spot_scalars(capfd):
         ("tau = -144", tp.curv.tau, Q(-144)),
         ("twin tau = 144", tp.curv_twin.tau, Q(144)),
         ("Besse tau = -144",
-         besse_scalar_curvature(brackets, m.g.matrix(), m.g_inv.matrix()), Q(-144)),
+         besse_scalar_curvature(brackets, rows_of(m.g), rows_of(m.g_inv)), Q(-144)),
         ("Besse twin tau = 144",
-         besse_scalar_curvature(brackets, m.g_twin.matrix(), m.g_twin_inv.matrix()),
+         besse_scalar_curvature(brackets, rows_of(m.g_twin), rows_of(m.g_twin_inv)),
          Q(144)),
         ("|nabla P|^2 = 384", sp.snorm, Q(384)),
         ("R_1221 = -32", tp.curv.R[0, 1, 1, 0], Q(-32)),

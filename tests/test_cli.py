@@ -167,6 +167,51 @@ def test_report_family_isotropic():
     assert "class: W1" in out
 
 
+@pytest.mark.parametrize("family, label, tau", [
+    (["1", "-2/3", "1"], "family(l1=1, l2=-2/3, e=1)", "80/3"),
+    (["-1/2", "-3", "-1"], "family(l1=-1/2, l2=-3, e=-1)", "-420"),
+])
+def test_report_family_takes_negative_rationals(family, label, tau):
+    """--family reads a value such as -2/3 as a rational, not an option;
+    tau = 48 (l1^2 - l2^2)."""
+    code, out, err = run(["report", "--family", *family])
+    assert code == cli.EXIT_OK, err
+    assert f"manifold: {label} (dim 4)" in out
+    assert f"tau: {tau}" in out
+
+
+def dense_invalid_document(n):
+    """Every bracket nonzero, with small integer coefficients; the Jacobi
+    identity fails in most components."""
+    return {"dim": n, "basis": [f"X{i + 1}" for i in range(n)],
+            "brackets": [{"i": i + 1, "j": j + 1,
+                          "coeffs": {str(k + 1): str(1 + (3 * i + 5 * j + k) % 4)
+                                     for k in range(n)}}
+                         for i in range(n) for j in range(i + 1, n)],
+            "P": [["1" if i ^ 1 == j else "0" for j in range(n)] for i in range(n)],
+            "metric": [["1" if i == j else "0" for j in range(n)] for i in range(n)]}
+
+
+def test_validate_lists_the_first_failures_and_counts_the_rest(tmp_path):
+    """A dense invalid dim-8 document fails the Jacobi identity in 2,616
+    components, which validate once printed one line each.  It now prints
+    the first LISTED_FAILURES and counts the rest; report names the same
+    first failure."""
+    path = _write(tmp_path, dense_invalid_document(8))
+    code, out, err = run(["validate", path])
+    assert code == cli.EXIT_INVALID
+    assert err == "invalid: Lie algebra axioms violated\n"
+    lines = out.splitlines()
+    first = "jacobi: cyclic sum for (X_1, X_2, X_3) has nonzero X_1 component -34"
+    listed = manifold.LISTED_FAILURES
+    assert lines[:2] == ["  [pass] antisymmetry", f"  [FAIL] {first}"]
+    assert lines[-1] == f"  [FAIL] jacobi: and {2616 - listed} more failing components"
+    assert len(lines) == listed + 2
+    code, _, err = run(["report", path])
+    assert code == cli.EXIT_INVALID
+    assert err == f"invalid: invalid Lie algebra: {first}\n"
+
+
 def test_report_json_matches_text():
     code, text, _ = run(["report", "--family", "1", "2", "1"])
     code2, raw, _ = run(["report", "--family", "1", "2", "1", "--json"])

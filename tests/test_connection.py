@@ -11,9 +11,9 @@ from paratwin.connection import (Connection, covariant_derivative,
 from paratwin.errors import ValidationError
 from paratwin.manifold import LieAlgebraModel
 from paratwin.scalar import Q, ZERO
-from paratwin.tensor import DOWN, UP, TensorDense, matrix_inverse, tensor_equal, transpose
+from paratwin.tensor import DOWN, UP, TensorDense, tensor_equal, transpose
 
-from manifolds import abelian_manifold, zeros
+from manifolds import abelian_manifold, matrix_inverse, zeros
 from strategies import V3, antisymmetrized, dense_tensors, matrices, mixed_rationals, tensor_pairs
 
 

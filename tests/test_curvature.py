@@ -9,7 +9,7 @@ from paratwin.family import FamilyParams, family_pack
 from paratwin.scalar import Q, ZERO
 from paratwin.tensor import tensor_equal, transpose
 
-from manifolds import abelian_manifold
+from manifolds import abelian_manifold, rows_of
 
 
 def test_curvature_like_symmetries(family121):
@@ -47,7 +47,7 @@ def test_ricci_is_symmetric(family121):
 def test_ricci_trace_gives_tau(family121):
     m, tp = family121
     n = m.dim
-    ginv = m.g_inv.matrix()
+    ginv = rows_of(m.g_inv)
     rho = tp.curv.ricci
     total = sum(ginv[i][j] * rho[i, j] for i in range(n) for j in range(n))
     assert total == tp.curv.tau

@@ -17,8 +17,10 @@ from paratwin.family import (DEFAULT_GRID, FamilyParams, build_family,
                              family_brackets, family_pack, grid_points,
                              grid_verification, theorem_checks)
 from paratwin.manifold import validate_lie_algebra
-from paratwin.scalar import Q, ZERO
+from paratwin.scalar import Q, format_rational
 from paratwin.tensor import TensorDense, lower_index, transpose
+
+from manifolds import rows_of
 
 #: table checks that disagree with the engine on generic parameters; the
 #: discrepancies are documented in the project notes
@@ -107,92 +109,114 @@ def test_failed_identity_names_the_component_that_differs(monkeypatch):
 
 
 #: every table check: the tables function it reads, which part of that
-#: function's result it compares first (None: the whole result), and the
-#: label and index separator that part's entries carry in a detail
+#: function's result it compares first (None: the whole result), the label
+#: and index separator that part's entries carry in a detail, and the
+#: degree k of its entries, which are D^k times their value
 TABLE_CHECKS = {
-    "table: connection": ("connection_tables", 0, "nabla", ","),
-    "table: twin connection": ("connection_tables", 1, "twin nabla", ","),
-    "table: potential": ("potential_table", 0, "Phi", ","),
-    "table: fundamental tensor": ("fundamental_table", None, "F", ""),
-    "table: square norm": ("square_norm_table", 0, "|nabla P|^2", ""),
-    "table: Lee forms": ("lee_form_table", 0, "theta", ""),
-    "table: curvature": ("curvature_table", None, "R", ""),
-    "table: twin curvature": ("twin_curvature_table", None, "twin R", ""),
-    "table: Ricci and scalar curvature": ("ricci_table", 0, "rho", ""),
-    "table: twin difference tensor": ("q_table", None, "Q", ""),
-    "table: average curvature": ("a_table", None, "A", ""),
-    "table: average connection": ("average_connection_table", None, "D", ","),
+    "table: connection": ("connection_tables", 0, "nabla", ",", 1),
+    "table: twin connection": ("connection_tables", 1, "twin nabla", ",", 1),
+    "table: potential": ("potential_table", 0, "Phi", ",", 1),
+    "table: fundamental tensor": ("fundamental_table", None, "F", "", 1),
+    "table: square norm": ("square_norm_table", 0, "|nabla P|^2", "", 2),
+    "table: Lee forms": ("lee_form_table", 0, "theta", "", 1),
+    "table: curvature": ("curvature_table", None, "R", "", 2),
+    "table: twin curvature": ("twin_curvature_table", None, "twin R", "", 2),
+    "table: Ricci and scalar curvature": ("ricci_table", 0, "rho", "", 2),
+    "table: twin difference tensor": ("q_table", None, "Q", "", 2),
+    "table: average curvature": ("a_table", None, "A", "", 2),
+    "table: average connection": ("average_connection_table", None, "D", ",", 1),
 }
 
 
-def engine_tables(m, tp) -> dict:
-    """The engine's own values in the shape of the four tables of
-    KNOWN_TABLE_FAILURES, so that those checks pass and can flip too."""
+def engine_tables(m, tp, d) -> dict:
+    """The engine's own values in the shape and integer convention of the
+    four tables of KNOWN_TABLE_FAILURES, whose entries all have degree 2,
+    so that those checks pass and can flip too."""
+    def scaled(v):
+        w = v * d * d
+        assert w.denominator == 1
+        return w.numerator
+
     def nonzero(t, vector=False):
-        values = {idx: tuple(t.column(*idx)) if vector else t[idx]
+        values = {idx: tuple(map(scaled, t.column(*idx))) if vector else scaled(t[idx])
                   for idx in product(range(4), repeat=t.nslots - vector)}
         return {idx: v for idx, v in values.items() if (any(v) if vector else v)}
 
     def matrix(t):
-        return tuple(map(tuple, t.matrix()))
+        return tuple(tuple(map(scaled, row)) for row in rows_of(t))
 
     return {
         "twin_curvature_table": nonzero(tp.curv_twin.R),
-        "ricci_table": (matrix(tp.curv.ricci), tp.curv.tau,
-                        matrix(tp.curv_twin.ricci), tp.curv_twin.tau),
+        "ricci_table": (matrix(tp.curv.ricci), scaled(tp.curv.tau),
+                        matrix(tp.curv_twin.ricci), scaled(tp.curv_twin.tau)),
         "q_table": nonzero(tp.Q_vec, vector=True),
         "a_table": nonzero(transpose(lower_index(tp.A_vec, 0, m.g), (1, 2, 3, 0))),
     }
 
 
 def perturbed_value(v, kind):
-    """A rational, or a vector's first nonzero component, plus 1 or dropped."""
+    """An integer, or a vector's first nonzero component, plus 1 or dropped."""
     if isinstance(v, tuple):
         a = next(a for a, x in enumerate(v) if x)
         return v[:a] + (perturbed_value(v[a], kind),) + v[a + 1:]
-    return v + 1 if kind == "changed" else ZERO
+    return v + 1 if kind == "changed" else 0
 
 
 def perturbed(part, kind):
     """(part with one nonzero component changed or dropped, or one added
-    where it is zero, the index of that component), or None when part is a
-    bare value and so has no index to add at."""
+    where it is zero, the index of that component, its new value), or None
+    when part is a bare value and so has no index to add at."""
     if isinstance(part, tuple) and isinstance(part[0], tuple):      # a matrix
         change = perturbed({(i, j): v for i, row in enumerate(part)
                             for j, v in enumerate(row) if v}, kind)
         if change is None:
             return None
-        new, idx = change
-        return tuple(tuple(new.get((i, j), ZERO) for j in range(4)) for i in range(4)), idx
+        new, idx, value = change
+        return tuple(tuple(new.get((i, j), 0) for j in range(4)) for i in range(4)), idx, value
     if not isinstance(part, dict):
-        return None if kind == "added" else (perturbed_value(part, kind), ())
+        if kind == "added":
+            return None
+        value = perturbed_value(part, kind)
+        return value, (), value
     if kind != "added":
         idx = min(part)
-        return {**part, idx: perturbed_value(part[idx], kind)}, idx
+        value = perturbed_value(part[idx], kind)
+        return {**part, idx: value}, idx, value
     vector = isinstance(next(iter(part.values())), tuple)
     for idx in product(range(4), repeat=len(next(iter(part)))):
-        v = part.get(idx, (ZERO,) * 4 if vector else ZERO)
+        v = part.get(idx, (0,) * 4 if vector else 0)
         if vector and not all(v):
-            a = v.index(ZERO)
-            return {**part, idx: v[:a] + (Q(1),) + v[a + 1:]}, idx
+            a = v.index(0)
+            value = v[:a] + (1,) + v[a + 1:]
+            return {**part, idx: value}, idx, value
         if not vector and not v:
-            return {**part, idx: Q(1)}, idx
+            return {**part, idx: 1}, idx, 1
     return None
+
+
+def shown(value, scale):
+    """How a detail prints the table value: the integer value / scale."""
+    if isinstance(value, tuple):
+        return f"({', '.join(shown(w, scale) for w in value)})"
+    return format_rational(Q(value, scale))
 
 
 @pytest.mark.parametrize("point", [(1, 2, 1), ("-1/2", 3, -1)])
 def test_every_table_check_is_falsifiable(point, monkeypatch):
     """One table component changed, dropped, or added where the engine is
-    zero flips exactly its check, whose detail names that component.  The
-    four tables that already fail here are first replaced by the engine's
-    values.  A dropped component is caught only because a check also
-    counts the engine's nonzero components."""
+    zero flips exactly its check, whose detail names that component and its
+    table value.  The four tables that already fail here are first replaced
+    by the engine's values.  A dropped component is caught only because a
+    check also counts the engine's nonzero components.  At (-1/2, 3, -1)
+    the tables are evaluated at D = 2, so a wrong power of D shows."""
     p = FamilyParams(*point)
     m, tp = family_pack(p)
-    engine = engine_tables(m, tp)
+    d, *at = p.integer_parameters()
+    assert d == (2 if point[0] == "-1/2" else 1)
+    engine = engine_tables(m, tp, d)
     added = set()
-    for name, (fn_name, part, label, sep) in TABLE_CHECKS.items():
-        base = engine[fn_name] if fn_name in engine else getattr(tables, fn_name)(p)
+    for name, (fn_name, part, label, sep, degree) in TABLE_CHECKS.items():
+        base = engine[fn_name] if fn_name in engine else getattr(tables, fn_name)(*at)
 
         def checks(result):
             with monkeypatch.context() as mp:
@@ -205,12 +229,14 @@ def test_every_table_check_is_falsifiable(point, monkeypatch):
             change = perturbed(base if part is None else base[part], kind)
             if change is None:
                 continue
-            new, idx = change
+            new, idx, value = change
             after = checks(new if part is None else base[:part] + (new,) + base[part + 1:])
             flipped = {n for n in before if before[n].passed != after[n].passed}
             assert flipped == {name}, (name, kind, flipped)
             where = f"{label}_{sep.join(str(i + 1) for i in idx)}" if idx else label
             assert after[name].detail.startswith(f"{where}: got "), (after[name].detail, where)
+            assert after[name].detail.endswith(f", expected {shown(value, d ** degree)}"), (
+                after[name].detail, value)
             if kind == "added":
                 added.add(name)
     # the square norms, the Lee forms and the Ricci matrices have no zero

@@ -1,8 +1,8 @@
 """Layout guards on the source tree.
 
-The integer tensor format belongs to tensor.py alone, and every public
-function or method in src has a caller in src or is a CLI entry point, so
-dead code shows up as soon as it appears.
+The integer tensor format belongs to tensor.py alone, the reference tables
+are integers, and every public function or method in src has a caller in
+src or is a CLI entry point, so dead code shows up as soon as it appears.
 """
 
 import ast
@@ -62,3 +62,15 @@ def test_every_public_function_has_a_caller():
     uncalled = {name for tree in trees.values()
                 for name, _ in public_definitions(tree) if name not in referenced}
     assert uncalled == set(UNCALLED)
+
+
+def test_reference_tables_are_integers():
+    """tables.py works in integers: it imports neither fractions nor Q."""
+    tree = ast.parse((SRC / "tables.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported |= {node.module or ""} | {alias.name for alias in node.names}
+    assert not imported & {"fractions", "Fraction", "Q"}, imported

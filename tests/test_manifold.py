@@ -6,14 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paratwin.errors import ValidationError
+from paratwin import manifold
+from paratwin.errors import ConsistencyError, ValidationError
 from paratwin.family import FamilyParams, build_family
-from paratwin.manifold import LieAlgebraModel, build_manifold, validate_lie_algebra
+from paratwin.manifold import (LISTED_FAILURES, LieAlgebraModel, build_manifold, check_inverse,
+                               validate_lie_algebra)
 from paratwin.scalar import Q, ZERO
-from paratwin.tensor import DOWN, UP, TensorDense, tensor_equal
+from paratwin.tensor import DOWN, UP, TensorDense, inverse, lincomb, tensor_equal
 
 from manifolds import (abelian_manifold, change_basis_bilinear, change_basis_endo,
-                       eigenbasis, identity, metric_signature, zeros)
+                       eigenbasis, identity, matrix_inverse, metric_signature, rows_of,
+                       zeros)
 from strategies import V3, any_tensors
 
 P4 = TensorDense.from_matrix([[0, 1, 0, 0], [1, 0, 0, 0],
@@ -67,10 +70,72 @@ def test_axiom_violations_rejected(P, g, message):
         build_manifold(_abelian_algebra(), P, g)
 
 
+def _matrix(rows, variance=(DOWN, DOWN)):
+    return TensorDense.from_matrix(rows, variance)
+
+
+NOT_INVOLUTION = _matrix([[0, 2, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], (UP, DOWN))
+NOT_SYMMETRIC = _matrix([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])
+SINGULAR_NOT_SYMMETRIC = _matrix([[1, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
+SINGULAR_NOT_COMPATIBLE = _matrix([[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
+HALF = Q(1, 2)
+OFF_DIAGONAL = _matrix([[1, 0, 0, 0], [0, 1, 0, HALF], [0, 0, -1, 0], [0, HALF, 0, -1]])
+DIAGONAL = _matrix([[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])
+
+
+@pytest.mark.parametrize("P, g, message", [
+    (NOT_INVOLUTION, NOT_SYMMETRIC, "P^2 is not the identity"),
+    (NOT_INVOLUTION, zeros(4, (DOWN, DOWN)), "P^2 is not the identity"),
+    (identity(4), NOT_SYMMETRIC, "trace of P is not zero"),
+    (identity(4), zeros(4, (DOWN, DOWN)), "trace of P is not zero"),
+    (P4, SINGULAR_NOT_SYMMETRIC, "metric is not symmetric"),
+    (P4, SINGULAR_NOT_COMPATIBLE, "metric is degenerate"),
+    (P4, OFF_DIAGONAL, "metric is not P-compatible: g(PX_1,PX_3) != g(X_1,X_3)"),
+    (P4, DIAGONAL, "metric is not P-compatible: g(PX_1,PX_1) != g(X_1,X_1)"),
+])
+def test_first_violated_axiom_is_named(P, g, message):
+    """An input violating several axioms gets the whole message of the
+    first in the order P^2, trace, symmetry, degeneracy, P-compatibility;
+    the P-compatibility message names the first failing pair in row-major
+    order."""
+    with pytest.raises(ValidationError) as exc:
+        build_manifold(_abelian_algebra(), P, g)
+    assert str(exc.value) == message
+
+
+def _bumped(t, idx):
+    """t with 1 added at idx."""
+    data = list(t.data)
+    data[t.flat(idx)] += 1
+    return TensorDense(t.dim, t.variance, data)
+
+
+def test_inverse_metric_checks_catch_a_wrong_inverse(family121, monkeypatch):
+    """Both inverses are checked exactly: a perturbed g^-1 stops the
+    assembly, and a perturbed g~^-1 fails its check."""
+    m, _ = family121
+    check_inverse(m.g, m.g_inv, "g")
+    check_inverse(m.g_twin, m.g_twin_inv, "g~")
+    with pytest.raises(ConsistencyError, match=r"^g~: first nonzero residual at \(1, 1\) is 1;"):
+        check_inverse(m.g_twin, _bumped(m.g_twin_inv, (0, 1)), "g~")
+    monkeypatch.setattr(manifold, "inverse", lambda g: _bumped(inverse(g), (1, 0)))
+    with pytest.raises(ConsistencyError, match=r"^inverse metric: g\^-1 g = I: first nonzero"):
+        build_manifold(m.algebra, m.P, m.g)
+
+
+def test_twin_inverse_is_P_times_the_inverse(dsum8):
+    """g~^-1 = P g^-1 is the inverse of g~ = g P, as the reference
+    elimination finds it."""
+    for m in dsum8:
+        rows = matrix_inverse(rows_of(m.g_twin))
+        assert rows_of(m.g_twin_inv) == rows
+        assert tensor_equal(m.g_twin_inv, lincomb((1, "im,mj->ij", m.P, m.g_inv)))
+
+
 def test_twin_metric_definition(family121):
     m, _ = family121
     n = m.dim
-    Pm = m.P.matrix()
+    Pm = rows_of(m.P)
     for i in range(n):
         for j in range(n):
             assert m.g_twin[i, j] == sum(m.g[i, a] * Pm[a][j] for a in range(n))
@@ -124,16 +189,22 @@ def test_twin_view_swaps_metrics(family121):
     assert tensor_equal(mt.twin_view().g, m.g)
 
 
-def reference_validation(alg):
+def listed(name, details, limit):
+    """The items of one axiom: a failure for each of the first limit
+    details (all if limit is None), then one counting the rest."""
+    items = [(name, False, d) for d in details[:limit]]
+    if limit is not None and len(details) > limit:
+        items.append((name, False, f"and {len(details) - limit} more failing components"))
+    return items or [(name, True, "")]
+
+
+def reference_validation(alg, limit=LISTED_FAILURES):
     """validate_lie_algebra's items by the full loops over every index."""
     n, c = alg.dim, alg.c
-    items = []
+    anti = []
     for i, j, k in product(range(n), repeat=3):
         if c[k, i, j] != -c[k, j, i]:
-            items.append(("antisymmetry", False,
-                          f"c^{k + 1}_{{{i + 1},{j + 1}}} != -c^{k + 1}_{{{j + 1},{i + 1}}}"))
-    if not items:
-        items.append(("antisymmetry", True, ""))
+            anti.append(f"c^{k + 1}_{{{i + 1},{j + 1}}} != -c^{k + 1}_{{{j + 1},{i + 1}}}")
     jacobi = []
     for i, j, l in product(range(n), repeat=3):
         for m in range(n):
@@ -141,10 +212,9 @@ def reference_validation(alg):
                          for a, b, e in ((i, j, l), (j, l, i), (l, i, j))
                          for s in range(n)), Q(0))
             if total:
-                jacobi.append(("jacobi", False,
-                               f"cyclic sum for (X_{i + 1}, X_{j + 1}, X_{l + 1}) has "
-                               f"nonzero X_{m + 1} component {total}"))
-    return items + (jacobi or [("jacobi", True, "")])
+                jacobi.append(f"cyclic sum for (X_{i + 1}, X_{j + 1}, X_{l + 1}) has "
+                              f"nonzero X_{m + 1} component {total}")
+    return listed("antisymmetry", anti, limit) + listed("jacobi", jacobi, limit)
 
 
 def _antisymmetrized(t):
@@ -167,11 +237,14 @@ def test_validation_items_match_reference(c, antisymmetrize):
 
 def test_validation_items_match_reference_in_dim_6():
     """Every Jacobi triple of a dense antisymmetric dim-6 algebra fails, in
-    the reference's order and with its values, through the i < j < l path."""
+    the reference's order and with its values, through the i < j < l path;
+    the first LISTED_FAILURES are listed and the rest counted."""
     n = 6
     vals = [Q((7 * p) % 11 - 5, 1 + p % 3) for p in range(n ** 3)]
     c = _antisymmetrized(TensorDense(n, V3, vals))
     alg = LieAlgebraModel(n, tuple(f"X{i + 1}" for i in range(n)), c)
     items = [(it.name, it.passed, it.detail) for it in validate_lie_algebra(alg).checks]
     assert items == reference_validation(alg)
-    assert len(items) > n ** 3
+    full = reference_validation(alg, limit=None)
+    assert len(full) > n ** 3
+    assert items[-1][2] == f"and {len(full) - 1 - LISTED_FAILURES} more failing components"

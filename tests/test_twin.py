@@ -13,12 +13,12 @@ from paratwin.errors import ConsistencyError, recording
 from paratwin.family import FamilyParams, build_family, family_pack
 from paratwin.manifold import LieAlgebraModel, build_manifold
 from paratwin.scalar import Q, ZERO
-from paratwin.tensor import DOWN, UP, TensorDense, lincomb, matrix_inverse, tensor_equal
+from paratwin.tensor import DOWN, UP, TensorDense, lincomb, tensor_equal
 from paratwin.twin import (_w1_assemble, build_twin_pack, invariance_suite, tensor_B,
                            tensor_K, tensor_Q, w1_closed_forms)
 
 from manifolds import (change_basis_bilinear, change_basis_endo, derive_vector, direct_sum,
-                       document_of, zeros)
+                       document_of, matrix_inverse, rows_of, zeros)
 from strategies import V3, V4, any_tensors, dense_tensors, mixed_rationals, rationals
 
 #: every route cross-check that one report runs; taken from the version
@@ -224,7 +224,7 @@ def reference_w1_closed_forms(m, conn, sp):
     """(S, S*, H, Q, B) of w1_closed_forms from plain per-index loops."""
     n = m.dim
     n2 = Q(n)
-    Pm = m.P.matrix()
+    Pm = rows_of(m.P)
     fs = list(sp.f_sharp.data)
     f = list(sp.f.data)
     Pfs = [sum(Pm[k][a] * fs[a] for a in range(n)) for k in range(n)]
@@ -237,7 +237,7 @@ def reference_w1_closed_forms(m, conn, sp):
 
     Sm = [[nabla(x, fs)[k] + Hm[k][x] / n2 for x in range(n)] for k in range(n)]
     Ssm = [[nabla(x, Pfs)[k] + HP[k][x] / n2 for x in range(n)] for k in range(n)]
-    Q_ref, B_ref = reference_w1_qb(m.g.matrix(), m.g_twin.matrix(), Sm, Ssm, Hm, HP,
+    Q_ref, B_ref = reference_w1_qb(rows_of(m.g), rows_of(m.g_twin), Sm, Ssm, Hm, HP,
                                    sp.F, Pfs)
     as_endo = lambda rows: TensorDense.from_matrix(rows, (UP, DOWN))   # noqa: E731
     return as_endo(Sm), as_endo(Ssm), as_endo(Hm), Q_ref, B_ref
@@ -246,7 +246,7 @@ def reference_w1_closed_forms(m, conn, sp):
 def pulled_back(m, basis):
     """m in the basis e'_i = sum_a basis[a][i] e_a."""
     n = m.dim
-    M = basis.matrix()
+    M = rows_of(basis)
     Minv = matrix_inverse(M)
     c = m.algebra.c
     alg = LieAlgebraModel(n, m.algebra.basis_labels, TensorDense.from_function(
