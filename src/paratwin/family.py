@@ -13,19 +13,22 @@ rational parameters l1, l2 and e in {+1,-1}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import lcm
+from operator import mul
 
 from . import tables
-from .classify import ClassLabel, lee_forms_closed
-from .errors import ValidationError
+from .classify import ClassLabel, classify, classify_phi, lee_forms_closed
+from .errors import ValidationError, require
 from .manifold import (CheckItem, LieAlgebraModel, ValidationReport, WManifold,
                        build_manifold)
 from .scalar import ZERO, Q, format_rational, rational
-from .tensor import DOWN, UP, TensorDense, apply_endo, lower_index, transpose, vanishes
-from .twin import build_twin_pack, w1_closed_forms
+from .tensor import (DOWN, UP, TensorDense, apply_endo, lincomb, lower_index, transpose,
+                     vanishes)
+from .twin import TwinPack, build_twin_pack, w1_closed_forms
 
 
 DIM = 4
@@ -51,8 +54,10 @@ class FamilyParams:
     def integer_parameters(self) -> tuple[int, int, int, int]:
         """(D, D l1, D l2, e) with D the lcm of the denominators of l1 and
         l2: the point as the reference tables take it."""
-        d = lcm(self.lambda1.denominator, self.lambda2.denominator)
-        return d, int(d * self.lambda1), int(d * self.lambda2), int(self.epsilon)
+        l1, l2 = self.lambda1, self.lambda2
+        d = lcm(l1.denominator, l2.denominator)
+        return (d, l1.numerator * (d // l1.denominator), l2.numerator * (d // l2.denominator),
+                int(self.epsilon))
 
 
 #: grid on which "for arbitrary l1, l2" claims are verified; every table
@@ -68,39 +73,51 @@ def grid_points(values=DEFAULT_GRID):
                 yield FamilyParams(l1, l2, eps)
 
 
-def family_brackets(p: FamilyParams) -> dict[tuple[int, int], list[Fraction]]:
-    """Nonzero commutators [X_i, X_j] (0-based index pairs, i < j is not assumed)."""
-    l1, l2, e = p.lambda1, p.lambda2, p.epsilon
+def _brackets(l1, l2, e) -> dict[tuple[int, int], list]:
+    """The nonzero commutators at parameters l1, l2, e of any number type."""
     v14 = [l1, e * l1, l2, e * l2]
     v13 = [-e * l1, -l1, e * l2, l2]
     return {
         (0, 3): v14, (2, 1): v14,
         (0, 2): v13, (3, 1): v13,
-        (0, 1): [2 * l2, 2 * e * l2, ZERO, ZERO],
-        (2, 3): [ZERO, ZERO, 2 * l1, 2 * e * l1],
+        (0, 1): [2 * l2, 2 * e * l2, 0, 0],
+        (2, 3): [0, 0, 2 * l1, 2 * e * l1],
     }
 
 
+def family_brackets(p: FamilyParams) -> dict[tuple[int, int], list[Fraction]]:
+    """Nonzero commutators [X_i, X_j] (0-based index pairs, i < j is not assumed)."""
+    return _brackets(p.lambda1, p.lambda2, p.epsilon)
+
+
+_P = TensorDense.from_matrix([[0, 1, 0, 0],
+                              [1, 0, 0, 0],
+                              [0, 0, 0, 1],
+                              [0, 0, 1, 0]], (UP, DOWN))
+_G = TensorDense.from_matrix([[1, 0, 0, 0],
+                              [0, 1, 0, 0],
+                              [0, 0, -1, 0],
+                              [0, 0, 0, -1]], (DOWN, DOWN))
+
+
 def build_family(p: FamilyParams) -> WManifold:
-    """Build the family manifold; passes every structural validation."""
-    brackets = family_brackets(p)
+    """Build the family manifold; passes every structural validation.
+
+    The structure constants are built in integers at the integer
+    parameters D l1, D l2 and divided by D once.
+    """
+    d, a1, a2, e = p.integer_parameters()
+    brackets = _brackets(a1, a2, e)
 
     def c(k, i, j):
         if (i, j) in brackets:
             return brackets[i, j][k]
-        return -brackets[j, i][k] if (j, i) in brackets else ZERO
+        return -brackets[j, i][k] if (j, i) in brackets else 0
 
+    c_d = TensorDense.from_function(DIM, (UP, DOWN, DOWN), c)
     alg = LieAlgebraModel(DIM, ("X1", "X2", "X3", "X4"),
-                          TensorDense.from_function(DIM, (UP, DOWN, DOWN), c))
-    P = TensorDense.from_matrix([[0, 1, 0, 0],
-                                 [1, 0, 0, 0],
-                                 [0, 0, 0, 1],
-                                 [0, 0, 1, 0]], (UP, DOWN))
-    g = TensorDense.from_matrix([[1, 0, 0, 0],
-                                 [0, 1, 0, 0],
-                                 [0, 0, -1, 0],
-                                 [0, 0, 0, -1]], (DOWN, DOWN))
-    return build_manifold(alg, P, g, name=p.label())
+                          c_d if d == 1 else lincomb((Q(1, d), c_d)))
+    return build_manifold(alg, _P, _G, name=p.label())
 
 
 @lru_cache(maxsize=512)
@@ -108,6 +125,158 @@ def family_pack(p: FamilyParams):
     """(manifold, twin pack) at p, cached across grid sweeps."""
     m = build_family(p)
     return m, build_twin_pack(m)
+
+
+# -- the pack as binary forms ----------------------------------------------------
+#
+# At fixed e every field of the twin pack is a binary form in (l1, l2), of
+# the degree tables.PACK_DEGREES gives.  A form of degree k <= 2 is fixed
+# by its values at k + 1 pairwise non-proportional points, the nodes: its
+# value at any point is a combination of its values there, with weights
+# that solve a small system in the nodes' monomials.  A node is kept as
+# (D, D l1, D l2, twin pack), by its integer parameters.
+
+#: nodes per sign: the degree-2 fields need three
+NODES = 3
+
+
+def _monomials(a1: int, a2: int, degree: int) -> tuple[int, ...]:
+    return (a1, a2) if degree == 1 else (a1 * a1, a1 * a2, a2 * a2)
+
+
+def _det(cols: list) -> int:
+    """The determinant of a 2x2 or 3x3 matrix given by its columns (or
+    its rows)."""
+    if len(cols) == 2:
+        (a, b), (c, d) = cols
+        return a * d - b * c
+    return sum((-1) ** k * col[0] * _det([other[1:] for j, other in enumerate(cols) if j != k])
+               for k, col in enumerate(cols))
+
+
+def _weights(nodes: list, d: int, a1: int, a2: int, degree: int) -> list[Fraction] | int:
+    """w_k with T(p) = sum_k w_k T(node k) for every form T of this degree,
+    at the point p = (a1, a2) / d, over the first degree + 1 nodes; or k
+    alone if p is node k.
+
+    Cramer's rule in the integer monomials gives T(a1, a2) =
+    sum_k (det_k / det) T(D_k node k), and T is homogeneous, so w_k =
+    det_k D_k^degree / (det d^degree).
+    """
+    used = nodes[:degree + 1]
+    for k, node in enumerate(used):
+        if node[:3] == (d, a1, a2):
+            return k
+    cols = [_monomials(b1, b2, degree) for _, b1, b2, _ in used]
+    target = _monomials(a1, a2, degree)
+    den = _det(cols) * d ** degree
+    return [Q(_det(cols[:k] + [target] + cols[k + 1:]) * dk ** degree, den)
+            for k, (dk, *_) in enumerate(used)]
+
+
+def _blend(values: list, weights: dict, name: str = ""):
+    """sum_k w_k values[k] for one pack field named name, by the weights of
+    its degree, through nested packs and P-substitution dicts; a field of
+    degree 0 is the first node's, and one whose weights name a node k is
+    values[k]."""
+    first = values[0]
+    if name not in tables.PACK_DEGREES:             # a pack
+        return type(first)(**{f.name: _blend([getattr(v, f.name) for v in values], weights,
+                                             f.name) for f in fields(first)})
+    degree = tables.PACK_DEGREES[name]
+    if degree == 0:
+        return first
+    w = weights[degree]
+    if isinstance(w, int):
+        return values[w]
+    if isinstance(first, TensorDense):
+        return lincomb(*zip(w, values))
+    if isinstance(first, dict):
+        return {key: _blend([v[key] for v in values], weights, name) for key in first}
+    return sum(map(mul, w, values))
+
+
+def _interpolated_pack(m: WManifold, p: FamilyParams, nodes: list) -> TwinPack:
+    """The twin pack of the family manifold m at p, from the node packs of
+    p's sign; its classes are decided on m and the interpolated
+    structure packs, as build_twin_pack decides them."""
+    d, a1, a2, _ = p.integer_parameters()
+    weights = {k: _weights(nodes, d, a1, a2, k) for k in (1, 2)}
+    tp = _blend([pack for *_, pack in nodes], weights)
+    return replace(tp, cls=classify(m, tp.sp),
+                   classes_twin=frozenset(classify_phi(m.twin_view(), tp.sp_twin)))
+
+
+def _require_interpolation(m: WManifold, p: FamilyParams, nodes: list, tp: TwinPack) -> None:
+    """The check that the interpolated pack at p equals tp, p's direct
+    pack, field by field; a failure names the first field that differs."""
+    diff = _difference(_interpolated_pack(m, p, nodes), tp)
+    require(diff is None, "interpolated family pack = direct pack"
+            + ("" if diff is None else f" at {p.label()}: {diff}"))
+
+
+def _difference(a, b, path: str = "pack") -> str | None:
+    """Where two packs first differ, field by field, and how; None if they
+    are equal."""
+    if a == b:
+        return None
+    if is_dataclass(a):
+        parts = ((getattr(a, f.name), getattr(b, f.name), f"{path}.{f.name}") for f in fields(a))
+    elif isinstance(a, dict):
+        parts = ((a[key], b[key], f"{path}[{key}]") for key in a)
+    elif isinstance(a, TensorDense):
+        return f"{path}: {vanishes((1, a), (-1, b))}"
+    else:
+        return f"{path}: {a} != {b}"
+    return next(filter(None, (_difference(*part) for part in parts)), f"{path} differs")
+
+
+def _grid_packs(points: list[FamilyParams]):
+    """(manifold, twin pack) at each point, in order.
+
+    Per sign, in grid order, the first NODES points whose nonzero (l1, l2)
+    are pairwise non-proportional are the nodes, and the next nonzero
+    point off the line through the first two nodes is the check point.
+    These, and every point before them, get the direct family_pack, with
+    all its route checks.  Every later point of that sign gets its
+    manifold built and validated as usual, and its pack interpolated from
+    the nodes.
+
+    The direct pack must equal its interpolation exactly at the check
+    point, and at the third node, where it checks the degree-1 fields, so
+    that a wrong degree or weight fails:
+    - a form of degree 1 taken for one of degree 2 is exact along a line
+      through the nodes, such as the first row of a grid of four or more
+      values, hence the check point off that line;
+    - a scalar k (l1^2 - l2^2) taken for a form of degree 1 is exact at a
+      check point (b, a) after the nodes (a, a) and (a, b), as on every
+      grid, hence the third node.
+    """
+    nodes: dict[Fraction, list] = {}
+    checked: set[Fraction] = set()
+    for p in points:
+        known = nodes.setdefault(p.epsilon, [])
+        if p.epsilon in checked:
+            m = build_family(p)
+            yield m, _interpolated_pack(m, p, known)
+            continue
+        m, tp = family_pack(p)
+        d, a1, a2, _ = p.integer_parameters()
+        if len(known) < NODES:
+            if (a1 or a2) and all(a1 * b2 != a2 * b1 for _, b1, b2, _ in known):
+                known.append((d, a1, a2, tp))
+                if len(known) == NODES:
+                    _require_interpolation(m, p, known, tp)
+        elif (a1 or a2) and _det([(d, a1, a2), known[0][:3], known[1][:3]]):
+            _require_interpolation(m, p, known, tp)
+            checked.add(p.epsilon)
+        yield m, tp
+
+
+@lru_cache(maxsize=None)
+def _positions(rank: int) -> dict[tuple[int, ...], int]:
+    """The flat position of each index tuple of a rank-slot tensor."""
+    return {idx: p for p, idx in enumerate(product(range(DIM), repeat=rank))}
 
 
 def _tensor_mismatch(label: str, sep: str, t: TensorDense, table: dict, factor: int,
@@ -120,12 +289,12 @@ def _tensor_mismatch(label: str, sep: str, t: TensorDense, table: dict, factor: 
     index joined by sep) and the rationals are formed only for a mismatch.
     """
     nums, den, rank = t.nums, t.den, t.nslots - vector
-    size = DIM ** rank
+    size, at = DIM ** rank, _positions(rank)
     if vector:
         wanted = [(p, w) for idx, v in table.items()
-                  for p, w in zip(range(t.flat(idx), len(nums), size), v) if w]
+                  for p, w in zip(range(at[idx], len(nums), size), v) if w]
     else:
-        wanted = [(t.flat(idx), w) for idx, w in table.items() if w]
+        wanted = [(at[idx], w) for idx, w in table.items() if w]
     if len(wanted) == len(t.support) and all(nums[p] * factor == w * den for p, w in wanted):
         return None
     want = [0] * len(nums)
@@ -173,14 +342,16 @@ def _table_check(name: str, *mismatches) -> CheckItem:
     return CheckItem(name, False, f"{label}: got {_show(got)}, expected {_show(want)}")
 
 
-def theorem_checks(p: FamilyParams, perturb_curvature: bool = False) -> ValidationReport:
+def theorem_checks(p: FamilyParams, perturb_curvature: bool = False,
+                   pack: tuple[WManifold, TwinPack] | None = None) -> ValidationReport:
     """Verify the five structural claims and every component table at p.
 
     Failures become report entries.  perturb_curvature flips the sign of
     one expected curvature component; it exists as a self-test that a wrong
-    expectation is actually detected.
+    expectation is actually detected.  pack is p's (manifold, twin pack),
+    family_pack(p) by default.
     """
-    m, tp = family_pack(p)
+    m, tp = family_pack(p) if pack is None else pack
     sp, spt = tp.sp, tp.sp_twin
     l1, l2, e = p.lambda1, p.lambda2, p.epsilon
     on_diagonal = l1 == l2 or l1 == -l2
@@ -299,15 +470,17 @@ def theorem_checks(p: FamilyParams, perturb_curvature: bool = False) -> Validati
 def grid_verification(points=None, perturb_curvature: bool = False) -> ValidationReport:
     """Aggregate theorem_checks over a parameter grid.
 
-    Each check appears once; the detail distinguishes a mismatch at some
-    points from one at every point.
+    The twin pack is built directly at a few points per sign and
+    interpolated exactly at the others (_grid_packs).  Each check appears
+    once; the detail distinguishes a mismatch at some points from one at
+    every point.
     """
     pts = list(points) if points is not None else list(grid_points())
     failures: dict[str, list[str]] = {}
     order: list[str] = []
     details: dict[str, str] = {}
-    for p in pts:
-        report = theorem_checks(p, perturb_curvature=perturb_curvature)
+    for p, pack in zip(pts, _grid_packs(pts)):
+        report = theorem_checks(p, perturb_curvature=perturb_curvature, pack=pack)
         for item in report.checks:
             if item.name not in order:
                 order.append(item.name)

@@ -7,11 +7,12 @@ mismatches, and these tests pin the failure set to exactly that list.
 """
 
 import dataclasses
+import io
 from itertools import product
 
 import pytest
 
-from paratwin import family, tables
+from paratwin import cli, family, tables
 from paratwin.errors import ValidationError
 from paratwin.family import (DEFAULT_GRID, FamilyParams, build_family,
                              family_brackets, family_pack, grid_points,
@@ -93,6 +94,76 @@ def test_self_test_detects_perturbed_expectation():
 def test_family_pack_is_cached():
     p = FamilyParams(Q(1), Q(2), Q(1))
     assert family_pack(p) is family_pack(p)
+
+
+def grid(*values):
+    return list(grid_points(tuple(map(Q, values))))
+
+
+@pytest.mark.parametrize("values", [(1, "-2/3", "3/2"), (1, 0, -1)])
+def test_interpolated_packs_equal_direct_packs(values):
+    """Per sign only the three nodes and the check point get a direct
+    pack; every other point's interpolated pack, its classes included,
+    equals the one family_pack builds there, field by field.  (1, 0, -1)
+    interpolates at l1 = l2 = 0 and at points proportional to a node."""
+    points = grid(*values)
+    family_pack.cache_clear()
+    packs = list(family._grid_packs(points))
+    assert family_pack.cache_info().misses == 8
+    for p, (m, tp) in zip(points, packs):
+        assert m == family_pack(p)[0]
+        assert tp == family_pack(p)[1], family._difference(tp, family_pack(p)[1])
+
+
+def perturbed_pack(tp, part, name):
+    """tp with component 1 of the tensor tp.<part>.<name> raised by 1."""
+    t = getattr(getattr(tp, part), name)
+    data = list(t.data)
+    data[1] += 1
+    bad = dataclasses.replace(getattr(tp, part), **{name: TensorDense(4, t.variance, data)})
+    return dataclasses.replace(tp, **{part: bad})
+
+
+@pytest.mark.parametrize("part, name, where", [("curv", "R_vec", "-2/3, l2=1"),
+                                               ("sp", "Phi_vec", "1, l2=3/2")])
+def test_wrong_node_fails_the_interpolation_check(part, name, where, monkeypatch):
+    """A first node wrong in one field makes an interpolation differ from
+    the direct pack: theorem exits 4 and names the check, the point and
+    the field.  A degree-1 field is caught at the third node, (1, 3/2); a
+    degree-2 field, which the third node gives back as it is, at the check
+    point (-2/3, 1)."""
+    node = FamilyParams(1, 1, 1)
+    direct = family.family_pack
+
+    def pack(p):
+        m, tp = direct(p)
+        return (m, perturbed_pack(tp, part, name)) if p == node else (m, tp)
+
+    monkeypatch.setattr(family, "family_pack", pack)
+    out, err = io.StringIO(), io.StringIO()
+    assert cli.main(["theorem", "--grid=1,-2/3,3/2"], out=out, err=err) == 4
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith(
+        f"error: interpolated family pack = direct pack at family(l1={where}, e=1): "
+        f"pack.{part}.{name}: first nonzero residual at ")
+
+
+@pytest.mark.parametrize("values, all_direct", [((2,), True), ((0, 1), True),
+                                                ((1, "-2/3", "3/2"), False)])
+def test_interpolation_changes_no_output(values, all_direct, monkeypatch):
+    """theorem prints the same as with a direct pack at every point; the
+    grids 2 and 0,1 have no check point, so every point is direct."""
+    def theorem():
+        out = io.StringIO()
+        spec = ",".join(map(str, values))
+        return cli.main(["theorem", f"--grid={spec}"], out=out, err=out), out.getvalue()
+
+    points = grid(*values)
+    packs = family._grid_packs(points)
+    assert all(pack[1] is family_pack(p)[1] for p, pack in zip(points, packs)) == all_direct
+    interpolated = theorem()
+    monkeypatch.setattr(family, "_grid_packs", lambda pts: map(family_pack, pts))
+    assert interpolated == theorem()
 
 
 def test_failed_identity_names_the_component_that_differs(monkeypatch):

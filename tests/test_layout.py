@@ -14,6 +14,8 @@ SRC = ROOT / "src" / "paratwin"
 
 #: public names with no caller in src, each kept for one reason
 UNCALLED = {
+    "family_brackets": "the rational brackets behind the tests' engine-independent Besse "
+                       "scalar curvature; build_family builds c in integers",
     "scale": "with +, - and negation, the tests' rational reference for lincomb",
     "tensor_equal": "the tests' rational reference for == on the integer storage",
     "torsion": "the tests' torsion tensor; koszul checks the same terms with vanishes",
@@ -40,27 +42,97 @@ def test_no_module_imports_private_tensor_names():
 
 
 def public_definitions(tree: ast.Module):
-    """Public module functions and methods: (name, node)."""
+    """Public module functions and methods: (name, is a method)."""
     for node in tree.body:
-        bodies = node.body if isinstance(node, ast.ClassDef) else [node]
-        for item in bodies:
+        in_class = isinstance(node, ast.ClassDef)
+        for item in node.body if in_class else [node]:
             if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                yield item.name, item
+                yield item.name, in_class
+
+
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
+          ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def local_bindings(scope: ast.AST) -> set[str]:
+    """The names a function, lambda or comprehension binds in its own
+    scope: its parameters or comprehension targets, and every name stored,
+    imported or defined in its body outside nested scopes, less those
+    declared global."""
+    if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        args = scope.args
+        params = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+        bound = {a.arg for a in params if a is not None}
+        todo = list(scope.body) if isinstance(scope.body, list) else [scope.body]
+    else:
+        bound, todo = set(), [g.target for g in scope.generators]
+    declared_global = set()
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            bound.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+            continue
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            bound.add(node.name)
+        elif isinstance(node, ast.Global):
+            declared_global |= set(node.names)
+        if not isinstance(node, SCOPES):
+            todo.extend(ast.iter_child_nodes(node))
+    return bound - declared_global
+
+
+def module_level_reads(node: ast.AST, bound: frozenset = frozenset()):
+    """Every name read under node that no enclosing function, lambda or
+    comprehension binds, so that it resolves to a module-level name."""
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        if node.id not in bound:
+            yield node.id
+        return
+    if isinstance(node, SCOPES):
+        inner = bound | local_bindings(node)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            # decorators and defaults are read in the outer scope; annotations
+            # call nothing
+            outer = [*getattr(node, "decorator_list", ()), *node.args.defaults,
+                     *filter(None, node.args.kw_defaults)]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            for child in outer:
+                yield from module_level_reads(child, bound)
+            for child in body:
+                yield from module_level_reads(child, inner)
+            return
+        for child in ast.iter_child_nodes(node):
+            yield from module_level_reads(child, inner)
+        return
+    for child in ast.iter_child_nodes(node):
+        yield from module_level_reads(child, bound)
 
 
 def test_every_public_function_has_a_caller():
+    """A method counts as called only through an attribute access, and a
+    module function only through a module-level name or an attribute of an
+    imported module, so a parameter or local variable named like a
+    function does not hide dead code."""
     trees = dict(modules(SRC))
-    referenced = set()
+    module_names = {path.stem for path in trees} | {
+        (a.asname or a.name).split(".")[0] for tree in trees.values()
+        for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names}
+    attributes, module_attributes, names = set(), set(), set()
     for tree in trees.values():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                referenced.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
+            if isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+                if isinstance(node.value, ast.Name) and node.value.id in module_names:
+                    module_attributes.add(node.attr)
+        names |= set(module_level_reads(tree))
     scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
-    referenced |= {target.rpartition(":")[2] for target in scripts.values()}
-    uncalled = {name for tree in trees.values()
-                for name, _ in public_definitions(tree) if name not in referenced}
+    names |= {target.rpartition(":")[2] for target in scripts.values()}
+    uncalled = {name for tree in trees.values() for name, method in public_definitions(tree)
+                if name not in (attributes if method else names | module_attributes)}
     assert uncalled == set(UNCALLED)
 
 
