@@ -10,7 +10,12 @@ flips the flag of a slot in place, so a raise followed by a lower of the
 same slot is the exact identity.  All values are immutable after
 construction and safe to share; nums is never mutated.  support lists
 the positions of the nonzero numerators, found once at construction, so
-the kernels visit only those.
+the kernels visit only those.  It is read off one module-level tuple of
+positions 0, 1, 2, ... by compress, which stops at the shorter input, so
+one tuple serves every tensor; it is rebuilt only when a longer tensor
+arrives and is as long as the longest tensor stored (about 0.74 MB at
+dimension 12, rank 4).  Iterating a fresh range instead would create a
+new int object for every position above 256.
 
 Rationals appear only at the edges.  TensorDense(dim, variance, data),
 from_matrix and from_function take rationals and convert them once;
@@ -175,10 +180,24 @@ class TensorDense:
         return f"TensorDense(dim={self.dim}, variance={''.join(self.variance)})"
 
 
+#: (0, 1, 2, ...), as long as the longest list _nonzero_positions has seen
+_POSITIONS: tuple[int, ...] = ()
+
+
+def _nonzero_positions(values: list[int]) -> list[int]:
+    """The positions of the nonzero entries of values, in order, taken from
+    the one stored tuple of positions, which grows to len(values) first."""
+    global _POSITIONS
+    if len(_POSITIONS) < len(values):
+        _POSITIONS = tuple(range(len(values)))
+    return list(compress(_POSITIONS, values))
+
+
 def _store(t: TensorDense, dim: int, variance: tuple, den: int, nums: list[int]) -> None:
     """Set the fields of t to nums / den reduced by their gcd, and its
-    support, the positions of the nonzero components."""
-    support = list(compress(range(len(nums)), nums))
+    support, the positions of the nonzero components, found by
+    _nonzero_positions without making an int per component."""
+    support = _nonzero_positions(nums)
     g = gcd(den, *map(nums.__getitem__, support))
     if g != 1:
         den //= g
@@ -452,7 +471,7 @@ class Residual:
         return self.acc.count(0) == len(self.acc)
 
     def __str__(self) -> str:
-        nonzero = list(compress(range(len(self.acc)), self.acc))
+        nonzero = _nonzero_positions(self.acc)
         p = nonzero[0]
         index = ", ".join(str(p // self.dim ** k % self.dim + 1)
                           for k in reversed(range(self.nslots)))

@@ -498,6 +498,36 @@ def test_storage_is_reduced_and_canonical(t, s):
         assert (t[idx] is ZERO) == (not v) and (v is ZERO) == (not v)
 
 
+def test_support_is_right_as_tensors_grow_shrink_and_grow_again():
+    """support lists the nonzero positions in order whatever the sizes of
+    the tensors built before: dim 4, then dim 12 and dim 4 again, then
+    dim 16 (65,536 components), all rank 4."""
+    rng = random.Random(2101)
+    for dim in (4, 12, 4, 16):
+        size = dim ** 4
+        nums = [0] * size
+        for p in rng.sample(range(size), size // 16):
+            nums[p] = rng.choice((-3, -1, 1, 2, 5))
+        nums[-1] = 7                                # the last position
+        t = TensorDense(dim, V4, nums)
+        assert t.support == [p for p, x in enumerate(nums) if x]
+        assert TensorDense(dim, V4, [0] * size).support == []
+        # u agrees with t except at positions divisible by 3, so t - u
+        # cancels everywhere else
+        u = TensorDense(dim, V4, [x if p % 3 else 0 for p, x in enumerate(nums)])
+        diff = lincomb((1, t), (-1, u))
+        want = [p for p, x in enumerate(nums) if x and p % 3 == 0]
+        assert diff.support == want
+        assert lincomb((1, t), (-1, t)).support == []
+        # a failing vanishes names its first nonzero component and the count
+        residual = vanishes((1, t), (-1, u))
+        assert not residual
+        first = want[0]
+        index = ", ".join(str(first // dim ** k % dim + 1) for k in (3, 2, 1, 0))
+        assert str(residual) == (f"first nonzero residual at ({index}) is {nums[first]}; "
+                                 f"{len(want)} of {size} components differ")
+
+
 def test_equal_values_from_different_inputs_are_equal():
     a = TensorDense(2, (UP,), ["2/4", 3])
     b = TensorDense(2, (UP,), [Q(1, 2), Q(6, 2)])
