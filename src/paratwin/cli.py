@@ -93,7 +93,7 @@ def parse_document(doc, name: str = "manifold") -> tuple[LieAlgebraModel, Tensor
     entries = doc.get("brackets")
     if not isinstance(entries, list):
         raise DocumentError("brackets: expected a list of {i, j, coeffs} objects")
-    data = [ZERO] * n ** 3
+    c = {}                                      # flat position -> c^k_{ij}
     named: dict[frozenset, int] = {}            # unordered pair -> first entry
     for pos, entry in enumerate(entries):
         where = f"brackets[{pos}]"
@@ -115,9 +115,9 @@ def parse_document(doc, name: str = "manifold") -> tuple[LieAlgebraModel, Tensor
             except (ValueError, TypeError) as exc:
                 raise DocumentError(f"{where}.coeffs: bad key {key!r}") from exc
             v = _rational_field(value, f"{where}.coeffs[{key}]")
-            data[(k * n + i) * n + j] = v
-            data[(k * n + j) * n + i] = -v
-    alg = LieAlgebraModel(n, tuple(basis), TensorDense(n, (UP, DOWN, DOWN), data))
+            c[(k * n + i) * n + j] = v
+            c[(k * n + j) * n + i] = -v
+    alg = LieAlgebraModel(n, tuple(basis), TensorDense.from_entries(n, (UP, DOWN, DOWN), c))
     P = TensorDense.from_matrix(_matrix_field(doc, "P", n), (UP, DOWN))
     g = TensorDense.from_matrix(_matrix_field(doc, "metric", n), (DOWN, DOWN))
     return alg, P, g, name
@@ -313,13 +313,16 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = make_parser()
+
+
 def main(argv=None, out=None, err=None) -> int:
     """Run one command; out and err default to the current sys.stdout and
     sys.stderr, read at call time."""
     argv = sys.argv[1:] if argv is None else list(argv)
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
-    args = make_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if args.command == "report" and (args.file is None) == (args.family is None):
         print("report: exactly one of <file> or --family is required", file=err)
         return EXIT_PARSE

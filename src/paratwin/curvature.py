@@ -12,7 +12,7 @@ from fractions import Fraction
 from .connection import Connection, curvature_operator
 from .errors import ValidationError, require
 from .manifold import LieAlgebraModel, WManifold
-from .tensor import DOWN, TensorDense, contract, lower_index, raise_index, transpose, vanishes
+from .tensor import DOWN, TensorDense, contract, lincomb, raise_index, vanishes
 
 
 @dataclass(frozen=True)
@@ -37,21 +37,20 @@ def riemann(conn: Connection, alg: LieAlgebraModel,
             lowering_metric: TensorDense, metric_inv: TensorDense) -> CurvaturePack:
     """Curvature pack of a torsion-free invariant metric connection.
 
-    The (0,4) form is lowered with lowering_metric; the Ricci trace
-    rho(y,z) = g^{ij} R(e_i, y, z, e_j) and tau use its inverse.
+    The (0,4) form is lowered with lowering_metric, whose inverse
+    metric_inv gives tau.  The Ricci trace rho(y,z) = g^{ij} R(e_i, y, z,
+    e_j) is the trace R^i_{iyz} of the (1,3) form, exactly.
     """
     if lowering_metric.variance != (DOWN, DOWN):
         raise ValidationError("lowering metric must be a (0,2) tensor")
     R_vec = curvature_operator(conn, alg)
     # R_{ijkl} = g_{lm} R^m_{ijk}
-    R = transpose(lower_index(R_vec, 0, lowering_metric), (1, 2, 3, 0))
+    R = lincomb((1, "lm,mijk->ijkl", lowering_metric, R_vec))
     check_curvature_like(R)
 
-    # rho(y,z) = g^{ij} R_{iyzj}
-    raised = raise_index(R, 0, metric_inv)
-    ricci = contract(raised, 0, 3)
-    traced = raise_index(ricci, 0, metric_inv)
-    tau = contract(traced, 0, 1).item()
+    # rho(y,z) = g^{ij} R_{iyzj} = R^i_{iyz}
+    ricci = contract(R_vec, 0, 1)
+    tau = contract(raise_index(ricci, 0, metric_inv), 0, 1).item()
     return CurvaturePack(R_vec=R_vec, R=R, ricci=ricci, tau=tau)
 
 

@@ -85,18 +85,21 @@ def validate_lie_algebra(alg: LieAlgebraModel) -> ValidationReport:
     the first LISTED_FAILURES offending index combinations of each at once.
     """
     n = alg.dim
-    n2 = n * n
     den, cd = alg.c.den, alg.c.nums
 
+    # pairs[a][b] lists the nonzero (s, c^s_{ab} * den); a nonzero c^k_{ij}
+    # not cancelled by c^k_{ji} breaks antisymmetry at (i, j, k) and (j, i, k)
+    pairs = [[[] for _ in range(n)] for _ in range(n)]
+    broken = set()
+    for p in alg.c.support:
+        k, i, j = p // (n * n), p // n % n, p % n
+        pairs[i][j].append((k, cd[p]))
+        if cd[p] != -cd[(k * n + j) * n + i]:
+            broken |= {(i, j, k), (j, i, k)}
     items = _failure_items(
-        "antisymmetry", ((i, j, k) for i, j, k in product(range(n), repeat=3)
-                         if cd[k * n2 + i * n + j] != -cd[k * n2 + j * n + i]),
+        "antisymmetry", iter(sorted(broken)),
         lambda i, j, k: f"c^{k + 1}_{{{i + 1},{j + 1}}} != -c^{k + 1}_{{{j + 1},{i + 1}}}")
     anti_ok = items[0].passed
-
-    # pairs[a][b] lists the nonzero (s, c^s_{ab} * den)
-    pairs = [[[(s, v) for s, v in enumerate(cd[a * n + b::n2]) if v] for b in range(n)]
-             for a in range(n)]
 
     def cyclic_sum(i: int, j: int, l: int) -> list[tuple[int, int]]:
         """Nonzero components, by index and times den^2, of [[X_i,X_j],X_l]

@@ -17,8 +17,7 @@ from .connection import Connection, covariant_derivative, koszul
 from .errors import require
 from .manifold import WManifold
 from .scalar import ZERO, Q
-from .tensor import (TensorDense, apply_endo, contract, lincomb, lower_index, raise_index,
-                     transpose, vanishes)
+from .tensor import TensorDense, apply_endo, contract, lincomb, raise_index, vanishes
 
 #: a (0,3) tensor with P substituted into some arguments, keyed by those
 #: arguments: "z" is t(x,y,Pz), "yz" is t(x,Py,Pz), see p_substitutions
@@ -114,7 +113,7 @@ def potential_phi(m: WManifold, F: TensorDense, F_P: PSubs, conn: Connection,
             "four-term Phi identity failed")
 
     # vector form: Phi^k_{ij} = g^{kl} Phi_{ijl}
-    Phi_vec = transpose(raise_index(Phi, 2, m.g_inv), (2, 0, 1))
+    Phi_vec = lincomb((1, "kl,ijl->kij", m.g_inv, Phi))
     require(vanishes((1, Phi_vec), (-1, Phi_vec, (0, 2, 1))), "Phi is not symmetric")
 
     # independent route: Phi = nabla~ - nabla, on [k, i, j]
@@ -154,8 +153,8 @@ def nijenhuis(m: WManifold, conn: Connection, Phi: TensorDense, Phi_P: PSubs):
     N_vec = _nijenhuis_form(m.algebra.c, m.P, -1)
     Nhat_vec = _nijenhuis_form(braces, m.P, 1)
 
-    N = transpose(lower_index(N_vec, 0, m.g), (1, 2, 0))
-    Nhat = transpose(lower_index(Nhat_vec, 0, m.g), (1, 2, 0))
+    N = lincomb((1, "lm,mij->ijl", m.g, N_vec))
+    Nhat = lincomb((1, "lm,mij->ijl", m.g, Nhat_vec))
 
     # cross-checks through Phi:
     #   N(x,y,z)  =  2 Phi(z,x,y) + 2 Phi(z,Px,Py)

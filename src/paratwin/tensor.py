@@ -18,10 +18,9 @@ dimension 12, rank 4).  Iterating a fresh range instead would create a
 new int object for every position above 256.
 
 Rationals appear only at the edges.  TensorDense(dim, variance, data),
-from_matrix and from_function take rationals and convert them once;
-t[idx], item(), column() and data give rationals back, with the
-shared ZERO of paratwin.scalar for every zero component.  Everything in
-between is integer arithmetic.
+from_matrix, from_function and from_entries take rationals and convert
+them once; t[idx], item(), column() and data give rationals back, with
+the shared ZERO for each zero.  Everything in between is integer arithmetic.
 
 Every sum of products is a term of lincomb (which builds it) or vanishes
 (which decides that it is zero without forming a rational):
@@ -48,6 +47,7 @@ reference route for lincomb and vanishes.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import compress, product
 from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
@@ -65,11 +65,7 @@ class TensorDense:
     __slots__ = ("dim", "variance", "den", "nums", "support")
 
     def __init__(self, dim: int, variance: Sequence[str], data: Iterable[Fraction]):
-        if dim <= 0 or dim % 2 != 0:
-            raise ValidationError(f"tensor dimension must be a positive even integer, got {dim}")
-        variance = tuple(variance)
-        if any(v not in (UP, DOWN) for v in variance):
-            raise ValidationError(f"bad variance mask {variance!r}")
+        variance = _checked_shape(dim, variance)
         ratios = [x.as_integer_ratio() if isinstance(x, (int, Fraction)) else
                   rational(x).as_integer_ratio() for x in data]
         if len(ratios) != dim ** len(variance):
@@ -136,6 +132,17 @@ class TensorDense:
                    [fn(*idx) for idx in product(range(dim), repeat=len(variance))])
 
     @classmethod
+    def from_entries(cls, dim: int, variance: Sequence[str], entries: dict) -> "TensorDense":
+        """The tensor with the rational entries[p] at each flat position p
+        in entries, zero elsewhere."""
+        variance = _checked_shape(dim, variance)
+        den = lcm(*{v.denominator for v in entries.values()})
+        nums = [0] * dim ** len(variance)
+        for p, v in entries.items():
+            nums[p] = v.numerator * (den // v.denominator)
+        return cls._of(dim, variance, den, nums)
+
+    @classmethod
     def from_matrix(cls, rows: Sequence[Sequence], variance: Sequence[str]) -> "TensorDense":
         dim = len(rows)
         if len(variance) != 2 or any(len(r) != dim for r in rows):
@@ -180,6 +187,15 @@ class TensorDense:
         return f"TensorDense(dim={self.dim}, variance={''.join(self.variance)})"
 
 
+def _checked_shape(dim: int, variance: Sequence[str]) -> tuple:
+    if dim <= 0 or dim % 2 != 0:
+        raise ValidationError(f"tensor dimension must be a positive even integer, got {dim}")
+    variance = tuple(variance)
+    if any(v not in (UP, DOWN) for v in variance):
+        raise ValidationError(f"bad variance mask {variance!r}")
+    return variance
+
+
 #: (0, 1, 2, ...), as long as the longest list _nonzero_positions has seen
 _POSITIONS: tuple[int, ...] = ()
 
@@ -194,15 +210,16 @@ def _nonzero_positions(values: list[int]) -> list[int]:
 
 
 def _store(t: TensorDense, dim: int, variance: tuple, den: int, nums: list[int]) -> None:
-    """Set the fields of t to nums / den reduced by their gcd, and its
-    support, the positions of the nonzero components, found by
-    _nonzero_positions without making an int per component."""
+    """Set the fields of t to nums / den reduced by their gcd, skipped when
+    den is 1 or coprime to the first nonzero numerator, and its support,
+    found by _nonzero_positions without making an int per component."""
     support = _nonzero_positions(nums)
-    g = gcd(den, *map(nums.__getitem__, support))
-    if g != 1:
-        den //= g
-        for p in support:
-            nums[p] //= g
+    if den != 1 and (not support or gcd(den, nums[support[0]]) != 1):
+        g = gcd(den, *map(nums.__getitem__, support))
+        if g != 1:
+            den //= g
+            for p in support:
+                nums[p] //= g
     for name, value in (("dim", dim), ("variance", variance), ("den", den),
                         ("nums", nums), ("support", support)):
         object.__setattr__(t, name, value)
@@ -223,39 +240,27 @@ def contract(t: TensorDense, slot_a: int, slot_b: int) -> TensorDense:
     n = t.nslots
     if not (0 <= slot_a < n and 0 <= slot_b < n):
         raise ValidationError(f"contraction slots ({slot_a}, {slot_b}) out of range for {n} slots")
-    if slot_a == slot_b:
-        raise ValidationError("contraction slots must be distinct")
     if t.variance[slot_a] != UP or t.variance[slot_b] != DOWN:
         raise ValidationError(
             "contract pairs one contravariant and one covariant slot "
             f"(got {t.variance[slot_a]!r} at {slot_a}, {t.variance[slot_b]!r} at {slot_b})")
     keep = [k for k in range(n) if k not in (slot_a, slot_b)]
-    nums = t.nums
+    target, nums = _trace_map(t.dim, n, slot_a, slot_b), t.nums
     out = [0] * t.dim ** len(keep)
-    for src, dst in _diagonal_map(t.dim, n, slot_a, slot_b):
-        out[dst] += nums[src]
+    for p in t.support:
+        if (q := target[p]) is not None:
+            out[q] += nums[p]
     return TensorDense._of(t.dim, tuple(t.variance[k] for k in keep), t.den, out)
 
 
-_DIAGONAL_MAPS: dict[tuple, tuple] = {}
-
-
-def _diagonal_map(dim: int, nslots: int, slot_a: int, slot_b: int) -> tuple:
-    """(flat source, flat target) for each index whose slot_a and slot_b
-    entries agree; the target position drops both slots.  Cached."""
-    key = (dim, nslots, slot_a, slot_b)
-    cached = _DIAGONAL_MAPS.get(key)
-    if cached is None:
-        pairs = []
-        for src, idx in enumerate(product(range(dim), repeat=nslots)):
-            if idx[slot_a] == idx[slot_b]:
-                dst = 0
-                for k, i in enumerate(idx):
-                    if k != slot_a and k != slot_b:
-                        dst = dst * dim + i
-                pairs.append((src, dst))
-        cached = _DIAGONAL_MAPS[key] = tuple(pairs)
-    return cached
+@lru_cache(maxsize=None)
+def _trace_map(dim: int, nslots: int, slot_a: int, slot_b: int) -> list:
+    """Per flat position, its target without both slots if their indices agree, else None."""
+    weights = _strides(dim, nslots - 2)
+    for k in sorted((slot_a, slot_b)):
+        weights.insert(k, 0)
+    return [sum(w * i for w, i in zip(weights, idx)) if idx[slot_a] == idx[slot_b] else None
+            for idx in product(range(dim), repeat=nslots)]
 
 
 # -- placements ----------------------------------------------------------------
@@ -330,9 +335,9 @@ def _product_plan(spec: str, a: TensorDense, b: TensorDense) -> tuple:
     """(variance, operand plans) of a product term; each operand plan is
     (key stride, m, hi, lo): a source position p has the summed index
     p // (key stride) % dim and lands at hi[p // m] + lo[p % m] of the
-    output, summed over that index.  Validated and cached per (spec, dim,
+    output, summed over that index.  Validated and cached per (spec, dims,
     variances)."""
-    cache_key = (spec, a.dim, a.variance, b.variance)
+    cache_key = (spec, a.dim, b.dim, a.variance, b.variance)
     plan = _PRODUCT_PLANS.get(cache_key)
     if plan is not None:
         return plan

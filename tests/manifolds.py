@@ -1,12 +1,15 @@
 """Manifolds, documents and diagnostics that only the tests use.
 
-The Abelian reference manifold and block direct sums grow the test corpus
-beyond the family; basis changes, the eigenbasis of P and Sylvester
+The Abelian reference manifold, block direct sums, family points pulled
+back to a dense basis and a small algebra with B != 0 grow the test
+corpus beyond the family; basis changes, the eigenbasis of P and Sylvester
 signatures check invariance under a change of frame; document_of writes a
 manifold back as a CLI document; zeros, identity, derive_vector, rows_of
 and matrix_inverse are small references.  The engine itself needs none
 of them.
 """
+
+from itertools import product
 
 from paratwin.errors import ValidationError
 from paratwin.manifold import LieAlgebraModel, WManifold, build_manifold
@@ -212,3 +215,37 @@ def document_of(m: WManifold) -> dict:
         "metric": matrix_of(m.g),
         "P": matrix_of(m.P),
     }
+
+
+def nonabelian2() -> WManifold:
+    """[X1, X2] = X1 + 2 X2, with P the swap of X1 and X2 and g = [[2, 1], [1, 2]].
+
+    Unlike the family, its B = Phi(x, Phi(y, .)) - Phi(y, Phi(x, .)) is nonzero.
+    """
+    c = TensorDense.from_function(2, (UP, DOWN, DOWN),
+                                  lambda k, i, j: Q((1, 2)[k] * ((i, j) == (0, 1))
+                                                    - (1, 2)[k] * ((i, j) == (1, 0))))
+    return build_manifold(LieAlgebraModel(2, ("X1", "X2"), c),
+                          TensorDense.from_matrix([[0, 1], [1, 0]], (UP, DOWN)),
+                          TensorDense.from_matrix([[2, 1], [1, 2]], (DOWN, DOWN)))
+
+
+def pulled_back(m: WManifold, basis: TensorDense) -> WManifold:
+    """m in the basis e'_i = sum_a basis[a][i] e_a."""
+    n = m.dim
+    M = rows_of(basis)
+    Minv = matrix_inverse(M)
+    c = m.algebra.c
+    alg = LieAlgebraModel(n, m.algebra.basis_labels, TensorDense.from_function(
+        n, (UP, DOWN, DOWN),
+        lambda k, i, j: sum(Minv[k][s] * c[s, a, b] * M[a][i] * M[b][j]
+                            for s, a, b in product(range(n), repeat=3))))
+    return build_manifold(alg, change_basis_endo(m.P, basis),
+                          change_basis_bilinear(m.g, basis))
+
+
+#: a basis change in which P, g and every bracket of a family point are dense
+DENSE_BASIS = TensorDense.from_matrix([[1, 2, -1, Q(1, 2)],
+                                       [Q(-1, 3), 1, 3, 1],
+                                       [2, -1, 1, 1],
+                                       [1, 1, Q(2, 5), -2]], (UP, DOWN))

@@ -14,8 +14,8 @@ import pytest
 from paratwin import cli, manifold
 from paratwin.family import FamilyParams, build_family
 from paratwin.manifold import build_manifold
-from paratwin.scalar import Q
-from paratwin.tensor import tensor_equal
+from paratwin.scalar import Q, ZERO, rational
+from paratwin.tensor import DOWN, UP, TensorDense, tensor_equal
 
 from manifolds import abelian_manifold, direct_sum, document_of
 
@@ -380,3 +380,73 @@ def test_direct_sum_report_adds_block_scalars():
     flat = cli.build_report(direct_sum(build_family(blocks[0]), abelian_manifold(4)))
     assert all(c["passed"] for c in flat["checks"])
     assert Q(flat["scalars"]["tau"]) == 48 * d[0]
+
+
+def dense_constants(doc) -> TensorDense:
+    """The structure constants of a document through the full list of
+    dim^3 rationals: the reference for parse_document's sparse build."""
+    n = doc["dim"]
+    data = [ZERO] * n ** 3
+    for entry in doc["brackets"]:
+        i, j = entry["i"] - 1, entry["j"] - 1
+        for key, value in entry["coeffs"].items():
+            k = int(key) - 1
+            data[(k * n + i) * n + j] = rational(value)
+            data[(k * n + j) * n + i] = -rational(value)
+    return TensorDense(n, (UP, DOWN, DOWN), data)
+
+
+def _brackets(*entries):
+    return [{"i": i, "j": j, "coeffs": coeffs} for i, j, coeffs in entries]
+
+
+@pytest.mark.parametrize("brackets", [
+    [],                                                             # Abelian
+    _brackets((1, 2, {"1": "2/4", "3": "-6/8"}), (2, 4, {"2": "10/5"})),   # not reduced
+    _brackets((1, 3, {"1": "-3", "4": "-1/7"}), (3, 4, {"2": "-5/2"})),    # negative
+    _brackets((1, 2, {"1": "1/6", "2": "5/6"}), (2, 3, {"4": "-7/6"}),     # shared
+              (3, 4, {"3": "1/6", "1": "0"})),                             # denominators
+    _brackets((2, 2, {"1": "3/2"}), (1, 4, {"2": "12/9", "3": "4/9"})),
+])
+def test_parse_document_builds_c_from_the_nonzero_coefficients(brackets):
+    """c from the nonzero coefficients, as integers over their lcm, has the
+    den and nums of c built from the full list of rationals."""
+    doc = {**json.loads(FIXTURE.read_text()), "brackets": brackets}
+    alg, _, _, _ = cli.parse_document(doc)
+    want = dense_constants(doc)
+    assert (alg.c.den, alg.c.nums) == (want.den, want.nums)
+    assert alg.c.support == want.support
+    assert alg.c.variance == want.variance
+
+
+def run_or_exit(argv):
+    """run(argv), or the status and standard error of an argparse exit."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            return run(argv)
+        except SystemExit as exc:
+            return exc.code, "", err.getvalue()
+
+
+def test_one_process_matches_fresh_processes(tmp_path):
+    """The parser is built once per process: a report of the family, a
+    report of a file, a theorem, a document parse error and a usage error,
+    run in that order in one process, give the exit code and output of a
+    fresh process each."""
+    bad = {**json.loads(FIXTURE.read_text()), "dim": "4.0"}
+    commands = [["report", "--family", "1", "2", "1"],
+                ["report", str(FIXTURE), "--json"],
+                ["theorem", "--grid=1,-2/3"],
+                ["report", _write(tmp_path, bad)],
+                ["theorem", "--grid=1", "--bogus"]]
+    in_process = [run_or_exit(argv) for argv in commands]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    for argv, got in zip(commands, in_process):
+        proc = subprocess.run([sys.executable, "-m", "paratwin", *argv],
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": path})
+        assert got == (proc.returncode, proc.stdout, proc.stderr), argv
+    assert [code for code, _, _ in in_process] == [
+        cli.EXIT_OK, cli.EXIT_OK, cli.EXIT_CHECK, cli.EXIT_PARSE, cli.EXIT_PARSE]

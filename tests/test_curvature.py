@@ -7,7 +7,7 @@ from paratwin.connection import koszul
 from paratwin.errors import ConsistencyError
 from paratwin.family import FamilyParams, family_pack
 from paratwin.scalar import Q, ZERO
-from paratwin.tensor import tensor_equal, transpose
+from paratwin.tensor import contract, lower_index, raise_index, tensor_equal, transpose
 
 from manifolds import abelian_manifold, rows_of
 
@@ -67,3 +67,15 @@ def test_abelian_is_flat():
     assert pack.R.is_zero() and pack.ricci.is_zero() and pack.tau == ZERO
     conn_twin = koszul(m.algebra, m.g_twin, m.g_twin_inv)
     assert riemann_twin(m, conn_twin).R.is_zero()
+
+
+def test_fused_curvature_matches_the_two_step_forms(dense_and_b_nonzero):
+    """R = g R_vec, built in its final slot order, is R_vec lowered and then
+    transposed, and the trace R^i_{iyz} is rho = g^{ij} R_{iyzj} with R
+    raised again; on both sides of the twin interchange."""
+    for m, tp in dense_and_b_nonzero:
+        for curv, g, g_inv in ((tp.curv, m.g, m.g_inv),
+                               (tp.curv_twin, m.g_twin, m.g_twin_inv)):
+            assert not curv.R.is_zero() and not curv.ricci.is_zero()
+            assert tensor_equal(curv.R, transpose(lower_index(curv.R_vec, 0, g), (1, 2, 3, 0)))
+            assert tensor_equal(curv.ricci, contract(raise_index(curv.R, 0, g_inv), 0, 3))

@@ -235,6 +235,37 @@ def test_validation_items_match_reference(c, antisymmetrize):
         reference_validation(alg)
 
 
+def _algebra_of(n, constants):
+    """The algebra whose c^k_{ij} is constants[k, i, j] (0-based), zero
+    elsewhere; built directly, since a document always gives both halves
+    of a bracket."""
+    c = TensorDense.from_function(n, V3, lambda k, i, j: constants.get((k, i, j), ZERO))
+    return LieAlgebraModel(n, tuple(f"X{i + 1}" for i in range(n)), c)
+
+
+@pytest.mark.parametrize("n, constants, broken", [
+    # a diagonal c^1_{22} beside an antisymmetric pair
+    (4, {(0, 1, 1): Q(3), (0, 0, 1): Q(1), (0, 1, 0): Q(-1)}, 1),
+    # a one-sided c^3_{12}, and a pair c^2_{34} = c^2_{43} that does not cancel
+    (4, {(2, 0, 1): Q(2, 3), (1, 2, 3): Q(1), (1, 3, 2): Q(1)}, 4),
+    # a one-sided c^k_{ij} for every i < j and even k: 90 broken components
+    (6, {(k, i, j): Q(k + 1, j + 1) for k in range(0, 6, 2)
+         for i in range(6) for j in range(i + 1, 6)}, 90),
+])
+def test_antisymmetry_from_the_support_matches_the_full_scan(n, constants, broken):
+    """The check over c's nonzero entries and their mirrors lists what the
+    scan over all n^3 triples lists, in its order, and counts the rest."""
+    alg = _algebra_of(n, constants)
+    items = [(it.name, it.passed, it.detail) for it in validate_lie_algebra(alg).checks]
+    assert items == reference_validation(alg)
+    anti = [it for it in items if it[0] == "antisymmetry"]
+    if broken > LISTED_FAILURES:
+        assert len(anti) == LISTED_FAILURES + 1
+        assert anti[-1][2] == f"and {broken - LISTED_FAILURES} more failing components"
+    else:
+        assert len(anti) == broken and not any(passed for _, passed, _ in anti)
+
+
 def test_validation_items_match_reference_in_dim_6():
     """Every Jacobi triple of a dense antisymmetric dim-6 algebra fails, in
     the reference's order and with its values, through the i < j < l path;

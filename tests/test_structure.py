@@ -10,7 +10,8 @@ from paratwin.errors import ValidationError
 from paratwin.manifold import LieAlgebraModel, assemble_manifold
 from paratwin.scalar import Q, ZERO
 from paratwin.structure import build_structure_pack, fundamental_F, square_norm
-from paratwin.tensor import DOWN, UP, TensorDense, apply_endo, tensor_equal, transpose
+from paratwin.tensor import (DOWN, UP, TensorDense, apply_endo, lower_index, raise_index,
+                             tensor_equal, transpose)
 
 from manifolds import matrix_inverse, rows_of
 from strategies import V3, antisymmetrized, dense_tensors, matrices, mixed_rationals
@@ -156,3 +157,28 @@ def test_square_norm_matches_reference(pair):
         assert got is ZERO
     zeros = TensorDense(m.dim, (DOWN,) * 3, [Q(0)] * m.dim ** 3)
     assert square_norm(m, zeros) is ZERO
+
+
+# -- fused index moves against the two-step forms they replace ---------------
+
+def assert_fused_forms(m, sp):
+    """Phi_vec = g^-1 Phi, N = g N_vec and N^ = g N^_vec, each built in its
+    final slot order, equal the raised or lowered tensor transposed."""
+    assert tensor_equal(sp.Phi_vec, transpose(raise_index(sp.Phi, 2, m.g_inv), (2, 0, 1)))
+    assert tensor_equal(sp.N, transpose(lower_index(sp.N_vec, 0, m.g), (1, 2, 0)))
+    assert tensor_equal(sp.Nhat, transpose(lower_index(sp.Nhat_vec, 0, m.g), (1, 2, 0)))
+
+
+def test_fused_structure_tensors_on_dense_and_b_nonzero_manifolds(dense_and_b_nonzero):
+    for m, tp in dense_and_b_nonzero:
+        assert not tp.sp.Phi_vec.is_zero() and not tp.sp.Nhat_vec.is_zero()
+        assert_fused_forms(m, tp.sp)
+        assert_fused_forms(m.twin_view(), tp.sp_twin)
+
+
+@given(structures())
+@settings(max_examples=30, deadline=None)
+def test_fused_structure_tensors_on_random_structures(structure):
+    """Random antisymmetric brackets, unlike the manifolds above, give N != 0."""
+    m, conn = structure
+    assert_fused_forms(m, build_structure_pack(m, conn))

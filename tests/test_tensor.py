@@ -241,11 +241,40 @@ def test_raise_lower_match_naive(pair):
     assert list(lower_index(t, 0, g).data) == naive_slot_map(t, 0, lambda i, j: g[i, j])
 
 
-@given(st.one_of(any_tensors(V3), any_tensors(V4)))
-@settings(max_examples=40)
+#: up and down slots in several orders, so that contract meets every
+#: (up, down) slot pair of rank 2 to 4
+MIXED_VARIANCES = [(UP, DOWN), V3, (DOWN, UP, DOWN), (DOWN, DOWN, UP), V4,
+                   (DOWN, UP, DOWN, UP), (UP, UP, DOWN, DOWN)]
+
+
+@st.composite
+def sparse_tensors(draw, variance):
+    """A few nonzero components in dimension 6 or 8, at least one of them
+    at a position above 256, where positions are no longer cached ints."""
+    dim = draw(st.sampled_from((8,) if len(variance) == 3 else (6, 8)))
+    size = dim ** len(variance)
+    positions = draw(st.sets(st.integers(0, size - 1), max_size=12))
+    positions.add(draw(st.integers(257, size - 1)))
+    data = [ZERO] * size
+    for p in positions:
+        data[p] = draw(rationals.filter(bool))
+    return TensorDense(dim, variance, data)
+
+
+def mixed_tensors(variance):
+    if len(variance) == 2:
+        return any_tensors(variance)
+    return st.one_of(any_tensors(variance), sparse_tensors(variance))
+
+
+@given(st.sampled_from(MIXED_VARIANCES).flatmap(mixed_tensors))
+@settings(max_examples=80, deadline=None)
 def test_contract_matches_naive(t):
-    for slot_b in range(1, t.nslots):
-        assert list(contract(t, 0, slot_b).data) == naive_contract(t, 0, slot_b)
+    pairs = [(a, b) for a, b in permutations(range(t.nslots), 2)
+             if t.variance[a] == UP and t.variance[b] == DOWN]
+    assert pairs
+    for slot_a, slot_b in pairs:
+        assert list(contract(t, slot_a, slot_b).data) == naive_contract(t, slot_a, slot_b)
 
 
 # -- one-pass linear combinations against the Fraction operators -------------
@@ -468,6 +497,8 @@ def test_invalid_product_specs_are_rejected(spec):
 
 
 def test_product_operands_must_share_a_dimension():
+    """Also once the spec's plan is cached for operands of one dimension."""
+    lincomb((1, "kxm,myz->kxyz", zeros(2, V3), zeros(2, V3)))
     with pytest.raises(ValidationError):
         lincomb((1, "kxm,myz->kxyz", zeros(2, V3), zeros(4, V3)))
 
@@ -496,6 +527,20 @@ def test_storage_is_reduced_and_canonical(t, s):
     for idx, v in zip(product(range(t.dim), repeat=t.nslots), t.data):
         assert t[idx] == v
         assert (t[idx] is ZERO) == (not v) and (v is ZERO) == (not v)
+
+
+@given(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=8, max_size=8),
+       st.integers(1, 10 ** 6), st.integers(1, 10 ** 4))
+@settings(max_examples=100)
+def test_storing_reduces_a_common_factor(nums, den, factor):
+    """Integers over a denominator that share a factor with it, whether
+    the first nonzero numerator is coprime to it or not, are stored
+    reduced, with their values and support."""
+    t = TensorDense._of(2, V3, den * factor, [x * factor for x in nums])
+    assert t.den > 0 and gcd(t.den, *t.nums) == 1
+    assert t.data == tuple(Q(x, den) for x in nums)
+    assert t.support == [p for p, x in enumerate(nums) if x]
+    assert any(nums) or t.den == 1
 
 
 def test_support_is_right_as_tensors_grow_shrink_and_grow_again():

@@ -11,14 +11,14 @@ from paratwin.cli import build_report, parse_document
 from paratwin.connection import koszul
 from paratwin.errors import ConsistencyError, recording
 from paratwin.family import FamilyParams, build_family, family_pack
-from paratwin.manifold import LieAlgebraModel, build_manifold
+from paratwin.manifold import build_manifold
 from paratwin.scalar import Q, ZERO
 from paratwin.tensor import DOWN, UP, TensorDense, lincomb, tensor_equal
 from paratwin.twin import (_w1_assemble, build_twin_pack, invariance_suite, tensor_B,
                            tensor_K, tensor_Q, w1_closed_forms)
 
-from manifolds import (change_basis_bilinear, change_basis_endo, derive_vector, direct_sum,
-                       document_of, matrix_inverse, rows_of, zeros)
+from manifolds import (DENSE_BASIS, derive_vector, direct_sum, document_of, nonabelian2,
+                       pulled_back, rows_of, zeros)
 from strategies import V3, V4, any_tensors, dense_tensors, mixed_rationals, rationals
 
 #: every route cross-check that one report runs; taken from the version
@@ -134,18 +134,6 @@ def test_report_runs_every_route_check(family121, dsum8):
         assert set(pack.checks) == REPORT_CHECKS
 
 
-def nonabelian2():
-    """[X1, X2] = X1 + 2 X2, with P the swap of X1 and X2 and g = [[2, 1], [1, 2]].
-
-    Unlike the family, its B = Phi(x, Phi(y, .)) - Phi(y, Phi(x, .)) is nonzero.
-    """
-    c = TensorDense.from_function(2, V3, lambda k, i, j: Q((1, 2)[k] * ((i, j) == (0, 1))
-                                                             - (1, 2)[k] * ((i, j) == (1, 0))))
-    return build_manifold(LieAlgebraModel(2, ("X1", "X2"), c),
-                          TensorDense.from_matrix([[0, 1], [1, 0]], (UP, DOWN)),
-                          TensorDense.from_matrix([[2, 1], [1, 2]], (DOWN, DOWN)))
-
-
 def test_route_checks_with_B_nonzero(family121):
     small = nonabelian2()
     for m in (small, direct_sum(small, family121[0])):
@@ -241,26 +229,6 @@ def reference_w1_closed_forms(m, conn, sp):
                                    sp.F, Pfs)
     as_endo = lambda rows: TensorDense.from_matrix(rows, (UP, DOWN))   # noqa: E731
     return as_endo(Sm), as_endo(Ssm), as_endo(Hm), Q_ref, B_ref
-
-
-def pulled_back(m, basis):
-    """m in the basis e'_i = sum_a basis[a][i] e_a."""
-    n = m.dim
-    M = rows_of(basis)
-    Minv = matrix_inverse(M)
-    c = m.algebra.c
-    alg = LieAlgebraModel(n, m.algebra.basis_labels, TensorDense.from_function(
-        n, (UP, DOWN, DOWN),
-        lambda k, i, j: sum(Minv[k][s] * c[s, a, b] * M[a][i] * M[b][j]
-                            for s, a, b in product(range(n), repeat=3))))
-    return build_manifold(alg, change_basis_endo(m.P, basis),
-                          change_basis_bilinear(m.g, basis))
-
-
-DENSE_BASIS = TensorDense.from_matrix([[1, 2, -1, Q(1, 2)],
-                                       [Q(-1, 3), 1, 3, 1],
-                                       [2, -1, 1, 1],
-                                       [1, 1, Q(2, 5), -2]], (UP, DOWN))
 
 
 def test_w1_closed_forms_in_a_dense_basis():
