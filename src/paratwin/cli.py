@@ -63,13 +63,16 @@ def _index_field(value, n: int, where: str) -> int:
     return value - 1
 
 
-def _matrix_field(doc: dict, key: str, n: int) -> list[list]:
+def _matrix_field(doc: dict, key: str, n: int, variance: tuple) -> TensorDense:
+    """The n x n matrix doc[key] as a two-slot tensor, built from its
+    nonzero entries; an entry "0" is skipped unparsed."""
     rows = doc.get(key)
     if not isinstance(rows, list) or len(rows) != n or any(
             not isinstance(r, list) or len(r) != n for r in rows):
         raise DocumentError(f"{key}: expected a {n}x{n} array of rational strings")
-    return [[_rational_field(v, f"{key}[{i + 1}][{j + 1}]")
-             for j, v in enumerate(row)] for i, row in enumerate(rows)]
+    entries = {i * n + j: q for i, row in enumerate(rows) for j, v in enumerate(row)
+               if v != "0" and (q := _rational_field(v, f"{key}[{i + 1}][{j + 1}]"))}
+    return TensorDense.from_entries(n, variance, entries)
 
 
 def parse_document(doc, name: str = "manifold") -> tuple[LieAlgebraModel, TensorDense, TensorDense, str]:
@@ -118,8 +121,8 @@ def parse_document(doc, name: str = "manifold") -> tuple[LieAlgebraModel, Tensor
             c[(k * n + i) * n + j] = v
             c[(k * n + j) * n + i] = -v
     alg = LieAlgebraModel(n, tuple(basis), TensorDense.from_entries(n, (UP, DOWN, DOWN), c))
-    P = TensorDense.from_matrix(_matrix_field(doc, "P", n), (UP, DOWN))
-    g = TensorDense.from_matrix(_matrix_field(doc, "metric", n), (DOWN, DOWN))
+    P = _matrix_field(doc, "P", n, (UP, DOWN))
+    g = _matrix_field(doc, "metric", n, (DOWN, DOWN))
     return alg, P, g, name
 
 

@@ -13,15 +13,16 @@ rational parameters l1, l2 and e in {+1,-1}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from math import lcm
 from operator import mul
 
 from . import tables
-from .classify import ClassLabel, classify, classify_phi, lee_forms_closed
+from .classify import (ClassificationResult, ClassLabel, classify, classify_phi,
+                       lee_forms_closed)
 from .errors import ValidationError, require
 from .manifold import (CheckItem, LieAlgebraModel, ValidationReport, WManifold,
                        build_manifold)
@@ -85,11 +86,6 @@ def _brackets(l1, l2, e) -> dict[tuple[int, int], list]:
     }
 
 
-def family_brackets(p: FamilyParams) -> dict[tuple[int, int], list[Fraction]]:
-    """Nonzero commutators [X_i, X_j] (0-based index pairs, i < j is not assumed)."""
-    return _brackets(p.lambda1, p.lambda2, p.epsilon)
-
-
 _P = TensorDense.from_matrix([[0, 1, 0, 0],
                               [1, 0, 0, 0],
                               [0, 0, 0, 1],
@@ -129,148 +125,135 @@ def family_pack(p: FamilyParams):
 
 # -- the pack as binary forms ----------------------------------------------------
 #
-# At fixed e every field of the twin pack is a binary form in (l1, l2), of
-# the degree tables.PACK_DEGREES gives.  A form of degree k <= 2 is fixed
-# by its values at k + 1 pairwise non-proportional points, the nodes: its
-# value at any point is a combination of its values there, with weights
-# that solve a small system in the nodes' monomials.  A node is kept as
-# (D, D l1, D l2, twin pack), by its integer parameters.
+# At fixed e every field T of the twin pack is a binary form in (l1, l2), of
+# the degree tables.PACK_DEGREES gives.  With T10, T01 and T11 its values at
+# the nodes (l1, l2) = (1, 0), (0, 1) and (1, 1) of that sign,
+#
+#     T = l1 T10 + l2 T01                                  (degree 1)
+#     T = l1^2 T10 + l2^2 T01 + l1 l2 (T11 - T10 - T01)    (degree 2)
 
-#: nodes per sign: the degree-2 fields need three
-NODES = 3
-
-
-def _monomials(a1: int, a2: int, degree: int) -> tuple[int, ...]:
-    return (a1, a2) if degree == 1 else (a1 * a1, a1 * a2, a2 * a2)
+#: the nodes (l1, l2) of each sign, in the order of the weights
+NODES = ((1, 0), (0, 1), (1, 1))
 
 
-def _det(cols: list) -> int:
-    """The determinant of a 2x2 or 3x3 matrix given by its columns (or
-    its rows)."""
-    if len(cols) == 2:
-        (a, b), (c, d) = cols
-        return a * d - b * c
-    return sum((-1) ** k * col[0] * _det([other[1:] for j, other in enumerate(cols) if j != k])
-               for k, col in enumerate(cols))
-
-
-def _weights(nodes: list, d: int, a1: int, a2: int, degree: int) -> list[Fraction] | int:
-    """w_k with T(p) = sum_k w_k T(node k) for every form T of this degree,
-    at the point p = (a1, a2) / d, over the first degree + 1 nodes; or k
-    alone if p is node k.
-
-    Cramer's rule in the integer monomials gives T(a1, a2) =
-    sum_k (det_k / det) T(D_k node k), and T is homogeneous, so w_k =
-    det_k D_k^degree / (det d^degree).
-    """
-    used = nodes[:degree + 1]
-    for k, node in enumerate(used):
-        if node[:3] == (d, a1, a2):
-            return k
-    cols = [_monomials(b1, b2, degree) for _, b1, b2, _ in used]
-    target = _monomials(a1, a2, degree)
-    den = _det(cols) * d ** degree
-    return [Q(_det(cols[:k] + [target] + cols[k + 1:]) * dk ** degree, den)
-            for k, (dk, *_) in enumerate(used)]
-
-
-def _blend(values: list, weights: dict, name: str = ""):
-    """sum_k w_k values[k] for one pack field named name, by the weights of
-    its degree, through nested packs and P-substitution dicts; a field of
-    degree 0 is the first node's, and one whose weights name a node k is
-    values[k]."""
+def _blend(values: list, weights: dict, name: str):
+    """sum_k w_k values[k] for one pack field named name, from its values
+    at the nodes, by the weights of its degree; a pack or P-substitution
+    dict becomes a _Blend, and a field of degree 0 is the first node's."""
     first = values[0]
-    if name not in tables.PACK_DEGREES:             # a pack
-        return type(first)(**{f.name: _blend([getattr(v, f.name) for v in values], weights,
-                                             f.name) for f in fields(first)})
+    if is_dataclass(first) or isinstance(first, dict):
+        return _Blend(values, weights, name)
     degree = tables.PACK_DEGREES[name]
     if degree == 0:
         return first
-    w = weights[degree]
-    if isinstance(w, int):
-        return values[w]
     if isinstance(first, TensorDense):
-        return lincomb(*zip(w, values))
-    if isinstance(first, dict):
-        return {key: _blend([v[key] for v in values], weights, name) for key in first}
-    return sum(map(mul, w, values))
+        return lincomb(*zip(weights[degree], values))
+    return sum(map(mul, weights[degree], values))
 
 
-def _interpolated_pack(m: WManifold, p: FamilyParams, nodes: list) -> TwinPack:
-    """The twin pack of the family manifold m at p, from the node packs of
-    p's sign; its classes are decided on m and the interpolated
+class _Blend:
+    """A pack, or a P-substitution dict in one, at one point: each field or
+    key is blended from its values at the nodes when it is first read, and
+    kept, so a point pays only for the fields its checks read."""
+
+    def __init__(self, values: list, weights: dict, name: str = ""):
+        self._values, self._weights, self._name, self._keys = values, weights, name, {}
+
+    def __getattr__(self, field: str):          # a field not read before
+        if field.startswith("_"):
+            raise AttributeError(field)
+        value = self.__dict__[field] = _blend([getattr(v, field) for v in self._values],
+                                             self._weights, field)
+        return value
+
+    def __getitem__(self, key: str):
+        if key not in self._keys:
+            self._keys[key] = _blend([v[key] for v in self._values], self._weights, self._name)
+        return self._keys[key]
+
+
+class _BlendedTwinPack(_Blend):
+    """The twin pack of the family manifold m at p, blended from the node
+    packs of p's sign; its classes are decided on m and the blended
     structure packs, as build_twin_pack decides them."""
-    d, a1, a2, _ = p.integer_parameters()
-    weights = {k: _weights(nodes, d, a1, a2, k) for k in (1, 2)}
-    tp = _blend([pack for *_, pack in nodes], weights)
-    return replace(tp, cls=classify(m, tp.sp),
-                   classes_twin=frozenset(classify_phi(m.twin_view(), tp.sp_twin)))
+
+    def __init__(self, m: WManifold, p: FamilyParams, packs: list):
+        l1, l2 = p.lambda1, p.lambda2
+        cross = l1 * l2
+        super().__init__(packs, {1: (l1, l2, 0), 2: (l1 * l1 - cross, l2 * l2 - cross, cross)})
+        self._m = m
+
+    @cached_property
+    def cls(self) -> ClassificationResult:
+        return classify(self._m, self.sp)
+
+    @cached_property
+    def classes_twin(self) -> frozenset[ClassLabel]:
+        return frozenset(classify_phi(self._m.twin_view(), self.sp_twin))
 
 
-def _require_interpolation(m: WManifold, p: FamilyParams, nodes: list, tp: TwinPack) -> None:
-    """The check that the interpolated pack at p equals tp, p's direct
-    pack, field by field; a failure names the first field that differs."""
-    diff = _difference(_interpolated_pack(m, p, nodes), tp)
+def _require_interpolation(p: FamilyParams, packs: list) -> None:
+    """The check that the twin pack blended at p from the node packs equals
+    p's direct pack; a failure names the first field that differs."""
+    m, tp = family_pack(p)
+    diff = _difference(_BlendedTwinPack(m, p, packs), tp)
     require(diff is None, "interpolated family pack = direct pack"
             + ("" if diff is None else f" at {p.label()}: {diff}"))
 
 
 def _difference(a, b, path: str = "pack") -> str | None:
-    """Where two packs first differ, field by field, and how; None if they
-    are equal."""
-    if a == b:
+    """Where a, a pack or a _Blend of one, first differs from the pack b,
+    field by field, and how; None if they are equal."""
+    if is_dataclass(b):
+        parts = ((getattr(a, f.name), getattr(b, f.name), f"{path}.{f.name}") for f in fields(b))
+    elif isinstance(b, dict):
+        parts = ((a[key], b[key], f"{path}[{key}]") for key in b)
+    elif a == b:
         return None
-    if is_dataclass(a):
-        parts = ((getattr(a, f.name), getattr(b, f.name), f"{path}.{f.name}") for f in fields(a))
-    elif isinstance(a, dict):
-        parts = ((a[key], b[key], f"{path}[{key}]") for key in a)
-    elif isinstance(a, TensorDense):
+    elif isinstance(b, TensorDense):
         return f"{path}: {vanishes((1, a), (-1, b))}"
     else:
         return f"{path}: {a} != {b}"
-    return next(filter(None, (_difference(*part) for part in parts)), f"{path} differs")
+    return next(filter(None, (_difference(*part) for part in parts)), None)
 
 
 def _grid_packs(points: list[FamilyParams]):
     """(manifold, twin pack) at each point, in order.
 
-    Per sign, in grid order, the first NODES points whose nonzero (l1, l2)
-    are pairwise non-proportional are the nodes, and the next nonzero
-    point off the line through the first two nodes is the check point.
-    These, and every point before them, get the direct family_pack, with
-    all its route checks.  Every later point of that sign gets its
-    manifold built and validated as usual, and its pack interpolated from
-    the nodes.
+    Per sign, the first generic grid point, with a1, a2 != 0, a1 != +-a2
+    and a1 + a2 != D in the integer parameters, is the check point.  It
+    and the nodes get the direct family_pack, with all its route checks.
+    Every other point of that sign gets its manifold built and validated
+    as usual, and a _BlendedTwinPack of the node packs.  A sign with no
+    generic point gets direct packs only.
 
-    The direct pack must equal its interpolation exactly at the check
-    point, and at the third node, where it checks the degree-1 fields, so
-    that a wrong degree or weight fails:
-    - a form of degree 1 taken for one of degree 2 is exact along a line
-      through the nodes, such as the first row of a grid of four or more
-      values, hence the check point off that line;
-    - a scalar k (l1^2 - l2^2) taken for a form of degree 1 is exact at a
-      check point (b, a) after the nodes (a, a) and (a, b), as on every
-      grid, hence the third node.
+    Before the sweep, the direct pack must equal its blend at the check
+    point, and at the node (1, 1), where the blend is T10 + T01 in every
+    degree-1 field, so that a wrong degree fails:
+    - a quadratic form with an l1 l2 term taken for a linear one fails at
+      (1, 1);
+    - k (l1^2 - l2^2), as the square norm and tau are, taken for a linear
+      form is exact where l1 = l2 or l1 + l2 = 1, and vanishes where
+      l1 = -l2;
+    - a linear form taken for a quadratic one is exact where l1 and l2
+      are each 0 or 1;
+    - a form in l1 alone, or l2 alone, vanishes where that parameter does.
     """
-    nodes: dict[Fraction, list] = {}
-    checked: set[Fraction] = set()
+    nodes: dict[Fraction, tuple] = {}           # sign -> (check point, node packs)
     for p in points:
-        known = nodes.setdefault(p.epsilon, [])
-        if p.epsilon in checked:
+        d, a1, a2, e = p.integer_parameters()
+        if p.epsilon not in nodes and a1 and a2 and a1 not in (a2, -a2) and a1 + a2 != d:
+            packs = [family_pack(FamilyParams(*node, e))[1] for node in NODES]
+            _require_interpolation(FamilyParams(1, 1, e), packs)
+            _require_interpolation(p, packs)
+            nodes[p.epsilon] = p, packs
+    for p in points:
+        check, packs = nodes.get(p.epsilon, (p, None))    # no check point: p is direct
+        if p == check or (p.lambda1, p.lambda2) in NODES:
+            yield family_pack(p)
+        else:
             m = build_family(p)
-            yield m, _interpolated_pack(m, p, known)
-            continue
-        m, tp = family_pack(p)
-        d, a1, a2, _ = p.integer_parameters()
-        if len(known) < NODES:
-            if (a1 or a2) and all(a1 * b2 != a2 * b1 for _, b1, b2, _ in known):
-                known.append((d, a1, a2, tp))
-                if len(known) == NODES:
-                    _require_interpolation(m, p, known, tp)
-        elif (a1 or a2) and _det([(d, a1, a2), known[0][:3], known[1][:3]]):
-            _require_interpolation(m, p, known, tp)
-            checked.add(p.epsilon)
-        yield m, tp
+            yield m, _BlendedTwinPack(m, p, packs)
 
 
 @lru_cache(maxsize=None)

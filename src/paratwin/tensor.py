@@ -136,10 +136,11 @@ class TensorDense:
         """The tensor with the rational entries[p] at each flat position p
         in entries, zero elsewhere."""
         variance = _checked_shape(dim, variance)
-        den = lcm(*{v.denominator for v in entries.values()})
+        ratios = {p: v.as_integer_ratio() for p, v in entries.items()}
+        den = lcm(*{d for _, d in ratios.values()})
         nums = [0] * dim ** len(variance)
-        for p, v in entries.items():
-            nums[p] = v.numerator * (den // v.denominator)
+        for p, (a, d) in ratios.items():
+            nums[p] = a * (den // d)
         return cls._of(dim, variance, den, nums)
 
     @classmethod

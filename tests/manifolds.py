@@ -4,17 +4,25 @@ The Abelian reference manifold, block direct sums, family points pulled
 back to a dense basis and a small algebra with B != 0 grow the test
 corpus beyond the family; basis changes, the eigenbasis of P and Sylvester
 signatures check invariance under a change of frame; document_of writes a
-manifold back as a CLI document; zeros, identity, derive_vector, rows_of
-and matrix_inverse are small references.  The engine itself needs none
-of them.
+manifold back as a CLI document; family_brackets gives the family's
+commutators as rationals, for the Besse route; zeros, identity,
+derive_vector, rows_of and matrix_inverse are small references.  The
+engine itself needs none of them.
 """
 
 from itertools import product
 
 from paratwin.errors import ValidationError
+from paratwin.family import FamilyParams, _brackets
 from paratwin.manifold import LieAlgebraModel, WManifold, build_manifold
 from paratwin.scalar import Q, ZERO, format_rational
 from paratwin.tensor import DOWN, UP, TensorDense
+
+
+def family_brackets(p: FamilyParams) -> dict[tuple[int, int], list]:
+    """Nonzero commutators [X_i, X_j] of the family at p, as rationals
+    (0-based index pairs, i < j is not assumed)."""
+    return _brackets(p.lambda1, p.lambda2, p.epsilon)
 
 
 def zeros(dim: int, variance) -> TensorDense:

@@ -24,14 +24,14 @@ import pytest
 
 from paratwin.classify import classify
 from paratwin.errors import ValidationError
-from paratwin.family import (FamilyParams, build_family, family_brackets,
-                             family_pack, grid_points, grid_verification)
+from paratwin.family import (FamilyParams, build_family, family_pack, grid_points,
+                             grid_verification)
 from paratwin.manifold import LieAlgebraModel, build_manifold
 from paratwin.scalar import Q
 from paratwin.tensor import DOWN, UP, TensorDense, tensor_equal
 from paratwin.twin import build_twin_pack, invariance_suite
 
-from manifolds import abelian_manifold, direct_sum, rows_of, zeros
+from manifolds import abelian_manifold, direct_sum, family_brackets, rows_of, zeros
 
 
 def announce(capfd, number: int, title: str, ok: bool, reason: str = "") -> None:

@@ -419,6 +419,41 @@ def test_parse_document_builds_c_from_the_nonzero_coefficients(brackets):
     assert alg.c.variance == want.variance
 
 
+def with_zeros_as(doc, zero):
+    """doc with every zero entry of P and metric written as zero."""
+    return {**doc, **{key: [[v if v != "0" else zero for v in row] for row in doc[key]]
+                      for key in ("P", "metric")}}
+
+
+@pytest.mark.parametrize("zero", ["0", "0/1", "-0", " 0 ", "0/7", 0])
+@pytest.mark.parametrize("scaled", [False, True])
+def test_parse_document_builds_P_and_g_from_the_nonzero_entries(zero, scaled):
+    """P and g from their nonzero entries have the den, nums and support of
+    the matrices of every entry parsed with rational(), whatever way a zero
+    is written; scaled writes the nonzero entries of g unreduced."""
+    doc = with_zeros_as(json.loads(FIXTURE.read_text()), zero)
+    if scaled:
+        doc["metric"] = [[v if v == zero else f"{v}2/3" for v in row] for row in doc["metric"]]
+    _, P, g, _ = cli.parse_document(doc)
+    for t, key in ((P, "P"), (g, "metric")):
+        want = TensorDense.from_matrix([[rational(v) for v in row] for row in doc[key]],
+                                       t.variance)
+        assert (t.den, t.nums, t.support) == (want.den, want.nums, want.support)
+    assert (P.variance, g.variance) == ((UP, DOWN), (DOWN, DOWN))
+
+
+@pytest.mark.parametrize("key, at", [("P", (0, 0)), ("metric", (2, 1))])
+def test_a_decimal_zero_is_still_a_parse_error(tmp_path, key, at):
+    """"0.0" is parsed like any entry other than "0", so it fails with the
+    message the entry-by-entry parse gave."""
+    doc = json.loads(FIXTURE.read_text())
+    doc[key][at[0]][at[1]] = "0.0"
+    code, out, err = run(["validate", _write(tmp_path, doc)])
+    assert (code, out) == (cli.EXIT_PARSE, "")
+    assert err == (f"parse error: {key}[{at[0] + 1}][{at[1] + 1}]: "
+                   "decimal notation is not accepted: '0.0'\n")
+
+
 def run_or_exit(argv):
     """run(argv), or the status and standard error of an argparse exit."""
     err = io.StringIO()

@@ -14,14 +14,13 @@ import pytest
 
 from paratwin import cli, family, tables
 from paratwin.errors import ValidationError
-from paratwin.family import (DEFAULT_GRID, FamilyParams, build_family,
-                             family_brackets, family_pack, grid_points,
-                             grid_verification, theorem_checks)
+from paratwin.family import (DEFAULT_GRID, FamilyParams, build_family, family_pack,
+                             grid_points, grid_verification, theorem_checks)
 from paratwin.manifold import validate_lie_algebra
 from paratwin.scalar import Q, format_rational
 from paratwin.tensor import TensorDense, lower_index, transpose
 
-from manifolds import rows_of
+from manifolds import family_brackets, rows_of
 
 #: table checks that disagree with the engine on generic parameters; the
 #: discrepancies are documented in the project notes
@@ -100,19 +99,45 @@ def grid(*values):
     return list(grid_points(tuple(map(Q, values))))
 
 
-@pytest.mark.parametrize("values", [(1, "-2/3", "3/2"), (1, 0, -1)])
+def materialised(view, like):
+    """The pack view with every field read, as a dataclass of the type of
+    the pack like, through its nested packs and P-substitution dicts."""
+    if dataclasses.is_dataclass(like):
+        return type(like)(**{f.name: materialised(getattr(view, f.name), getattr(like, f.name))
+                             for f in dataclasses.fields(like)})
+    if isinstance(like, dict):
+        return {key: materialised(view[key], like[key]) for key in like}
+    return view
+
+
+@pytest.mark.parametrize("values", [(1, "-2/3", "3/2"), (1, 0, -1, 2)])
 def test_interpolated_packs_equal_direct_packs(values):
     """Per sign only the three nodes and the check point get a direct
     pack; every other point's interpolated pack, its classes included,
-    equals the one family_pack builds there, field by field.  (1, 0, -1)
+    equals the one family_pack builds there, field by field.  (1, 0, -1, 2)
     interpolates at l1 = l2 = 0 and at points proportional to a node."""
     points = grid(*values)
     family_pack.cache_clear()
     packs = list(family._grid_packs(points))
     assert family_pack.cache_info().misses == 8
     for p, (m, tp) in zip(points, packs):
-        assert m == family_pack(p)[0]
-        assert tp == family_pack(p)[1], family._difference(tp, family_pack(p)[1])
+        m_direct, direct = family_pack(p)
+        assert m == m_direct
+        assert materialised(tp, direct) == direct, family._difference(tp, direct)
+
+
+@pytest.mark.parametrize("points, misses", [
+    (list(grid_points()), 8), (grid(1, "-2/3", "3/2"), 8), (grid(2), 2), (grid(1, -1), 8)])
+def test_pack_budget(points, misses):
+    """A cold grid_verification builds direct packs at the three nodes and
+    the check point of each sign only; the grids 2 and 1,-1 have no
+    generic point, so every point of them is direct."""
+    family_pack.cache_clear()
+    grid_verification(points)
+    assert family_pack.cache_info().misses == misses
+    packs = list(family._grid_packs(points))
+    all_direct = all(tp is family_pack(p)[1] for p, (_, tp) in zip(points, packs))
+    assert all_direct == (misses == len(points))
 
 
 def perturbed_pack(tp, part, name):
@@ -124,15 +149,14 @@ def perturbed_pack(tp, part, name):
     return dataclasses.replace(tp, **{part: bad})
 
 
-@pytest.mark.parametrize("part, name, where", [("curv", "R_vec", "-2/3, l2=1"),
-                                               ("sp", "Phi_vec", "1, l2=3/2")])
+@pytest.mark.parametrize("part, name, where", [("curv", "R_vec", "1, l2=-2/3"),
+                                               ("sp", "Phi_vec", "1, l2=1")])
 def test_wrong_node_fails_the_interpolation_check(part, name, where, monkeypatch):
-    """A first node wrong in one field makes an interpolation differ from
+    """A node (1, 0) wrong in one field makes an interpolation differ from
     the direct pack: theorem exits 4 and names the check, the point and
-    the field.  A degree-1 field is caught at the third node, (1, 3/2); a
-    degree-2 field, which the third node gives back as it is, at the check
-    point (-2/3, 1)."""
-    node = FamilyParams(1, 1, 1)
+    the field.  A degree-1 field is caught at the node (1, 1); a degree-2
+    field, which (1, 1) gives back as it is, at the check point (1, -2/3)."""
+    node = FamilyParams(1, 0, 1)
     direct = family.family_pack
 
     def pack(p):
@@ -146,6 +170,47 @@ def test_wrong_node_fails_the_interpolation_check(part, name, where, monkeypatch
     assert err.getvalue().startswith(
         f"error: interpolated family pack = direct pack at family(l1={where}, e=1): "
         f"pack.{part}.{name}: first nonzero residual at ")
+
+
+#: the pack fields that vanish on the whole family, so that their values
+#: at every point are right whatever degree they are given
+VANISHING = ("N_vec", "N", "B_vec")
+
+
+def test_vanishing_fields_vanish_on_the_family():
+    """N_vec, N (both sides) and B_vec are zero at the nodes of both signs,
+    hence, as forms of degree at most 2, at every (l1, l2), and at every
+    point of a grid with direct packs."""
+    nodes = [FamilyParams(*node, e) for node in family.NODES for e in (1, -1)]
+    for p in nodes + grid(1, "-2/3", "3/2"):
+        _, tp = family_pack(p)
+        assert tp.sp.N_vec.is_zero() and tp.sp_twin.N_vec.is_zero(), p
+        assert tp.sp.N.is_zero() and tp.sp_twin.N.is_zero(), p
+        assert tp.B_vec.is_zero(), p
+
+
+@pytest.mark.parametrize("spec", ["1,-2/3,3/2", None, "-7/4,5/3,9/2", "2,-1,3"])
+def test_wrong_degree_fails_the_interpolation_check(spec, monkeypatch):
+    """A degree-1 field read as degree 2, or the other way round, makes
+    theorem exit 4 with nothing on stdout.  The grids are the golden grid,
+    the default grid, one without 0 or 1, and 2,-1,3, whose first point
+    off l1 = +-l2, (2, -1), has l1 + l2 = 1, where the square norm and tau
+    read as linear would come out right.  Only the fields that vanish on
+    the family go unnoticed."""
+    argv = ["theorem"] + ([f"--grid={spec}"] if spec else [])
+    flipped = [name for name, degree in tables.PACK_DEGREES.items() if degree]
+    assert set(VANISHING) <= set(flipped) and len(flipped) == 25
+    caught = set()
+    for name in flipped:
+        with monkeypatch.context() as mp:
+            mp.setitem(tables.PACK_DEGREES, name, 3 - tables.PACK_DEGREES[name])
+            out, err = io.StringIO(), io.StringIO()
+            code = cli.main(argv, out=out, err=err)
+        if code == 4 and out.getvalue() == "":
+            assert err.getvalue().startswith(
+                "error: interpolated family pack = direct pack at "), (name, err.getvalue())
+            caught.add(name)
+    assert caught == set(flipped) - set(VANISHING)
 
 
 @pytest.mark.parametrize("values, all_direct", [((2,), True), ((0, 1), True),

@@ -14,8 +14,6 @@ SRC = ROOT / "src" / "paratwin"
 
 #: public names with no caller in src, each kept for one reason
 UNCALLED = {
-    "family_brackets": "the rational brackets behind the tests' engine-independent Besse "
-                       "scalar curvature; build_family builds c in integers",
     "scale": "with +, - and negation, the tests' rational reference for lincomb",
     "tensor_equal": "the tests' rational reference for == on the integer storage",
     "torsion": "the tests' torsion tensor; koszul checks the same terms with vanishes",
