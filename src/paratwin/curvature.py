@@ -10,9 +10,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .connection import Connection, curvature_operator
-from .errors import ValidationError, require
-from .manifold import LieAlgebraModel, WManifold
-from .tensor import DOWN, TensorDense, contract, lincomb, raise_index, vanishes
+from .errors import require
+from .manifold import WManifold
+from .tensor import TensorDense, lincomb, vanishes
 
 
 @dataclass(frozen=True)
@@ -33,33 +33,18 @@ def check_curvature_like(R: TensorDense):
             "first Bianchi identity fails")
 
 
-def riemann(conn: Connection, alg: LieAlgebraModel,
-            lowering_metric: TensorDense, metric_inv: TensorDense) -> CurvaturePack:
-    """Curvature pack of a torsion-free invariant metric connection.
+def riemann(m: WManifold, conn: Connection) -> CurvaturePack:
+    """Curvature pack of conn, the Levi-Civita connection of m's metric g,
+    lowered and traced with g.  The twin side is riemann(m.twin_view(),
+    conn_twin).
 
-    The (0,4) form is lowered with lowering_metric, whose inverse
-    metric_inv gives tau.  The Ricci trace rho(y,z) = g^{ij} R(e_i, y, z,
-    e_j) is the trace R^i_{iyz} of the (1,3) form, exactly.
+    The Ricci trace is rho(y,z) = g^{ij} R(e_i, y, z, e_j), and tau =
+    g^{ij} rho(e_i, e_j).
     """
-    if lowering_metric.variance != (DOWN, DOWN):
-        raise ValidationError("lowering metric must be a (0,2) tensor")
-    R_vec = curvature_operator(conn, alg)
+    R_vec = curvature_operator(conn, m.algebra)
     # R_{ijkl} = g_{lm} R^m_{ijk}
-    R = lincomb((1, "lm,mijk->ijkl", lowering_metric, R_vec))
+    R = lincomb((1, "lm,mijk->ijkl", m.g, R_vec))
     check_curvature_like(R)
-
-    # rho(y,z) = g^{ij} R_{iyzj} = R^i_{iyz}
-    ricci = contract(R_vec, 0, 1)
-    tau = contract(raise_index(ricci, 0, metric_inv), 0, 1).item()
+    ricci = lincomb((1, "ij,iyzj->yz", m.g_inv, R))
+    tau = lincomb((1, "ij,ij->", m.g_inv, ricci)).item()
     return CurvaturePack(R_vec=R_vec, R=R, ricci=ricci, tau=tau)
-
-
-def riemann_metric(m: WManifold, conn: Connection) -> CurvaturePack:
-    """Curvature of the Levi-Civita connection of g, lowered and traced with g."""
-    return riemann(conn, m.algebra, m.g, m.g_inv)
-
-
-def riemann_twin(m: WManifold, conn_twin: Connection) -> CurvaturePack:
-    """Curvature of the Levi-Civita connection of g~, lowered and traced with g~."""
-    return riemann(conn_twin, m.algebra, m.g_twin, m.g_twin_inv)
-

@@ -15,7 +15,6 @@ from fractions import Fraction
 Q = Fraction
 
 ZERO = Q(0)
-ONE = Q(1)
 
 
 def rational(value) -> Fraction:

@@ -17,7 +17,7 @@ from .connection import Connection, covariant_derivative, koszul
 from .errors import require
 from .manifold import WManifold
 from .scalar import ZERO, Q
-from .tensor import TensorDense, apply_endo, contract, lincomb, raise_index, vanishes
+from .tensor import TensorDense, apply_endo, lincomb, raise_index, vanishes
 
 #: a (0,3) tensor with P substituted into some arguments, keyed by those
 #: arguments: "z" is t(x,y,Pz), "yz" is t(x,Py,Pz), see p_substitutions
@@ -73,16 +73,10 @@ def fundamental_F(m: WManifold, conn: Connection) -> tuple[TensorDense, PSubs]:
     return F, F_P
 
 
-def _metric_trace(t: TensorDense, metric_inv: TensorDense) -> TensorDense:
-    """g^{ij} t(e_i, e_j, z) for a (0,3) tensor."""
-    raised = raise_index(t, 0, metric_inv)
-    return contract(raised, 0, 1)
-
-
 def lee_forms(m: WManifold, F: TensorDense, F_P: PSubs) -> tuple[TensorDense, TensorDense]:
     """Lee forms theta(z) = g^{ij} F(e_i,e_j,z), theta*(z) = g^{ij} F(e_i,Pe_j,z)."""
-    theta = _metric_trace(F, m.g_inv)
-    theta_star = _metric_trace(F_P["y"], m.g_inv)
+    theta = lincomb((1, "ij,ijz->z", m.g_inv, F))
+    theta_star = lincomb((1, "ij,ijz->z", m.g_inv, F_P["y"]))
     require(vanishes((1, theta_star), (1, apply_endo(theta, 0, m.P))), "theta* != -theta o P")
     return theta, theta_star
 
@@ -121,8 +115,8 @@ def potential_phi(m: WManifold, F: TensorDense, F_P: PSubs, conn: Connection,
     require(vanishes((1, Phi_vec), (-1, conn_twin.gamma), (1, conn.gamma)),
             "Phi from F disagrees with (nabla~ - nabla)")
 
-    f = _metric_trace(Phi, m.g_inv)
-    f_star = _metric_trace(Phi_P["y"], m.g_inv)
+    f = lincomb((1, "ij,ijz->z", m.g_inv, Phi))
+    f_star = lincomb((1, "ij,ijz->z", m.g_inv, Phi_P["y"]))
     require(vanishes((1, f), (1, apply_endo(f_star, 0, m.P))), "f != -f* o P")
     require(vanishes((1, f), (1, theta_star)) and vanishes((1, f_star), (1, theta)),
             "f = -theta*, f* = -theta failed")

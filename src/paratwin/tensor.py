@@ -30,12 +30,14 @@ Every sum of products is a term of lincomb (which builds it) or vanishes
     (c, spec, A, B)         c times the product of A and B by an einsum
                             spec such as "kxm,myz->kxyz"
 
-A product sums over at most one letter, shared by the two operands; its
-output letters are the other letters in any order, and each output slot
-keeps the variance its letter has in its operand.  All terms accumulate into one integer array over the lcm
-of their denominators, and only the nonzero components of each operand
-are visited.  Index raising and lowering, endomorphism insertion, the
-Koszul formula, covariant derivatives and curvature are all such terms.
+A product sums over every letter shared by the two operands, none, one
+or several; its output letters are the other letters in any order, and
+each output slot keeps the variance its letter has in its operand.  All
+terms accumulate into one integer array over the lcm of their
+denominators, and only the nonzero components of each operand are
+visited.  Index raising and lowering, endomorphism insertion, metric
+traces, the Koszul formula, covariant derivatives and curvature are all
+such terms; transpose(T, perm) is the term (1, T, perm).
 
 inverse() inverts a metric by fraction-free elimination on its numerators.
 
@@ -47,7 +49,6 @@ reference route for lincomb and vanishes.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import compress, product
 from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
@@ -232,38 +233,6 @@ def tensor_equal(a: TensorDense, b: TensorDense) -> bool:
     return a.dim == b.dim and a.variance == b.variance and a.data == b.data
 
 
-def contract(t: TensorDense, slot_a: int, slot_b: int) -> TensorDense:
-    """Einstein summation over a contravariant/covariant slot pair.
-
-    slot_a must be contravariant and slot_b covariant; pairing two slots of
-    the same variance has no basis-independent meaning and is rejected.
-    """
-    n = t.nslots
-    if not (0 <= slot_a < n and 0 <= slot_b < n):
-        raise ValidationError(f"contraction slots ({slot_a}, {slot_b}) out of range for {n} slots")
-    if t.variance[slot_a] != UP or t.variance[slot_b] != DOWN:
-        raise ValidationError(
-            "contract pairs one contravariant and one covariant slot "
-            f"(got {t.variance[slot_a]!r} at {slot_a}, {t.variance[slot_b]!r} at {slot_b})")
-    keep = [k for k in range(n) if k not in (slot_a, slot_b)]
-    target, nums = _trace_map(t.dim, n, slot_a, slot_b), t.nums
-    out = [0] * t.dim ** len(keep)
-    for p in t.support:
-        if (q := target[p]) is not None:
-            out[q] += nums[p]
-    return TensorDense._of(t.dim, tuple(t.variance[k] for k in keep), t.den, out)
-
-
-@lru_cache(maxsize=None)
-def _trace_map(dim: int, nslots: int, slot_a: int, slot_b: int) -> list:
-    """Per flat position, its target without both slots if their indices agree, else None."""
-    weights = _strides(dim, nslots - 2)
-    for k in sorted((slot_a, slot_b)):
-        weights.insert(k, 0)
-    return [sum(w * i for w, i in zip(weights, idx)) if idx[slot_a] == idx[slot_b] else None
-            for idx in product(range(dim), repeat=nslots)]
-
-
 # -- placements ----------------------------------------------------------------
 #
 # Where a component lands in an output is linear in its index digits: the
@@ -319,12 +288,7 @@ def _perm_plan(t: TensorDense, perm) -> tuple:
 
 def transpose(t: TensorDense, perm: Sequence[int]) -> TensorDense:
     """Reorder slots by perm: new slot k reads old slot perm[k]."""
-    variance, m, hi, lo = _perm_plan(t, perm)
-    nums = t.nums
-    out = [0] * len(nums)
-    for p in t.support:
-        out[hi[p // m] + lo[p % m]] = nums[p]
-    return TensorDense._of(t.dim, variance, t.den, out)
+    return lincomb((1, t, perm))
 
 
 # -- products --------------------------------------------------------------------
@@ -333,11 +297,11 @@ _PRODUCT_PLANS: dict[tuple, tuple] = {}
 
 
 def _product_plan(spec: str, a: TensorDense, b: TensorDense) -> tuple:
-    """(variance, operand plans) of a product term; each operand plan is
-    (key stride, m, hi, lo): a source position p has the summed index
-    p // (key stride) % dim and lands at hi[p // m] + lo[p % m] of the
-    output, summed over that index.  Validated and cached per (spec, dims,
-    variances)."""
+    """(variance, rows, operand plans) of a product term; each operand plan
+    is a pair of placements (km, khi, klo), (m, hi, lo): a source position
+    p has the summed indices khi[p // km] + klo[p % km], one of rows keys,
+    and lands at hi[p // m] + lo[p % m] of the output, summed over them.
+    Validated and cached per (spec, dims, variances)."""
     cache_key = (spec, a.dim, b.dim, a.variance, b.variance)
     plan = _PRODUCT_PLANS.get(cache_key)
     if plan is not None:
@@ -349,25 +313,20 @@ def _product_plan(spec: str, a: TensorDense, b: TensorDense) -> tuple:
     if not (arrow and comma) or len(la) != a.nslots or len(lb) != b.nslots:
         raise ValidationError(f"product spec {spec!r} does not fit operands with "
                               f"{a.nslots} and {b.nslots} slots")
-    summed = set(la) & set(lb)
-    free = (set(la) | set(lb)) - summed
-    if (len(set(la)) != len(la) or len(set(lb)) != len(lb) or len(summed) > 1
+    summed = sorted(set(la) & set(lb))
+    free = (set(la) | set(lb)) - set(summed)
+    if (len(set(la)) != len(la) or len(set(lb)) != len(lb)
             or len(out) != len(set(out)) or set(out) != free):
-        raise ValidationError(f"product spec {spec!r} must sum over at most one letter, "
-                              "shared by both operands, and list every other letter once")
+        raise ValidationError(f"product spec {spec!r} must sum only over letters shared "
+                              "by both operands and list every other letter once")
     variance_of = dict(zip(la + lb, a.variance + b.variance))
     n = a.dim
     stride = dict(zip(out, _strides(n, len(out))))
-    operands = []
-    for letters, t in ((la, a), (lb, b)):
-        # with no summed letter the key is p // dim^nslots % dim = 0
-        key_stride = n ** t.nslots
-        for k, ch in enumerate(letters):
-            if ch in summed:
-                key_stride = n ** (t.nslots - 1 - k)
-        operands.append((key_stride,) + _placement(
-            n, tuple(stride.get(ch, 0) for ch in letters)))
-    plan = (tuple(variance_of[ch] for ch in out), operands)
+    key_stride = dict(zip(summed, _strides(n, len(summed))))
+    operands = [(_placement(n, tuple(key_stride.get(ch, 0) for ch in letters)),
+                 _placement(n, tuple(stride.get(ch, 0) for ch in letters)))
+                for letters in (la, lb)]
+    plan = (tuple(variance_of[ch] for ch in out), n ** len(summed), operands)
     _PRODUCT_PLANS[cache_key] = plan
     return plan
 
@@ -386,13 +345,13 @@ def _accumulate(terms) -> tuple[int, tuple, int, list[int]]:
     """
     shape = None
     merged: dict[tuple, list] = {}      # (id(T), id(plan)) -> [sum of c, T, plan]
-    products = []                       # (c, operand plans, A, B)
+    products = []                       # (c, rows, operand plans, A, B)
     for term in terms:
         if isinstance(term[1], str):
             c, spec, a, b = term
-            variance, operands = _product_plan(spec, a, b)
+            variance, rows, operands = _product_plan(spec, a, b)
             dim = a.dim
-            products.append((_coefficient(c), operands, a, b))
+            products.append((_coefficient(c), rows, operands, a, b))
         else:
             c, t, *perm = term
             plan = _perm_plan(t, perm[0]) if perm else None
@@ -412,8 +371,8 @@ def _accumulate(terms) -> tuple[int, tuple, int, list[int]]:
     dim, variance = shape
     singles = [(c, c.denominator * t.den, t, plan)
                for c, t, plan in merged.values() if c and t.support]
-    products = [(c, c.denominator * a.den * b.den, operands, a, b)
-                for c, operands, a, b in products if c and a.support and b.support]
+    products = [(c, c.denominator * a.den * b.den, rows, operands, a, b)
+                for c, rows, operands, a, b in products if c and a.support and b.support]
     den = lcm(*{d for _, d, *_ in singles + products})
     acc = [0] * dim ** len(variance)
     for c, d, t, plan in singles:
@@ -425,8 +384,8 @@ def _accumulate(terms) -> tuple[int, tuple, int, list[int]]:
             _, m, hi, lo = plan
             for p in t.support:
                 acc[hi[p // m] + lo[p % m]] += s * nums[p]
-    for c, d, operands, a, b in products:
-        _add_product(acc, c.numerator * (den // d), dim, operands, a, b)
+    for c, d, rows, operands, a, b in products:
+        _add_product(acc, c.numerator * (den // d), rows, operands, a, b)
     return dim, variance, den, acc
 
 
@@ -434,17 +393,17 @@ def _coefficient(c) -> int | Fraction:
     return c if isinstance(c, (int, Fraction)) else rational(c)
 
 
-def _add_product(acc: list[int], s: int, n: int, operands, a: TensorDense,
+def _add_product(acc: list[int], s: int, nrows: int, operands, a: TensorDense,
                  b: TensorDense) -> None:
     """acc += s times the product of the numerators of a and b."""
-    (ka, ma, hia, loa), (kb, mb, hib, lob) = operands
+    ((kma, khia, kloa), (ma, hia, loa)), ((kmb, khib, klob), (mb, hib, lob)) = operands
     bnums = b.nums
-    rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(nrows)]
     for p in b.support:
-        rows[p // kb % n].append((hib[p // mb] + lob[p % mb], bnums[p]))
+        rows[khib[p // kmb] + klob[p % kmb]].append((hib[p // mb] + lob[p % mb], bnums[p]))
     anums = a.nums
     for p in a.support:
-        row = rows[p // ka % n]
+        row = rows[khia[p // kma] + kloa[p % kma]]
         if row:
             x = s * anums[p]
             base = hia[p // ma] + loa[p % ma]

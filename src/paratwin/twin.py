@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .classify import ClassificationResult, ClassLabel, classify, classify_phi
 from .connection import Connection, covariant_derivative, curvature_operator, koszul
-from .curvature import CurvaturePack, riemann_metric, riemann_twin
+from .curvature import CurvaturePack, riemann
 from .errors import ValidationError, recording, require
 from .manifold import CheckItem, ValidationReport, WManifold
 from .scalar import Q
@@ -104,8 +104,8 @@ def build_twin_pack(m: WManifold) -> TwinPack:
         mt = m.twin_view()
         sp_twin = build_structure_pack(mt, conn_twin)
 
-        curv = riemann_metric(m, conn)
-        curv_twin = riemann_twin(m, conn_twin)
+        curv = riemann(m, conn)
+        curv_twin = riemann(mt, conn_twin)
 
         D = conn.average(conn_twin)
         # rebuilding D from the tilde side must give the same coefficients

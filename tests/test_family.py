@@ -140,6 +140,24 @@ def test_pack_budget(points, misses):
     assert all_direct == (misses == len(points))
 
 
+@pytest.mark.parametrize("values", [(0, 2, 3), (2, 0, 3)])
+def test_check_point_has_both_parameters_nonzero(values, monkeypatch):
+    """Each sign's check point is (2, 3), not the earlier (0, 2) or (2, 0):
+    a form in l1 alone, or l2 alone, vanishes where that parameter does,
+    so a check point there could not catch such a form of a wrong degree."""
+    direct, calls = family.family_pack, []
+
+    def pack(p):
+        calls.append(p)
+        return direct(p)
+
+    monkeypatch.setattr(family, "family_pack", pack)
+    grid_verification(grid(*values))
+    checked = {(p.lambda1, p.lambda2, p.epsilon) for p in calls
+               if (p.lambda1, p.lambda2) not in family.NODES}
+    assert checked == {(2, 3, 1), (2, 3, -1)}
+
+
 def perturbed_pack(tp, part, name):
     """tp with component 1 of the tensor tp.<part>.<name> raised by 1."""
     t = getattr(getattr(tp, part), name)

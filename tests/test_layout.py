@@ -1,8 +1,9 @@
 """Layout guards on the source tree.
 
-The integer tensor format belongs to tensor.py alone, the reference tables
-are integers, and every public function or method in src has a caller in
-src or is a CLI entry point, so dead code shows up as soon as it appears.
+The integer tensor format is built in tensor.py alone and read only by
+the modules in STORAGE_READERS, the reference tables are integers, and
+every public function or method in src has a caller in src or is a CLI
+entry point, so dead code shows up as soon as it appears.
 """
 
 import ast
@@ -18,6 +19,14 @@ UNCALLED = {
     "tensor_equal": "the tests' rational reference for == on the integer storage",
     "torsion": "the tests' torsion tensor; koszul checks the same terms with vanishes",
 }
+
+
+#: the src modules that read a tensor's integer storage
+STORAGE_READERS = {"tensor", "manifold", "family", "structure"}
+
+#: the attributes of that storage: TensorDense's den, nums and support, and
+#: a Residual's acc
+STORAGE = {"den", "nums", "support", "acc"}
 
 
 def modules(*dirs: Path):
@@ -37,6 +46,12 @@ def test_no_module_imports_private_tensor_names():
                 offenders += [f"{path.name}: {alias.name}" for alias in node.names
                               if alias.name.startswith("_")]
     assert offenders == []
+
+
+def test_only_the_listed_modules_read_integer_storage():
+    readers = {path.stem for path, tree in modules(SRC) for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and node.attr in STORAGE}
+    assert readers == STORAGE_READERS
 
 
 def public_definitions(tree: ast.Module):

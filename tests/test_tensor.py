@@ -1,4 +1,4 @@
-"""Dense rational tensors: algebra, contraction, raising and lowering."""
+"""Dense rational tensors: algebra, products and traces, raising and lowering."""
 
 import random
 from itertools import permutations, product
@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 
 from paratwin.errors import ConsistencyError, ValidationError, require
 from paratwin.scalar import Q, ZERO, format_rational, rational
-from paratwin.tensor import (DOWN, UP, TensorDense, apply_endo, contract, lincomb,
-                             inverse, lower_index,
-                             raise_index, tensor_equal,
-                             transpose, vanishes)
+from paratwin.tensor import (DOWN, UP, TensorDense, apply_endo, inverse, lincomb,
+                             lower_index, raise_index, tensor_equal, transpose,
+                             vanishes)
 
 from manifolds import identity, matrix_inverse, rows_of, symmetric_signature, zeros
 from strategies import (V3, V4, any_tensors, block_tensors, dense_tensors,
@@ -89,17 +88,18 @@ def test_transpose_semantics(t):
         assert tt[idx] == t[tuple(old)]
 
 
-def test_contract_requires_mixed_pair():
-    t = zeros(2, (DOWN, DOWN))
-    with pytest.raises(ValidationError):
-        contract(t, 0, 1)
-    with pytest.raises(ValidationError):
-        contract(identity(2), 0, 0)
+def trace(t, slot_a, slot_b):
+    """The trace of t over slots slot_a and slot_b: its product with the
+    identity, summed over both of the identity's letters."""
+    letters = list("pqrs"[:t.nslots])
+    letters[slot_a], letters[slot_b] = "i", "j"
+    out = "".join(ch for ch in letters if ch not in "ij")
+    return lincomb((1, f"ij,{''.join(letters)}->{out}", identity(t.dim), t))
 
 
 def test_contract_identity_gives_dimension():
     for n in (2, 4, 6):
-        assert contract(identity(n), 0, 1).item() == Q(n)
+        assert trace(identity(n), 0, 1).item() == Q(n)
 
 
 @given(tensors())
@@ -112,7 +112,7 @@ def test_apply_identity_endo_is_identity(t):
 @given(tensors(), tensors())
 @settings(max_examples=30)
 def test_contract_is_additive(a, b):
-    assert tensor_equal(contract(a + b, 0, 1), contract(a, 0, 1) + contract(b, 0, 1))
+    assert tensor_equal(trace(a + b, 0, 1), trace(a, 0, 1) + trace(b, 0, 1))
 
 
 def test_matrix_inverse_and_determinant():
@@ -241,7 +241,7 @@ def test_raise_lower_match_naive(pair):
     assert list(lower_index(t, 0, g).data) == naive_slot_map(t, 0, lambda i, j: g[i, j])
 
 
-#: up and down slots in several orders, so that contract meets every
+#: up and down slots in several orders, so that the trace meets every
 #: (up, down) slot pair of rank 2 to 4
 MIXED_VARIANCES = [(UP, DOWN), V3, (DOWN, UP, DOWN), (DOWN, DOWN, UP), V4,
                    (DOWN, UP, DOWN, UP), (UP, UP, DOWN, DOWN)]
@@ -270,11 +270,16 @@ def mixed_tensors(variance):
 @given(st.sampled_from(MIXED_VARIANCES).flatmap(mixed_tensors))
 @settings(max_examples=80, deadline=None)
 def test_contract_matches_naive(t):
+    """Each (up, down) contraction, taken as a product with the identity,
+    on dense tensors and on sparse ones with positions above 256."""
     pairs = [(a, b) for a, b in permutations(range(t.nslots), 2)
              if t.variance[a] == UP and t.variance[b] == DOWN]
     assert pairs
     for slot_a, slot_b in pairs:
-        assert list(contract(t, slot_a, slot_b).data) == naive_contract(t, slot_a, slot_b)
+        traced = trace(t, slot_a, slot_b)
+        assert traced.variance == tuple(v for k, v in enumerate(t.variance)
+                                        if k not in (slot_a, slot_b))
+        assert list(traced.data) == naive_contract(t, slot_a, slot_b)
 
 
 # -- one-pass linear combinations against the Fraction operators -------------
@@ -379,8 +384,8 @@ def test_failed_require_names_the_first_differing_component():
 
 # -- product terms against a naive Fraction einsum --------------------------
 #
-# A term (c, spec, A, B) sums over at most one letter shared by A and B;
-# the reference evaluates the spec at every output index with Fractions.
+# A term (c, spec, A, B) sums over every letter shared by A and B; the
+# reference evaluates the spec at every output index with Fractions.
 
 def naive_product(spec, a, b):
     """The components of the product of a and b by spec, row-major."""
@@ -412,8 +417,9 @@ def naive_transpose(t, perm):
 def product_terms(draw):
     """Terms of one shape around a product (c, spec, A, B): A and B dense
     with small, tall or mixed-zero rationals, or block-sparse; sometimes
-    one tensor as both operands; a summed letter or an outer product; any
-    output order; then more products with a reordered output and
+    one tensor as both operands; no summed letter (an outer product) or
+    up to three, paired in any order, leaving at most four output letters;
+    any output order; then more products with a reordered output and
     (permuted) tensors of the output's shape, with zero coefficients
     among them."""
     dim = draw(st.sampled_from((2, 4)))
@@ -425,7 +431,7 @@ def product_terms(draw):
         return draw(st.one_of(*kinds))
 
     ka, kb = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    summed = ka + kb > 4 or draw(st.booleans())
+    nsummed = draw(st.integers(max(0, ka + kb - 3) // 2, min(ka, kb)))
     va = tuple(draw(st.sampled_from((UP, DOWN))) for _ in range(ka))
     a = tensor(va)
     if kb == ka and draw(st.booleans()):
@@ -434,9 +440,11 @@ def product_terms(draw):
         vb = tuple(draw(st.sampled_from((UP, DOWN))) for _ in range(kb))
         b = tensor(vb)
     la, lb = list("pqr"[:ka]), list("stu"[:kb])
-    if summed:
-        la[draw(st.integers(0, ka - 1))] = lb[draw(st.integers(0, kb - 1))] = "m"
-    variance_of = {ch: v for ch, v in zip(la + lb, va + vb) if ch != "m"}
+    slots_a = draw(st.permutations(range(ka)))[:nsummed]
+    slots_b = draw(st.permutations(range(kb)))[:nsummed]
+    for ch, i, j in zip("mno", slots_a, slots_b):
+        la[i] = lb[j] = ch
+    variance_of = {ch: v for ch, v in zip(la + lb, va + vb) if ch not in "mno"}
     out = draw(st.permutations(sorted(variance_of)))
     variance = tuple(variance_of[ch] for ch in out)
     inputs = f"{''.join(la)},{''.join(lb)}->"
@@ -476,8 +484,19 @@ def test_product_terms_match_a_naive_einsum(case):
     assert vanishes(*terms, (-1, TensorDense(dim, variance, want)))
 
 
+def test_a_product_sums_over_every_shared_letter():
+    """Two summed letters, in either order in the second operand, and all
+    three: a total contraction to a rank-0 tensor."""
+    rng = random.Random(24)
+    a, b = (TensorDense(4, V3, [Q(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(64)])
+            for _ in range(2))
+    for spec in ("kmn,mnz->kz", "kmn,nmz->zk", "kmn,kmn->"):
+        got = lincomb((1, spec, a, b))
+        assert list(got.data) == naive_product(spec, a, b), spec
+    assert lincomb((1, "kmn,kmn->", a, b)).variance == ()
+
+
 @pytest.mark.parametrize("spec", [
-    "kmn,mnz->kz",          # two summed letters
     "kxm,myz->kxymz",       # the summed letter in the output
     "kxm,myz->kxy",         # an output letter missing
     "kxm,myz->kxyzw",       # a letter of neither operand
