@@ -27,8 +27,7 @@ from .errors import ValidationError, require
 from .manifold import (CheckItem, LieAlgebraModel, ValidationReport, WManifold,
                        build_manifold)
 from .scalar import ZERO, Q, format_rational, rational
-from .tensor import (DOWN, UP, TensorDense, apply_endo, lincomb, lower_index, transpose,
-                     vanishes)
+from .tensor import DOWN, UP, TensorDense, apply_endo, lincomb, vanishes
 from .twin import TwinPack, build_twin_pack, w1_closed_forms
 
 
@@ -425,7 +424,8 @@ def theorem_checks(p: FamilyParams, perturb_curvature: bool = False,
     # twin interchange tensors
     checks.append(_table_check("table: twin difference tensor", _tensor_mismatch(
         "Q", "", tp.Q_vec, tables.q_table(*at, f_sharp_t), d2, True)))
-    A_low = transpose(lower_index(tp.A_vec, 0, m.g), (1, 2, 3, 0))
+    # A_{ijkl} = g_{lm} A^m_{ijk}
+    A_low = lincomb((1, "lm,mijk->ijkl", m.g, tp.A_vec))
     checks.append(_table_check("table: average curvature", _tensor_mismatch(
         "A", "", A_low, tables.a_table(*at), d2)))
     checks.append(_table_check("table: average connection", _tensor_mismatch(

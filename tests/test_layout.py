@@ -18,6 +18,8 @@ UNCALLED = {
     "scale": "with +, - and negation, the tests' rational reference for lincomb",
     "tensor_equal": "the tests' rational reference for == on the integer storage",
     "torsion": "the tests' torsion tensor; koszul checks the same terms with vanishes",
+    "transpose": "the tests' reference helper; src moves slots with (c, T, perm) terms",
+    "lower_index": "the tests' reference helper; src lowers with a product term",
 }
 
 

@@ -1,5 +1,7 @@
 """Dense rational tensors: algebra, products and traces, raising and lowering."""
 
+import cProfile
+import fractions
 import random
 from itertools import permutations, product
 from math import gcd
@@ -295,7 +297,11 @@ def reference_combination(terms):
     return total
 
 
-coefficients = st.one_of(st.just(0), st.integers(-3, 3), mixed_rationals)
+#: "p/q" strings, reduced or not, with a sign or surrounding spaces
+rational_strings = st.builds(lambda n, d, pad: f"{pad}{n}/{d}{pad}",
+                             st.integers(-9, 9), st.integers(1, 6), st.sampled_from(("", " ")))
+
+coefficients = st.one_of(st.just(0), st.integers(-3, 3), mixed_rationals, rational_strings)
 
 
 @st.composite
@@ -326,7 +332,7 @@ def linear_terms(draw):
         perm = draw(st.none() | st.sampled_from(perms))
         terms.append((c, t) if perm is None else (c, t, perm))
     if draw(st.booleans()):                     # an exact cancellation
-        terms.append((-terms[0][0],) + terms[0][1:])
+        terms.append((-rational(terms[0][0]),) + terms[0][1:])
     return terms
 
 
@@ -520,6 +526,105 @@ def test_product_operands_must_share_a_dimension():
     lincomb((1, "kxm,myz->kxyz", zeros(2, V3), zeros(2, V3)))
     with pytest.raises(ValidationError):
         lincomb((1, "kxm,myz->kxyz", zeros(2, V3), zeros(4, V3)))
+
+
+def sparse_rank4(dim, rng):
+    """A covariant rank-4 tensor with a few nonzeros, one at the last
+    position, so its placements reach their largest targets."""
+    size = dim ** 4
+    data = [ZERO] * size
+    for p in rng.sample(range(size - 1), 40) + [size - 1]:
+        data[p] = Q(rng.choice((-7, -2, -1, 1, 3, 5)), rng.randint(1, 4))
+    return TensorDense(dim, (DOWN,) * 4, data)
+
+
+def nonzeros(t):
+    """{index tuple: value} of the nonzero components of t."""
+    return {idx: v for idx, v in zip(product(range(t.dim), repeat=t.nslots), t.data) if v}
+
+
+def sparse_einsum(spec, a, b):
+    """The nonzero components of the product of a and b by spec, summed
+    over pairs of nonzero operand components."""
+    inputs, out = spec.split("->")
+    la, lb = inputs.split(",")
+    total = {}
+    for ia, x in nonzeros(a).items():
+        for ib, y in nonzeros(b).items():
+            at = dict(zip(la, ia))
+            if all(at.setdefault(ch, i) == i for ch, i in zip(lb, ib)):
+                idx = tuple(at[ch] for ch in out)
+                total[idx] = total.get(idx, 0) + x * y
+    return {idx: v for idx, v in total.items() if v}
+
+
+@pytest.mark.parametrize("dim", [12, 16])
+def test_placements_reach_the_last_position(dim):
+    """Permuted terms and a one-letter product on sparse rank-4 tensors of
+    dimension 12 and 16 (positions up to 65,535) land every nonzero where
+    the naive routes put it."""
+    rng = random.Random(dim)
+    t, u = sparse_rank4(dim, rng), sparse_rank4(dim, rng)
+    for perm in [(1, 2, 3, 0), (1, 0, 2, 3)]:               # a 4-cycle and a swap
+        got = lincomb((Q(-2, 3), t, perm))
+        assert got.data == tuple(naive_transpose(lincomb((Q(-2, 3), t)), perm))
+        # two terms on one placement merge, and cancel against got
+        assert vanishes((1, t, perm), (2, t, perm), (Q(9, 2), got))
+    g = TensorDense(dim, (DOWN, DOWN), [Q(rng.randint(-3, 3)) if i % (dim + 1) == 0
+                                        or rng.random() < 0.1 else ZERO
+                                        for i in range(dim * dim)])
+    spec = "lm,mijk->ijkl"
+    got = lincomb((3, spec, g, t), (Q(1, 2), u))
+    want = {idx: 3 * v for idx, v in sparse_einsum(spec, g, t).items()}
+    for idx, v in nonzeros(u).items():
+        want[idx] = want.get(idx, 0) + v / 2
+    assert got.variance == (DOWN,) * 4
+    assert nonzeros(got) == {idx: v for idx, v in want.items() if v}
+
+
+def test_coefficients_are_ints_fractions_or_rationals():
+    """An int (a bool too) or a Fraction is used as it is; anything else
+    goes through rational(), which takes "p/q" strings and rejects floats
+    and decimal strings."""
+    t = TensorDense(2, (UP, DOWN), [1, Q(1, 2), 0, -3])
+    for c, want in [(True, 1), (False, 0), (3, 3), (Q(-5, 6), Q(-5, 6)),
+                    ("10/4", Q(5, 2)), (" -3/9 ", Q(-1, 3)), ("0", 0)]:
+        assert lincomb((c, t)) == t.scale(want), c
+        assert lincomb((c, "ij,jk->ik", t, t), (c, t, (0, 1))) == lincomb(
+            (want, "ij,jk->ik", t, t), (want, t)), c
+        assert vanishes((c, t), (-want, t))
+    for c, error in [(0.5, TypeError), ("0.5", ValueError), ("1/0", ValueError)]:
+        with pytest.raises(error):
+            lincomb((c, t))
+
+
+def fraction_calls(fn, *args):
+    """Python-level calls into the fractions module while fn(*args) runs,
+    counted by cProfile as the benchmark's scalar.fraction_calls is."""
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        fn(*args)
+    finally:
+        profile.disable()
+    return sum(entry.callcount for entry in profile.getstats()
+               if getattr(entry.code, "co_filename", None) == fractions.__file__)
+
+
+def test_fraction_coefficients_are_read_once_per_term():
+    """A lincomb or vanishes over k distinct tensors with non-integer
+    Fraction coefficients makes at most k calls into fractions: one
+    as_integer_ratio() per coefficient, whether the term is plain,
+    permuted or a product."""
+    rng = random.Random(25)
+    a, b, c = (TensorDense(4, V3, [Q(rng.randint(-5, 5), rng.randint(1, 3))
+                                   for _ in range(64)]) for _ in range(3))
+    m = TensorDense(4, (UP, DOWN), [Q(rng.randint(-5, 5), 2) for _ in range(16)])
+    terms = [(Q(1, 2), a), (Q(-3, 4), b, (0, 2, 1)), (Q(5, 6), "kx,xyz->kyz", m, c)]
+    total = lincomb(*terms)
+    for fn, extra in [(lincomb, ()), (vanishes, ((-1, total),))]:
+        k = len(terms) + len(extra)
+        assert fraction_calls(fn, *terms, *extra) <= k
 
 
 # -- the stored form ------------------------------------------------------------
