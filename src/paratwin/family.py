@@ -13,6 +13,7 @@ rational parameters l1, l2 and e in {+1,-1}.
 
 from __future__ import annotations
 
+from collections.abc import Container
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -25,7 +26,7 @@ from .classify import (ClassificationResult, ClassLabel, classify, classify_phi,
                        lee_forms_closed)
 from .errors import ValidationError, require
 from .manifold import (CheckItem, LieAlgebraModel, ValidationReport, WManifold,
-                       build_manifold)
+                       require_lie_algebra, validated_frame)
 from .scalar import ZERO, Q, format_rational, rational
 from .tensor import DOWN, UP, TensorDense, apply_endo, lincomb, vanishes
 from .twin import TwinPack, build_twin_pack, w1_closed_forms
@@ -95,24 +96,28 @@ _G = TensorDense.from_matrix([[1, 0, 0, 0],
                               [0, 0, 0, -1]], (DOWN, DOWN))
 
 
+#: the WManifold fields after the algebra, validated once: P and g are the
+#: same at every point of the family
+_FRAME = validated_frame(DIM, _P, _G)
+
+
 def build_family(p: FamilyParams) -> WManifold:
-    """Build the family manifold; passes every structural validation.
+    """Build the family manifold on _FRAME, its Lie algebra validated.
 
     The structure constants are built in integers at the integer
     parameters D l1, D l2 and divided by D once.
     """
     d, a1, a2, e = p.integer_parameters()
-    brackets = _brackets(a1, a2, e)
-
-    def c(k, i, j):
-        if (i, j) in brackets:
-            return brackets[i, j][k]
-        return -brackets[j, i][k] if (j, i) in brackets else 0
-
-    c_d = TensorDense.from_function(DIM, (UP, DOWN, DOWN), c)
+    entries = {}
+    for (i, j), v in _brackets(a1, a2, e).items():
+        for k, x in enumerate(v):
+            if x:
+                entries[(k * DIM + i) * DIM + j] = Q(x, d)
+                entries[(k * DIM + j) * DIM + i] = Q(-x, d)
     alg = LieAlgebraModel(DIM, ("X1", "X2", "X3", "X4"),
-                          c_d if d == 1 else lincomb((Q(1, d), c_d)))
-    return build_manifold(alg, _P, _G, name=p.label())
+                          TensorDense.from_entries(DIM, (UP, DOWN, DOWN), entries))
+    require_lie_algebra(alg)
+    return WManifold(alg, *_FRAME, name=p.label())
 
 
 @lru_cache(maxsize=512)
@@ -200,11 +205,19 @@ def _require_interpolation(p: FamilyParams, packs: list) -> None:
             + ("" if diff is None else f" at {p.label()}: {diff}"))
 
 
+#: the TwinPack fields that classify decides from sp and sp_twin on the
+#: same manifold: _difference compares those packs first, so once they
+#: agree these do too, and they are not decided again just to compare them
+_DECIDED = frozenset(("cls", "classes_twin"))
+
+
 def _difference(a, b, path: str = "pack") -> str | None:
     """Where a, a pack or a _Blend of one, first differs from the pack b,
-    field by field, and how; None if they are equal."""
+    field by field, and how, the _DECIDED fields aside; None if they are
+    equal."""
     if is_dataclass(b):
-        parts = ((getattr(a, f.name), getattr(b, f.name), f"{path}.{f.name}") for f in fields(b))
+        parts = ((getattr(a, f.name), getattr(b, f.name), f"{path}.{f.name}")
+                 for f in fields(b) if f.name not in _DECIDED)
     elif isinstance(b, dict):
         parts = ((a[key], b[key], f"{path}[{key}]") for key in b)
     elif a == b:
@@ -263,12 +276,13 @@ def _positions(rank: int) -> dict[tuple[int, ...], int]:
 
 def _tensor_mismatch(label: str, sep: str, t: TensorDense, table: dict, factor: int,
                      vector: bool = False):
-    """(label, engine value, table value) at the first index where t and a
-    table of its nonzero components, each factor times its value, disagree;
-    None if they agree.  With vector, t is a (1,k) tensor and each table
-    value is the vector t[:, *idx].  The table must match t's nonzero count
-    and each nums[p] / den, by cross-multiplication; the label (its 1-based
-    index joined by sep) and the rationals are formed only for a mismatch.
+    """None if t and a table of its nonzero components, each factor times
+    its value, agree; else a function giving (label, engine value, table
+    value) at the first index where they disagree.  With vector, t is a
+    (1,k) tensor and each table value is the vector t[:, *idx].  The table
+    must match t's nonzero count and each nums[p] / den, by
+    cross-multiplication; the label (its 1-based index joined by sep) and
+    the rationals are formed only when that function is called.
     """
     nums, den, rank = t.nums, t.den, t.nslots - vector
     size, at = DIM ** rank, _positions(rank)
@@ -279,27 +293,32 @@ def _tensor_mismatch(label: str, sep: str, t: TensorDense, table: dict, factor: 
         wanted = [(at[idx], w) for idx, w in table.items() if w]
     if len(wanted) == len(t.support) and all(nums[p] * factor == w * den for p, w in wanted):
         return None
-    want = [0] * len(nums)
-    for p, w in wanted:
-        want[p] = w
-    first = min(p % size for p, (n, w) in enumerate(zip(nums, want)) if n * factor != w * den)
-    idx = tuple(first // DIM ** k % DIM for k in reversed(range(rank)))
-    label = f"{label}_{sep.join(str(i + 1) for i in idx)}"
-    if vector:
-        return label, tuple(t.column(*idx)), tuple(Q(w, factor) for w in want[first::size])
-    return label, t[idx], Q(want[first], factor)
+
+    def mismatch():
+        want = [0] * len(nums)
+        for p, w in wanted:
+            want[p] = w
+        first = min(p % size for p, (n, w) in enumerate(zip(nums, want)) if n * factor != w * den)
+        idx = tuple(first // DIM ** k % DIM for k in reversed(range(rank)))
+        where = f"{label}_{sep.join(str(i + 1) for i in idx)}"
+        if vector:
+            return where, tuple(t.column(*idx)), tuple(Q(w, factor) for w in want[first::size])
+        return where, t[idx], Q(want[first], factor)
+    return mismatch
 
 
 def _value_mismatch(label: str, got, want, factor: int):
-    """(label, got, table value) if an engine scalar or 1-form got differs
-    from the table's integers want, factor times its value; else None."""
+    """None if an engine scalar or 1-form got equals the table's integers
+    want, factor times its value, a 1-form component by component and of
+    the same length; else a function giving (label, got, table value)."""
     if isinstance(got, TensorDense):
-        if all(n * factor == w * got.den for n, w in zip(got.nums, want)):
+        if len(want) == len(got.nums) and all(n * factor == w * got.den
+                                                for n, w in zip(got.nums, want)):
             return None
-        return label, got.data, tuple(Q(w, factor) for w in want)
+        return lambda: (label, got.data, tuple(Q(w, factor) for w in want))
     if got.numerator * factor == want * got.denominator:
         return None
-    return label, got, Q(want, factor)
+    return lambda: (label, got, Q(want, factor))
 
 
 def _nonzero(rows) -> dict:
@@ -313,52 +332,61 @@ def _show(value) -> str:
     return format_rational(value)
 
 
-def _table_check(name: str, *mismatches) -> CheckItem:
-    """The check that every part of a table agrees with the engine, each
-    part's _tensor_mismatch or _value_mismatch given in order; a failure
-    names the first mismatch."""
-    first = next((m for m in mismatches if m), None)
-    if first is None:
-        return CheckItem(name, True)
-    label, got, want = first
-    return CheckItem(name, False, f"{label}: got {_show(got)}, expected {_show(want)}")
+def _detail(mismatch) -> str:
+    """What a failed table check says: the label, engine value and table
+    value that the mismatch function of its first failing part gives."""
+    label, got, want = mismatch()
+    return f"{label}: got {_show(got)}, expected {_show(want)}"
 
 
 def theorem_checks(p: FamilyParams, perturb_curvature: bool = False,
-                   pack: tuple[WManifold, TwinPack] | None = None) -> ValidationReport:
+                   pack: tuple[WManifold, TwinPack] | None = None,
+                   explained: Container[str] = ()) -> ValidationReport:
     """Verify the five structural claims and every component table at p.
 
     Failures become report entries.  perturb_curvature flips the sign of
     one expected curvature component; it exists as a self-test that a wrong
     expectation is actually detected.  pack is p's (manifold, twin pack),
-    family_pack(p) by default.
+    family_pack(p) by default.  A check named in explained is decided
+    without forming its detail, which a failure of it then lacks.
     """
     m, tp = family_pack(p) if pack is None else pack
     sp, spt = tp.sp, tp.sp_twin
     l1, l2, e = p.lambda1, p.lambda2, p.epsilon
     on_diagonal = l1 == l2 or l1 == -l2
+    checks: list[CheckItem] = []
+
+    def check(name: str, ok, detail: str = "") -> None:
+        checks.append(CheckItem(name, bool(ok)) if name in explained
+                      else CheckItem.of(name, ok, detail))
+
+    def table(name: str, *mismatches) -> None:
+        """The check that every part of a table agrees with the engine,
+        each part's _tensor_mismatch or _value_mismatch given in order; a
+        failure names the first mismatch."""
+        first = next(filter(None, mismatches), None)
+        if first is None or name in explained:
+            checks.append(CheckItem(name, first is None))
+        else:
+            checks.append(CheckItem(name, False, _detail(first)))
 
     # structural claims
     cls = tp.cls
     want_min = ClassLabel.W0 if (not l1 and not l2) else ClassLabel.W1
-    checks = [
-        CheckItem.of("claim: minimal class", cls.minimal == want_min,
-                     f"got {cls.minimal}, expected {want_min}"),
-        CheckItem.of("claim: Lee forms closed",
-                     lee_forms_closed(m.algebra, sp.theta, sp.theta_star)
-                     and lee_forms_closed(m.algebra, spt.theta, spt.theta_star)),
-        CheckItem.of("claim: isotropic iff l1 = +-l2", (sp.snorm == ZERO) == on_diagonal,
-                     f"snorm = {sp.snorm}"),
-        CheckItem.of("claim: scalar flat iff l1 = +-l2",
-                     ((tp.curv.tau == ZERO) and (tp.curv_twin.tau == ZERO)) == on_diagonal,
-                     f"tau = {tp.curv.tau}, twin tau = {tp.curv_twin.tau}"),
-        CheckItem.of("claim: W0 iff l1 = l2 = 0",
-                     (cls.minimal == ClassLabel.W0) == (not l1 and not l2)),
-        # abelian structure property of P: [Px, Py] = -[x, y]
-        CheckItem.of("P is an Abelian structure",
-                     vanishes((1, apply_endo(apply_endo(m.algebra.c, 1, m.P), 2, m.P)),
-                              (1, m.algebra.c))),
-    ]
+    check("claim: minimal class", cls.minimal == want_min,
+          f"got {cls.minimal}, expected {want_min}")
+    check("claim: Lee forms closed",
+          lee_forms_closed(m.algebra, sp.theta, sp.theta_star)
+          and lee_forms_closed(m.algebra, spt.theta, spt.theta_star))
+    check("claim: isotropic iff l1 = +-l2", (sp.snorm == ZERO) == on_diagonal,
+          f"snorm = {sp.snorm}")
+    check("claim: scalar flat iff l1 = +-l2",
+          ((tp.curv.tau == ZERO) and (tp.curv_twin.tau == ZERO)) == on_diagonal,
+          f"tau = {tp.curv.tau}, twin tau = {tp.curv_twin.tau}")
+    check("claim: W0 iff l1 = l2 = 0", (cls.minimal == ClassLabel.W0) == (not l1 and not l2))
+    # abelian structure property of P: [Px, Py] = -[x, y]
+    check("P is an Abelian structure",
+          vanishes((1, apply_endo(apply_endo(m.algebra.c, 1, m.P), 2, m.P)), (1, m.algebra.c)))
 
     # the tables at the point's integer parameters: degree-1 entries are
     # d times their value, degree-2 entries d^2 times
@@ -367,40 +395,36 @@ def theorem_checks(p: FamilyParams, perturb_curvature: bool = False,
 
     # connection components
     nabla_t, nabla_twin_t = tables.connection_tables(*at)
-    checks.append(_table_check("table: connection", _tensor_mismatch(
-        "nabla", ",", tp.conn.gamma, nabla_t, d, True)))
-    checks.append(_table_check("table: twin connection", _tensor_mismatch(
-        "twin nabla", ",", tp.conn_twin.gamma, nabla_twin_t, d, True)))
+    table("table: connection", _tensor_mismatch("nabla", ",", tp.conn.gamma, nabla_t, d, True))
+    table("table: twin connection", _tensor_mismatch(
+        "twin nabla", ",", tp.conn_twin.gamma, nabla_twin_t, d, True))
 
     # potential and its 1-forms
     phi_t, f_t, f_star_t, f_sharp_t = tables.potential_table(*at)
-    checks.append(_table_check(
-        "table: potential",
-        _tensor_mismatch("Phi", ",", sp.Phi_vec, phi_t, d, True),
-        _value_mismatch("f", sp.f, f_t, d), _value_mismatch("f*", sp.f_star, f_star_t, d),
-        _value_mismatch("f#", sp.f_sharp, f_sharp_t, d)))
+    table("table: potential",
+          _tensor_mismatch("Phi", ",", sp.Phi_vec, phi_t, d, True),
+          _value_mismatch("f", sp.f, f_t, d), _value_mismatch("f*", sp.f_star, f_star_t, d),
+          _value_mismatch("f#", sp.f_sharp, f_sharp_t, d))
 
     # fundamental tensor and its twin proportionality
-    checks.append(_table_check("table: fundamental tensor", _tensor_mismatch(
-        "F", "", sp.F, tables.fundamental_table(*at), d)))
-    checks.append(CheckItem.of("identity: twin F = eps F", vanishes((1, spt.F), (-e, sp.F))))
-    checks.append(CheckItem.of("identity: twin F(x,y,z) = F(Px,y,z)",
-                               vanishes((1, spt.F), (-1, sp.F_P["x"]))))
+    table("table: fundamental tensor",
+          _tensor_mismatch("F", "", sp.F, tables.fundamental_table(*at), d))
+    check("identity: twin F = eps F", vanishes((1, spt.F), (-e, sp.F)))
+    check("identity: twin F(x,y,z) = F(Px,y,z)", vanishes((1, spt.F), (-1, sp.F_P["x"])))
 
     # square norms
     snorm_t, snorm_twin_t = tables.square_norm_table(*at)
-    checks.append(_table_check("table: square norm",
-                               _value_mismatch("|nabla P|^2", sp.snorm, snorm_t, d2),
-                               _value_mismatch("twin |nabla P|^2", spt.snorm, snorm_twin_t, d2)))
+    table("table: square norm",
+          _value_mismatch("|nabla P|^2", sp.snorm, snorm_t, d2),
+          _value_mismatch("twin |nabla P|^2", spt.snorm, snorm_twin_t, d2))
 
     # Lee forms
     theta_t, theta_star_t = tables.lee_form_table(*at)
-    checks.append(_table_check(
-        "table: Lee forms",
-        _value_mismatch("theta", sp.theta, theta_t, d),
-        _value_mismatch("theta*", sp.theta_star, theta_star_t, d),
-        _value_mismatch("twin theta", spt.theta, theta_t, d),
-        _value_mismatch("twin theta*", spt.theta_star, theta_star_t, d)))
+    table("table: Lee forms",
+          _value_mismatch("theta", sp.theta, theta_t, d),
+          _value_mismatch("theta*", sp.theta_star, theta_star_t, d),
+          _value_mismatch("twin theta", spt.theta, theta_t, d),
+          _value_mismatch("twin theta*", spt.theta_star, theta_star_t, d))
 
     # curvature tables; the twin table is built from the unperturbed one
     R_t = tables.curvature_table(*at)
@@ -408,44 +432,35 @@ def theorem_checks(p: FamilyParams, perturb_curvature: bool = False,
     if perturb_curvature:
         idx = (0, 1, 1, 0)
         R_t = {**R_t, idx: -R_t.get(idx, 0)}
-    checks.append(_table_check("table: curvature",
-                               _tensor_mismatch("R", "", tp.curv.R, R_t, d2)))
-    checks.append(_table_check("table: twin curvature",
-                               _tensor_mismatch("twin R", "", tp.curv_twin.R, twin_R_t, d2)))
+    table("table: curvature", _tensor_mismatch("R", "", tp.curv.R, R_t, d2))
+    table("table: twin curvature", _tensor_mismatch("twin R", "", tp.curv_twin.R, twin_R_t, d2))
 
     rho_t, tau_t, rho_twin_t, tau_twin_t = tables.ricci_table(*at)
-    checks.append(_table_check(
-        "table: Ricci and scalar curvature",
-        _tensor_mismatch("rho", "", tp.curv.ricci, _nonzero(rho_t), d2),
-        _tensor_mismatch("twin rho", "", tp.curv_twin.ricci, _nonzero(rho_twin_t), d2),
-        _value_mismatch("tau", tp.curv.tau, tau_t, d2),
-        _value_mismatch("twin tau", tp.curv_twin.tau, tau_twin_t, d2)))
+    table("table: Ricci and scalar curvature",
+          _tensor_mismatch("rho", "", tp.curv.ricci, _nonzero(rho_t), d2),
+          _tensor_mismatch("twin rho", "", tp.curv_twin.ricci, _nonzero(rho_twin_t), d2),
+          _value_mismatch("tau", tp.curv.tau, tau_t, d2),
+          _value_mismatch("twin tau", tp.curv_twin.tau, tau_twin_t, d2))
 
     # twin interchange tensors
-    checks.append(_table_check("table: twin difference tensor", _tensor_mismatch(
-        "Q", "", tp.Q_vec, tables.q_table(*at, f_sharp_t), d2, True)))
+    table("table: twin difference tensor", _tensor_mismatch(
+        "Q", "", tp.Q_vec, tables.q_table(*at, f_sharp_t), d2, True))
     # A_{ijkl} = g_{lm} A^m_{ijk}
     A_low = lincomb((1, "lm,mijk->ijkl", m.g, tp.A_vec))
-    checks.append(_table_check("table: average curvature", _tensor_mismatch(
-        "A", "", A_low, tables.a_table(*at), d2)))
-    checks.append(_table_check("table: average connection", _tensor_mismatch(
-        "D", ",", tp.D.gamma, tables.average_connection_table(*at), d, True)))
+    table("table: average curvature", _tensor_mismatch("A", "", A_low, tables.a_table(*at), d2))
+    table("table: average connection", _tensor_mismatch(
+        "D", ",", tp.D.gamma, tables.average_connection_table(*at), d, True))
 
     # family identities
-    checks += [
-        CheckItem.of("identity: B = 0", vanishes((1, tp.B_vec))),
-        CheckItem.of("identity: K = A", vanishes((1, tp.K_vec), (-1, tp.A_vec))),
-        CheckItem.of("identity: N = 0", vanishes((1, sp.N_vec))),
-        CheckItem.of("identity: Nhat = -4 Phi (vector-valued)",
-                     vanishes((1, sp.Nhat_vec), (4, sp.Phi_vec))),
-    ]
+    check("identity: B = 0", vanishes((1, tp.B_vec)))
+    check("identity: K = A", vanishes((1, tp.K_vec), (-1, tp.A_vec)))
+    check("identity: N = 0", vanishes((1, sp.N_vec)))
+    check("identity: Nhat = -4 Phi (vector-valued)", vanishes((1, sp.Nhat_vec), (4, sp.Phi_vec)))
     try:
         _, _, H, _, _ = w1_closed_forms(m, tp)
-        checks.append(CheckItem.of("identity: H = 0 and closed-form Q, B reconstruction",
-                                   H.is_zero()))
+        check("identity: H = 0 and closed-form Q, B reconstruction", H.is_zero())
     except Exception as exc:                         # noqa: BLE001
-        checks.append(CheckItem.of("identity: H = 0 and closed-form Q, B reconstruction",
-                                   False, str(exc)))
+        check("identity: H = 0 and closed-form Q, B reconstruction", False, str(exc))
 
     return ValidationReport(tuple(checks))
 
@@ -456,31 +471,33 @@ def grid_verification(points=None, perturb_curvature: bool = False) -> Validatio
     The twin pack is built directly at a few points per sign and
     interpolated exactly at the others (_grid_packs).  Each check appears
     once; the detail distinguishes a mismatch at some points from one at
-    every point.
+    every point.  A failing check's detail, and the label of its point,
+    are formed at its first failing point only.
     """
     pts = list(points) if points is not None else list(grid_points())
-    failures: dict[str, list[str]] = {}
-    order: list[str] = []
-    details: dict[str, str] = {}
+    names: dict[str, None] = {}                 # every check, in order
+    failed: dict[str, list] = {}                # check -> [failures, first point, detail]
     for p, pack in zip(pts, _grid_packs(pts)):
-        report = theorem_checks(p, perturb_curvature=perturb_curvature, pack=pack)
+        report = theorem_checks(p, perturb_curvature=perturb_curvature, pack=pack,
+                                explained=failed)
         for item in report.checks:
-            if item.name not in order:
-                order.append(item.name)
-            if not item.passed:
-                failures.setdefault(item.name, []).append(p.label())
-                details.setdefault(item.name, item.detail)
+            names.setdefault(item.name)
+            if item.passed:
+                continue
+            if item.name in failed:
+                failed[item.name][0] += 1
+            else:
+                failed[item.name] = [1, p.label(), item.detail]
     out = []
-    for name in order:
-        failed = failures.get(name, [])
-        if not failed:
+    for name in names:
+        if name not in failed:
             out.append(CheckItem(name, True))
-        elif len(failed) == len(pts):
-            out.append(CheckItem(name, False,
-                                 f"fails at every sampled point; first: {details[name]}"))
+            continue
+        count, first, detail = failed[name]
+        if count == len(pts):
+            out.append(CheckItem(name, False, f"fails at every sampled point; first: {detail}"))
         else:
             out.append(CheckItem(
                 name, False,
-                f"fails at {len(failed)} of {len(pts)} points "
-                f"(e.g. {failed[0]}); first: {details[name]}"))
+                f"fails at {count} of {len(pts)} points (e.g. {first}); first: {detail}"))
     return ValidationReport(tuple(out))

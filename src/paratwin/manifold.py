@@ -164,11 +164,17 @@ def build_manifold(alg: LieAlgebraModel, P: TensorDense, g: TensorDense,
     Raises ValidationError naming the first violated axiom: the Lie algebra
     axioms, then those checked by assemble_manifold.
     """
+    require_lie_algebra(alg)
+    return assemble_manifold(alg, P, g, name=name)
+
+
+def require_lie_algebra(alg: LieAlgebraModel) -> None:
+    """Raise ValidationError naming the first failure of
+    validate_lie_algebra, if any."""
     report = validate_lie_algebra(alg)
     if not report.valid:
         first = report.failures()[0]
         raise ValidationError(f"invalid Lie algebra: {first.name}: {first.detail}")
-    return assemble_manifold(alg, P, g, name=name)
 
 
 @lru_cache(maxsize=None)
@@ -184,14 +190,20 @@ def check_inverse(metric: TensorDense, metric_inv: TensorDense, what: str) -> No
 
 def assemble_manifold(alg: LieAlgebraModel, P: TensorDense, g: TensorDense,
                       name: str = "manifold") -> WManifold:
-    """The part of build_manifold after the Lie algebra is validated.
+    """The part of build_manifold after the Lie algebra is validated:
+    the WManifold on alg and the validated_frame(alg.dim, P, g)."""
+    return WManifold(alg, *validated_frame(alg.dim, P, g), name=name)
+
+
+def validated_frame(n: int, P: TensorDense, g: TensorDense) -> tuple[TensorDense, ...]:
+    """(P, g, g^-1, g~, g~^-1) for a structure P and metric g on an
+    n-dimensional algebra, the fields of a WManifold after its algebra.
 
     Raises ValidationError naming the first violated axiom: P^2 != id,
     tr P != 0, g not symmetric, g degenerate, or g not P-compatible.
     Every axiom is decided in integers.  g^-1 comes from the fraction-free
     inverse, and g~^-1 = P g^-1 because P^2 = id; both are checked exactly.
     """
-    n = alg.dim
     if P.dim != n or P.variance != (UP, DOWN):
         raise ValidationError("P must be a (1,1) tensor of matching dimension")
     if g.dim != n or g.variance != (DOWN, DOWN):
@@ -216,4 +228,4 @@ def assemble_manifold(alg: LieAlgebraModel, P: TensorDense, g: TensorDense,
     g_twin_inv = lincomb((1, "im,mj->ij", P, g_inv))
     check_inverse(g, g_inv, "inverse metric: g^-1 g = I")
     check_inverse(g_twin, g_twin_inv, "inverse twin metric: g~^-1 g~ = I")
-    return WManifold(alg, P, g, g_inv, g_twin, g_twin_inv, name=name)
+    return P, g, g_inv, g_twin, g_twin_inv

@@ -22,6 +22,8 @@ from manifolds import abelian_manifold, direct_sum, document_of
 FIXTURE = Path(__file__).parent / "fixtures" / "family-1-2-1.json"
 #: stdout of `paratwin theorem --grid=1,-2/3,3/2`, then "[exit <code>]"
 GOLDEN = Path(__file__).parent / "fixtures" / "theorem-golden.txt"
+#: stdout of `paratwin report --family 1 2 1 --json`
+REPORT_GOLDEN = Path(__file__).parent / "fixtures" / "report-family-1-2-1.json"
 
 
 def run(argv):
@@ -150,6 +152,12 @@ def test_report_family_reference_point():
     assert "class: W1" in out
     assert "tau: -144" in out
     assert "snorm: 384" in out
+
+
+def test_report_family_json_matches_golden_file():
+    code, out, err = run(["report", "--family", "1", "2", "1", "--json"])
+    assert (code, err) == (cli.EXIT_OK, "")
+    assert out.encode() == REPORT_GOLDEN.read_bytes()
 
 
 def test_report_family_origin():

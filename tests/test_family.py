@@ -6,9 +6,11 @@ connection components they are derived from; theorem_checks reports those
 mismatches, and these tests pin the failure set to exactly that list.
 """
 
+import cProfile
 import dataclasses
 import io
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -16,11 +18,14 @@ from paratwin import cli, family, tables
 from paratwin.errors import ValidationError
 from paratwin.family import (DEFAULT_GRID, FamilyParams, build_family, family_pack,
                              grid_points, grid_verification, theorem_checks)
-from paratwin.manifold import validate_lie_algebra
+from paratwin.manifold import LieAlgebraModel, build_manifold, validate_lie_algebra
 from paratwin.scalar import Q, format_rational
-from paratwin.tensor import TensorDense, lower_index, transpose
+from paratwin.tensor import DOWN, UP, TensorDense, lower_index, transpose
 
 from manifolds import family_brackets, rows_of
+
+#: stdout of `paratwin theorem --grid=1,-2/3,3/2`, then "[exit <code>]"
+GOLDEN = Path(__file__).parent / "fixtures" / "theorem-golden.txt"
 
 #: table checks that disagree with the engine on generic parameters; the
 #: discrepancies are documented in the project notes
@@ -60,6 +65,29 @@ def test_grid_covers_both_signs():
     pts = list(grid_points())
     assert len(pts) == 2 * len(DEFAULT_GRID) ** 2
     assert any(p.epsilon == Q(-1) for p in pts)
+
+
+@pytest.mark.parametrize("point", [(1, 2, 1), (0, 0, 1), (0, 0, -1), (1, -1, -1),
+                                   ("-1/2", 3, -1), ("2/3", "-5/7", 1), (-3, "1/2", -1)])
+def test_family_frame_matches_the_reference_route(point):
+    """build_family, on the frame validated once at import and with c built
+    from its integer bracket entries, equals build_manifold on the rational
+    brackets and P, g, field by field: at the origin, on l1 = +-l2, at
+    D = 1 and at D = 2 and 21, with both signs."""
+    p = FamilyParams(*point)
+    brackets = family_brackets(p)
+
+    def c(k, i, j):
+        if (i, j) in brackets:
+            return brackets[i, j][k]
+        return -brackets[j, i][k] if (j, i) in brackets else Q(0)
+
+    alg = LieAlgebraModel(4, ("X1", "X2", "X3", "X4"),
+                          TensorDense.from_function(4, (UP, DOWN, DOWN), c))
+    reference = build_manifold(alg, family._P, family._G, name=p.label())
+    m = build_family(p)
+    for f in dataclasses.fields(reference):
+        assert getattr(m, f.name) == getattr(reference, f.name), f.name
 
 
 def test_theorem_checks_at_reference_point():
@@ -247,6 +275,67 @@ def test_interpolation_changes_no_output(values, all_direct, monkeypatch):
     interpolated = theorem()
     monkeypatch.setattr(family, "_grid_packs", lambda pts: map(family_pack, pts))
     assert interpolated == theorem()
+
+
+def test_grid_forms_one_detail_per_failing_check(monkeypatch):
+    """On the golden grid each failing check formats its detail once, at
+    its first failing point, and the output stays byte-identical; the
+    interpolation checks, which compare the blended structure packs that
+    classify reads, decide no class (two checks per sign).  The details
+    are counted by cProfile as the benchmark counts calls."""
+    classified, inside, interpolated = [], [], []
+    for name in ("classify", "classify_phi"):
+        def counted(*args, _fn=getattr(family, name)):
+            if inside:
+                classified.append(_fn.__name__)
+            return _fn(*args)
+        monkeypatch.setattr(family, name, counted)
+    interpolation = family._require_interpolation
+
+    def checked(p, packs):
+        interpolated.append(p)
+        inside.append(p)
+        try:
+            interpolation(p, packs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(family, "_require_interpolation", checked)
+    profile = cProfile.Profile()
+    out, err = io.StringIO(), io.StringIO()
+    profile.enable()
+    try:
+        code = cli.main(["theorem", "--grid=1,-2/3,3/2"], out=out, err=err)
+    finally:
+        profile.disable()
+    golden = GOLDEN.read_bytes()
+    assert (out.getvalue() + f"[exit {code}]\n").encode() == golden
+    details = sum(entry.callcount for entry in profile.getstats()
+                  if entry.code is family._detail.__code__)
+    failing = golden.decode().count("[FAIL]")
+    assert failing == len(KNOWN_TABLE_FAILURES) and details <= failing
+    assert len(interpolated) == 4 and classified == []
+
+
+@pytest.mark.parametrize("fn_name, part, name, label", [
+    ("lee_form_table", 0, "table: Lee forms", "theta"),
+    ("potential_table", 3, "table: potential", "f#")])
+def test_a_table_1_form_of_the_wrong_length_fails(fn_name, part, name, label, monkeypatch):
+    """A table 1-form with its last component dropped fails its check,
+    and only that check, with a detail naming the form."""
+    p = FamilyParams(1, 2, 1)
+    before = {c.name: c for c in theorem_checks(p).checks}
+    full = getattr(tables, fn_name)(*p.integer_parameters()[1:])[part]
+
+    def truncated(*args, _fn=getattr(tables, fn_name)):
+        result = _fn(*args)
+        return result[:part] + (result[part][:-1],) + result[part + 1:]
+
+    monkeypatch.setattr(tables, fn_name, truncated)
+    after = {c.name: c for c in theorem_checks(p).checks}
+    assert {n for n in before if before[n].passed != after[n].passed} == {name}
+    show = lambda v: f"({', '.join(map(str, v))})"
+    assert after[name].detail == f"{label}: got {show(full)}, expected {show(full[:-1])}"
 
 
 def test_failed_identity_names_the_component_that_differs(monkeypatch):
