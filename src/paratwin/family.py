@@ -112,10 +112,10 @@ def build_family(p: FamilyParams) -> WManifold:
     for (i, j), v in _brackets(a1, a2, e).items():
         for k, x in enumerate(v):
             if x:
-                entries[(k * DIM + i) * DIM + j] = Q(x, d)
-                entries[(k * DIM + j) * DIM + i] = Q(-x, d)
-    alg = LieAlgebraModel(DIM, ("X1", "X2", "X3", "X4"),
-                          TensorDense.from_entries(DIM, (UP, DOWN, DOWN), entries))
+                entries[(k * DIM + i) * DIM + j] = x
+                entries[(k * DIM + j) * DIM + i] = -x
+    c = lincomb((Q(1, d), TensorDense.from_entries(DIM, (UP, DOWN, DOWN), entries)))
+    alg = LieAlgebraModel(DIM, ("X1", "X2", "X3", "X4"), c)
     require_lie_algebra(alg)
     return WManifold(alg, *_FRAME, name=p.label())
 
@@ -279,30 +279,36 @@ def _tensor_mismatch(label: str, sep: str, t: TensorDense, table: dict, factor: 
     """None if t and a table of its nonzero components, each factor times
     its value, agree; else a function giving (label, engine value, table
     value) at the first index where they disagree.  With vector, t is a
-    (1,k) tensor and each table value is the vector t[:, *idx].  The table
-    must match t's nonzero count and each nums[p] / den, by
+    (1,k) tensor and each table value is the vector t[:, *idx], which
+    disagrees with it if it has another length than DIM.  The table must
+    match t's nonzero count and each nums[p] / den, by
     cross-multiplication; the label (its 1-based index joined by sep) and
     the rationals are formed only when that function is called.
     """
     nums, den, rank = t.nums, t.den, t.nslots - vector
     size, at = DIM ** rank, _positions(rank)
     if vector:
+        ragged = [at[idx] for idx, v in table.items() if len(v) != DIM]
         wanted = [(p, w) for idx, v in table.items()
                   for p, w in zip(range(at[idx], len(nums), size), v) if w]
     else:
+        ragged = []
         wanted = [(at[idx], w) for idx, w in table.items() if w]
-    if len(wanted) == len(t.support) and all(nums[p] * factor == w * den for p, w in wanted):
+    if (not ragged and len(wanted) == len(t.support)
+            and all(nums[p] * factor == w * den for p, w in wanted)):
         return None
 
     def mismatch():
         want = [0] * len(nums)
         for p, w in wanted:
             want[p] = w
-        first = min(p % size for p, (n, w) in enumerate(zip(nums, want)) if n * factor != w * den)
+        first = min([p % size for p, (n, w) in enumerate(zip(nums, want))
+                     if n * factor != w * den] + ragged)
         idx = tuple(first // DIM ** k % DIM for k in reversed(range(rank)))
         where = f"{label}_{sep.join(str(i + 1) for i in idx)}"
         if vector:
-            return where, tuple(t.column(*idx)), tuple(Q(w, factor) for w in want[first::size])
+            return where, tuple(t.column(*idx)), tuple(Q(w, factor)
+                                                       for w in table.get(idx, (0,) * DIM))
         return where, t[idx], Q(want[first], factor)
     return mismatch
 

@@ -222,7 +222,7 @@ def validated_frame(n: int, P: TensorDense, g: TensorDense) -> tuple[TensorDense
     g_twin = lincomb((1, "im,mj->ij", g, P))
     compatible = vanishes((1, "ai,aj->ij", P, g_twin), (-1, g))
     if not compatible:
-        i, j = divmod(next(p for p, v in enumerate(compatible.acc) if v), n)
+        i, j = divmod(compatible.first_nonzero()[0], n)
         raise ValidationError(
             f"metric is not P-compatible: g(PX_{i + 1},PX_{j + 1}) != g(X_{i + 1},X_{j + 1})")
     g_twin_inv = lincomb((1, "im,mj->ij", P, g_inv))

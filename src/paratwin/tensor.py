@@ -10,12 +10,14 @@ flips the flag of a slot in place, so a raise followed by a lower of the
 same slot is the exact identity.  All values are immutable after
 construction and safe to share; nums is never mutated.  support lists
 the positions of the nonzero numerators, found once at construction, so
-the kernels visit only those.  It is read off one module-level tuple of
-positions 0, 1, 2, ... by compress, which stops at the shorter input, so
-one tuple serves every tensor; it is rebuilt only when a longer tensor
-arrives and is as long as the longest tensor stored (about 0.74 MB at
-dimension 12, rank 4).  Iterating a fresh range instead would create a
-new int object for every position above 256.
+the kernels visit only those.  A tensor that lincomb accumulated in a
+dict (see below) takes the dict's sorted nonzero keys.  Any other is
+read off one module-level tuple of positions 0, 1, 2, ... by compress,
+which stops at the shorter input, so one tuple serves every tensor; it
+is rebuilt only when a longer tensor arrives and is as long as the
+longest tensor scanned (about 0.74 MB at dimension 12, rank 4).
+Iterating a fresh range instead would create a new int object for
+every position above 256.
 
 Rationals appear only at the edges.  TensorDense(dim, variance, data),
 from_matrix, from_function and from_entries take rationals and convert
@@ -33,9 +35,16 @@ Every sum of products is a term of lincomb (which builds it) or vanishes
 A product sums over every letter shared by the two operands, none, one
 or several; its output letters are the other letters in any order, and
 each output slot keeps the variance its letter has in its operand.  All
-terms accumulate into one integer array over the lcm of their
+terms accumulate into one integer accumulator over the lcm of their
 denominators, and only the nonzero components of each operand are
-visited.  Each coefficient is read once, as an integer ratio.  Where a
+visited.  The accumulator is a list of every output component, or a
+dict from flat position to value when the output has at least 1024
+components and the terms' nonzero work is small beside that; then
+lincomb takes its support from the dict's keys and vanishes decides
+from its values, so neither allocates or scans a list of dim^rank
+components.  The rule and its measured costs are at _accumulate; every
+output of a dimension-4 tensor (at most 256 components) takes the
+list.  Each coefficient is read once, as an integer ratio.  Where a
 component of a permuted tensor or of a product operand lands, and which
 summed indices it has, is one lookup in a flat table per placement (see
 _placement).  Index raising and lowering, endomorphism insertion, metric
@@ -81,10 +90,12 @@ class TensorDense:
         _store(self, dim, variance, den, [a * (den // d) for a, d in ratios])
 
     @classmethod
-    def _of(cls, dim: int, variance: tuple, den: int, nums: list[int]) -> "TensorDense":
-        """The tensor nums / den (den > 0), reduced; the shape is trusted."""
+    def _of(cls, dim: int, variance: tuple, den: int, nums: list[int],
+            support: list[int] | None = None) -> "TensorDense":
+        """The tensor nums / den (den > 0), reduced; the shape is trusted,
+        and so is support, the nonzero positions of nums, when given."""
         t = object.__new__(cls)
-        _store(t, dim, variance, den, nums)
+        _store(t, dim, variance, den, nums, support)
         return t
 
     def __setattr__(self, name, value):
@@ -216,11 +227,14 @@ def _nonzero_positions(values: list[int]) -> list[int]:
     return list(compress(_POSITIONS, values))
 
 
-def _store(t: TensorDense, dim: int, variance: tuple, den: int, nums: list[int]) -> None:
+def _store(t: TensorDense, dim: int, variance: tuple, den: int, nums: list[int],
+           support: list[int] | None = None) -> None:
     """Set the fields of t to nums / den reduced by their gcd, skipped when
-    den is 1 or coprime to the first nonzero numerator, and its support,
-    found by _nonzero_positions without making an int per component."""
-    support = _nonzero_positions(nums)
+    den is 1 or coprime to the first nonzero numerator, and its support:
+    the one given, or else found by _nonzero_positions without making an
+    int per component."""
+    if support is None:
+        support = _nonzero_positions(nums)
     if den != 1 and (not support or gcd(den, nums[support[0]]) != 1):
         g = gcd(den, *map(nums.__getitem__, support))
         if g != 1:
@@ -350,12 +364,51 @@ def _product_plan(spec: str, a: TensorDense, b: TensorDense) -> tuple:
 # rational() takes, such as a "p/q" string; an int or a Fraction is used as
 # it is, and its integer ratio is read once.  Every term must have the
 # shape of the first.
+#
+# The terms accumulate into a list of every output component, or into a
+# dict from flat position to value.  A list costs per component: it is
+# allocated, and then scanned for its nonzeros (lincomb) or counted
+# (vanishes).  A dict costs nothing per component but more per
+# multiply-add.  The work of the terms is the nonzero count of each
+# plain or permuted operand, plus for each product the nonzero counts of
+# its operands multiplied and divided by its number of rows of summed
+# indices.  A dict is taken when the output has at least _SPARSE_MIN_SIZE
+# components and work * _DICT_WORK_NS < size * _LIST_SLOT_NS.  Both
+# constants are least-squares fits of (list time - dict time) = a size -
+# b work over every call of at least 1024 components in two dimension-12
+# block reports, each call timed on both accumulators (Python 3.11):
+# a = 2.75 ns and b = 51 ns there, 2.2 ns and 35 ns in a dimension-16
+# one.  The threshold work < size / 17.6 sits in the flat optimum of a
+# sweep over size / 10 to size / 26 on dimension-12 reports.
 
 _EXACT = (int, Fraction)
 
+#: outputs with fewer components than this always accumulate into a list
+_SPARSE_MIN_SIZE = 1024
+#: ns a list costs per output component, and ns more a dict costs per unit
+#: of work
+_LIST_SLOT_NS = 2.5
+_DICT_WORK_NS = 44
 
-def _accumulate(terms) -> tuple[int, tuple, int, list[int]]:
-    """(dim, variance, den, acc) with sum c T == acc[p] / den at each p.
+
+def _work(singles: list, products: list) -> int:
+    """The multiply-adds that _accumulate expects for its singles and
+    products: each operand's nonzero count, and for a product the nonzero
+    counts of both operands over its number of rows."""
+    return (sum(len(t.support) for _, _, t, _ in singles)
+            + sum(len(a.support) * len(b.support) // rows
+                  for _, _, rows, _, a, b in products))
+
+
+def _sparse_nonzero(acc: dict[int, int]) -> list[int]:
+    """The sorted positions of a dict accumulator that hold a nonzero value."""
+    return sorted(p for p, v in acc.items() if v)
+
+
+def _accumulate(terms) -> tuple[int, tuple, int, list[int] | dict[int, int]]:
+    """(dim, variance, den, acc) with sum c T == acc[p] / den at each p, acc
+    a list, or a dict of the positions it touched when the output is
+    large and the expected work small beside it.
 
     Terms naming the same tensor and permutation add their coefficients
     first.  Terms with a zero coefficient or a zero operand are dropped.
@@ -398,10 +451,18 @@ def _accumulate(terms) -> tuple[int, tuple, int, list[int]]:
     singles = [(num, den * t.den, t, target)
                for num, den, t, target in singles.values() if num]
     den = lcm(*{term[1] for term in singles}, *{term[1] for term in products})
-    acc = [0] * dim ** len(variance)
+    size = dim ** len(variance)
+    sparse = (size >= _SPARSE_MIN_SIZE
+              and _work(singles, products) * _DICT_WORK_NS < size * _LIST_SLOT_NS)
+    acc = {} if sparse else [0] * size
     for num, d, t, target in singles:
         s, nums = num * (den // d), t.nums
-        if target is None:
+        if sparse:
+            get = acc.get
+            for p in t.support:
+                q = p if target is None else target[p]
+                acc[q] = get(q, 0) + s * nums[p]
+        elif target is None:
             for p in t.support:
                 acc[p] += s * nums[p]
         else:
@@ -412,8 +473,8 @@ def _accumulate(terms) -> tuple[int, tuple, int, list[int]]:
     return dim, variance, den, acc
 
 
-def _add_product(acc: list[int], s: int, nrows: int, operands, a: TensorDense,
-                 b: TensorDense) -> None:
+def _add_product(acc: list[int] | dict[int, int], s: int, nrows: int, operands,
+                 a: TensorDense, b: TensorDense) -> None:
     """acc += s times the product of the numerators of a and b."""
     (akey, aout), (bkey, bout) = operands
     bnums = b.nums
@@ -421,6 +482,17 @@ def _add_product(acc: list[int], s: int, nrows: int, operands, a: TensorDense,
     for p in b.support:
         rows[bkey[p]].append((bout[p], bnums[p]))
     anums = a.nums
+    if type(acc) is dict:
+        get = acc.get
+        for p in a.support:
+            row = rows[akey[p]]
+            if row:
+                x = s * anums[p]
+                base = aout[p]
+                for q, y in row:
+                    q += base
+                    acc[q] = get(q, 0) + x * y
+        return
     for p in a.support:
         row = rows[akey[p]]
         if row:
@@ -434,7 +506,13 @@ def lincomb(*terms) -> TensorDense:
     """The tensor sum c T over terms (c, T), (c, T, perm) and (c, spec, A,
     B), in one integer pass."""
     dim, variance, den, acc = _accumulate(terms)
-    return TensorDense._of(dim, variance, den, acc)
+    if type(acc) is list:
+        return TensorDense._of(dim, variance, den, acc)
+    support = _sparse_nonzero(acc)
+    nums = [0] * dim ** len(variance)
+    for p in support:
+        nums[p] = acc[p]
+    return TensorDense._of(dim, variance, den, nums, support)
 
 
 class Residual:
@@ -447,21 +525,29 @@ class Residual:
 
     __slots__ = ("dim", "nslots", "den", "acc")
 
-    def __init__(self, dim: int, nslots: int, den: int, acc: list[int]):
+    def __init__(self, dim: int, nslots: int, den: int, acc: list[int] | dict[int, int]):
         self.dim, self.nslots, self.den, self.acc = dim, nslots, den, acc
 
     def __bool__(self) -> bool:
+        if type(self.acc) is dict:
+            return not any(self.acc.values())
         # count() beats any() on the all-zero acc of every passing check
         return self.acc.count(0) == len(self.acc)
 
+    def first_nonzero(self) -> tuple[int, int]:
+        """(p, count) of a nonzero residual: the row-major flat position p
+        of its first nonzero component and the number of nonzero ones."""
+        acc = self.acc
+        nonzero = _sparse_nonzero(acc) if type(acc) is dict else _nonzero_positions(acc)
+        return nonzero[0], len(nonzero)
+
     def __str__(self) -> str:
-        nonzero = _nonzero_positions(self.acc)
-        p = nonzero[0]
+        p, count = self.first_nonzero()
         index = ", ".join(str(p // self.dim ** k % self.dim + 1)
                           for k in reversed(range(self.nslots)))
         return (f"first nonzero residual at ({index}) is "
                 f"{format_rational(Q(self.acc[p], self.den))}; "
-                f"{len(nonzero)} of {len(self.acc)} components differ")
+                f"{count} of {self.dim ** self.nslots} components differ")
 
 
 def vanishes(*terms) -> Residual:

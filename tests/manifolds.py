@@ -6,10 +6,13 @@ corpus beyond the family; basis changes, the eigenbasis of P and Sylvester
 signatures check invariance under a change of frame; document_of writes a
 manifold back as a CLI document; family_brackets gives the family's
 commutators as rationals, for the Besse route; zeros, identity,
-derive_vector, rows_of and matrix_inverse are small references.  The
+derive_vector, rows_of and matrix_inverse are small references;
+fraction_calls counts calls into fractions for the call budgets.  The
 engine itself needs none of them.
 """
 
+import cProfile
+import fractions
 from itertools import product
 
 from paratwin.errors import ValidationError
@@ -257,3 +260,16 @@ DENSE_BASIS = TensorDense.from_matrix([[1, 2, -1, Q(1, 2)],
                                        [Q(-1, 3), 1, 3, 1],
                                        [2, -1, 1, 1],
                                        [1, 1, Q(2, 5), -2]], (UP, DOWN))
+
+
+def fraction_calls(fn, *args):
+    """Python-level calls into the fractions module while fn(*args) runs,
+    counted by cProfile as the benchmark's scalar.fraction_calls is."""
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        fn(*args)
+    finally:
+        profile.disable()
+    return sum(entry.callcount for entry in profile.getstats()
+               if getattr(entry.code, "co_filename", None) == fractions.__file__)

@@ -22,7 +22,7 @@ from paratwin.manifold import LieAlgebraModel, build_manifold, validate_lie_alge
 from paratwin.scalar import Q, format_rational
 from paratwin.tensor import DOWN, UP, TensorDense, lower_index, transpose
 
-from manifolds import family_brackets, rows_of
+from manifolds import family_brackets, fraction_calls, rows_of
 
 #: stdout of `paratwin theorem --grid=1,-2/3,3/2`, then "[exit <code>]"
 GOLDEN = Path(__file__).parent / "fixtures" / "theorem-golden.txt"
@@ -35,6 +35,17 @@ KNOWN_TABLE_FAILURES = {
     "table: twin difference tensor",
     "table: average curvature",
 }
+
+
+@pytest.mark.parametrize("params", [(1, 2, 1), (Q(1, 2), Q(-2, 3), -1), (Q(3, 4), 0, 1)])
+def test_family_brackets_are_divided_by_d_once(params):
+    """build_family makes the same few calls into fractions however many of
+    its 40 bracket entries are nonzero: the brackets are integers at the
+    integer parameters, divided by D in one term, and the rest reads the
+    parameters and the label.  Building each entry as a rational took 93."""
+    p = FamilyParams(*params)
+    build_family(p)
+    assert fraction_calls(build_family, p) <= 20
 
 
 def test_epsilon_is_validated():
@@ -336,6 +347,33 @@ def test_a_table_1_form_of_the_wrong_length_fails(fn_name, part, name, label, mo
     assert {n for n in before if before[n].passed != after[n].passed} == {name}
     show = lambda v: f"({', '.join(map(str, v))})"
     assert after[name].detail == f"{label}: got {show(full)}, expected {show(full[:-1])}"
+
+
+@pytest.mark.parametrize("change", [lambda v: v + (0,), lambda v: v + (7,),
+                                    lambda v: v[:-1]], ids=["zero", "nonzero", "short"])
+@pytest.mark.parametrize("part, name, label", [
+    (0, "table: connection", "nabla"), (1, "table: twin connection", "twin nabla")])
+def test_a_table_connection_vector_of_the_wrong_length_fails(change, part, name, label,
+                                                             monkeypatch):
+    """A connection table vector with one component more or less fails its
+    check, and only that check, with a detail that shows the engine column
+    against the table vector, even when the other components agree."""
+    p = FamilyParams(1, 2, 1)
+    before = {c.name: c for c in theorem_checks(p).checks}
+    full = tables.connection_tables(*p.integer_parameters()[1:])[part][(0, 0)]
+
+    def changed(*args, _fn=tables.connection_tables):
+        result = list(_fn(*args))
+        result[part] = {**result[part], (0, 0): change(tuple(result[part][(0, 0)]))}
+        return tuple(result)
+
+    monkeypatch.setattr(tables, "connection_tables", changed)
+    after = {c.name: c for c in theorem_checks(p).checks}
+    assert before[name].passed
+    assert {n for n in before if before[n].passed != after[n].passed} == {name}
+    show = lambda v: f"({', '.join(map(str, v))})"
+    assert after[name].detail == (
+        f"{label}_1,1: got {show(full)}, expected {show(change(tuple(full)))}")
 
 
 def test_failed_identity_names_the_component_that_differs(monkeypatch):

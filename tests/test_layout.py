@@ -56,6 +56,14 @@ def test_only_the_listed_modules_read_integer_storage():
     assert readers == STORAGE_READERS
 
 
+def test_only_tensor_reads_a_residuals_accumulator():
+    """A Residual's acc is a list or a dict; other modules ask it for
+    first_nonzero() instead of reading either form."""
+    readers = {path.stem for path, tree in modules(SRC) for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and node.attr == "acc"}
+    assert readers == {"tensor"}
+
+
 def public_definitions(tree: ast.Module):
     """Public module functions and methods: (name, is a method)."""
     for node in tree.body:

@@ -1,22 +1,27 @@
 """Dense rational tensors: algebra, products and traces, raising and lowering."""
 
-import cProfile
-import fractions
+import io
+import json
 import random
+from contextlib import contextmanager
 from itertools import permutations, product
-from math import gcd
+from math import gcd, inf
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from paratwin import cli, family
+from paratwin import tensor as tensor_module
 from paratwin.errors import ConsistencyError, ValidationError, require
 from paratwin.scalar import Q, ZERO, format_rational, rational
 from paratwin.tensor import (DOWN, UP, TensorDense, apply_endo, inverse, lincomb,
                              lower_index, raise_index, tensor_equal, transpose,
                              vanishes)
 
-from manifolds import identity, matrix_inverse, rows_of, symmetric_signature, zeros
+from manifolds import (DENSE_BASIS, abelian_manifold, direct_sum, document_of,
+                       fraction_calls, identity, matrix_inverse, pulled_back, rows_of,
+                       symmetric_signature, zeros)
 from strategies import (V3, V4, any_tensors, block_tensors, dense_tensors,
                         mixed_rationals, rationals, tensor_pairs)
 
@@ -598,19 +603,6 @@ def test_coefficients_are_ints_fractions_or_rationals():
             lincomb((c, t))
 
 
-def fraction_calls(fn, *args):
-    """Python-level calls into the fractions module while fn(*args) runs,
-    counted by cProfile as the benchmark's scalar.fraction_calls is."""
-    profile = cProfile.Profile()
-    profile.enable()
-    try:
-        fn(*args)
-    finally:
-        profile.disable()
-    return sum(entry.callcount for entry in profile.getstats()
-               if getattr(entry.code, "co_filename", None) == fractions.__file__)
-
-
 def test_fraction_coefficients_are_read_once_per_term():
     """A lincomb or vanishes over k distinct tensors with non-integer
     Fraction coefficients makes at most k calls into fractions: one
@@ -695,6 +687,123 @@ def test_support_is_right_as_tensors_grow_shrink_and_grow_again():
         index = ", ".join(str(first // dim ** k % dim + 1) for k in (3, 2, 1, 0))
         assert str(residual) == (f"first nonzero residual at ({index}) is {nums[first]}; "
                                  f"{len(want)} of {size} components differ")
+
+
+# -- the two accumulators ----------------------------------------------------------
+
+@contextmanager
+def accumulators(monkeypatch):
+    """A list that receives (output size, accumulator type) of every
+    lincomb and vanishes run inside the block."""
+    seen = []
+
+    def recorded(terms, _real=tensor_module._accumulate):
+        dim, variance, den, acc = out = _real(terms)
+        seen.append((dim ** len(variance), type(acc)))
+        return out
+
+    with monkeypatch.context() as mp:
+        mp.setattr(tensor_module, "_accumulate", recorded)
+        yield seen
+
+
+def sparse_tensor(dim, nslots, count, rng):
+    """A covariant tensor with count seeded nonzero rationals, one at the
+    last position."""
+    size = dim ** nslots
+    data = [ZERO] * size
+    for p in rng.sample(range(size - 1), count - 1) + [size - 1]:
+        data[p] = Q(rng.choice((-7, -2, -1, 1, 3, 5)), rng.randint(1, 4))
+    return TensorDense(dim, (DOWN,) * nslots, data)
+
+
+def accumulator_cases(dim, rng):
+    """(lincomb or vanishes, terms) on sparse rank-3 and rank-4 tensors of
+    dimension dim: plain, permuted and product terms, with few nonzeros
+    (a dict by the size rule) or an eighth of the components (a list),
+    summing to zero, to a few components or to many."""
+    m = TensorDense(dim, (DOWN, DOWN), [Q(rng.randint(1, 3)) if i % (dim + 1) == 0
+                                        or rng.random() < 0.05 else ZERO
+                                        for i in range(dim * dim)])
+    cases = []
+    for nslots in (3, 4):
+        perm = tuple(range(nslots - 2)) + (nslots - 1, nslots - 2)
+        for count in (20, dim ** nslots // 8):
+            a, b = (sparse_tensor(dim, nslots, count, rng) for _ in range(2))
+            # b agrees with a except at a few of a's nonzeros
+            near = TensorDense._of(dim, a.variance, a.den, [
+                x if p not in a.support[::max(1, count // 3)] else 2 * x
+                for p, x in enumerate(a.nums)])
+            letters = "ijkl"[:nslots]
+            cases += [
+                (lincomb, [(Q(2, 3), a), (-1, b, perm), (Q(1, 5), a, perm)]),
+                (lincomb, [(1, a), (-1, a)]),
+                (lincomb, [(1, a), (-1, near)]),
+                (lincomb, [(3, f"im,m{letters[1:]}->{letters}", m, a), (Q(-1, 2), b)]),
+                (vanishes, [(1, a), (-1, a, tuple(range(nslots)))]),
+                (vanishes, [(1, a), (-1, near)]),
+                (vanishes, [(1, a, perm), (-1, b), (Q(1, 7), a)]),
+                (vanishes, [(1, f"im,m{letters[1:]}->{letters}", m, a),
+                            (-1, f"{letters[1:]}m,mi->i{letters[1:]}", a, m)]),
+            ]
+    t3, u3 = (sparse_tensor(dim, 3, 30, rng) for _ in range(2))
+    cases += [(lincomb, [(1, "ijm,mkl->ijkl", t3, u3)]),
+              (vanishes, [(1, "ijm,mkl->ijkl", t3, u3), (-1, "ijm,mkl->ijkl", t3, u3)])]
+    return cases
+
+
+@pytest.mark.parametrize("dim", [12, 16])
+def test_list_and_dict_accumulators_agree(dim, monkeypatch):
+    """Every case gives the same den, nums, support and variance, or the
+    same truth and byte-identical str(), whether it takes the accumulator
+    the size rule picks, a list, or a dict; the cases fall on both sides
+    of the rule."""
+    def run(fn, terms):
+        r = fn(*terms)
+        if isinstance(r, TensorDense):
+            return r.den, r.nums, r.support, r.variance
+        return bool(r), str(r) if not r else ""
+
+    cases = accumulator_cases(dim, random.Random(dim))
+    with accumulators(monkeypatch) as seen:
+        natural = [run(fn, terms) for fn, terms in cases]
+    assert {kind for size, kind in seen if size >= 1024} == {list, dict}
+    forced = {"list": {"_SPARSE_MIN_SIZE": inf},
+              "dict": {"_SPARSE_MIN_SIZE": 0, "_DICT_WORK_NS": 0}}
+    for kind, overrides in forced.items():
+        with monkeypatch.context() as mp, accumulators(monkeypatch) as seen:
+            for name, value in overrides.items():
+                mp.setattr(tensor_module, name, value)
+            got = [run(fn, terms) for fn, terms in cases]
+        assert {k.__name__ for _, k in seen} == {kind}
+        for (fn, terms), want, have in zip(cases, natural, got):
+            assert have == want, (kind, fn.__name__, terms)
+    # some residuals are nonzero, so their strings are compared
+    assert sum(1 for r in natural if len(r) == 2 and not r[0]) >= 4
+
+
+def test_only_large_sparse_outputs_take_the_dict(tmp_path, monkeypatch):
+    """A dense dimension-4 report and a theorem op accumulate every output
+    in a list; a dimension-12 block report accumulates rank-4 outputs in
+    a dict."""
+    def report(m):
+        path = tmp_path / f"{m.dim}.json"
+        path.write_text(json.dumps(document_of(m)))
+        return ["report", str(path), "--json"]
+
+    f121 = family.build_family(family.FamilyParams(Q(1), Q(2), Q(1)))
+    f2 = family.build_family(family.FamilyParams(Q(-1), Q(1, 2), Q(-1)))
+    dense4 = report(pulled_back(f121, DENSE_BASIS))
+    blocks12 = report(direct_sum(direct_sum(f121, abelian_manifold(4)), f2))
+    for argv, dict_sizes in [(dense4, set()), (["theorem", "--grid=1,-2/3"], set()),
+                             (blocks12, {12 ** 3, 12 ** 4})]:
+        family.family_pack.cache_clear()
+        with accumulators(monkeypatch) as seen:
+            code = cli.main(argv, out=io.StringIO(), err=io.StringIO())
+        assert code in (0, 4), argv
+        assert {size for size, kind in seen if kind is dict} == dict_sizes, argv
+    rank4 = [kind for size, kind in seen if size == 12 ** 4]
+    assert rank4.count(dict) > len(rank4) // 2
 
 
 def test_equal_values_from_different_inputs_are_equal():
