@@ -112,11 +112,16 @@ def parse_document(doc, name: str = "manifold") -> tuple[LieAlgebraModel, Tensor
         coeffs = entry.get("coeffs")
         if not isinstance(coeffs, dict):
             raise DocumentError(f"{where}.coeffs: expected a map basis-index -> rational")
+        spelled: dict[int, str] = {}            # basis index -> its key in coeffs
         for key, value in coeffs.items():
             try:
                 k = _index_field(int(key), n, f"{where}.coeffs key")
             except (ValueError, TypeError) as exc:
                 raise DocumentError(f"{where}.coeffs: bad key {key!r}") from exc
+            other = spelled.setdefault(k, key)
+            if other != key:
+                raise DocumentError(f"{where}.coeffs: keys {other!r} and {key!r} "
+                                    f"both name X_{k + 1}")
             v = _rational_field(value, f"{where}.coeffs[{key}]")
             c[(k * n + i) * n + j] = v
             c[(k * n + j) * n + i] = -v
@@ -126,13 +131,24 @@ def parse_document(doc, name: str = "manifold") -> tuple[LieAlgebraModel, Tensor
     return alg, P, g, name
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict; a repeated key, whose last value json
+    would keep silently, is an error."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(key for key in keys if keys.count(key) > 1)
+        raise DocumentError(f"key {repeated!r} is repeated in one object")
+    return obj
+
+
 def load_document(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, DocumentError) as exc:
         raise DocumentError(f"{path} is not valid JSON: {exc}") from exc
 
 

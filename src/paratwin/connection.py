@@ -53,21 +53,12 @@ def koszul(alg: LieAlgebraModel, metric: TensorDense, metric_inv: TensorDense) -
                     (half, "lk,kji->lij", metric_inv, L))
     conn = Connection(alg.dim, gamma)
 
-    require(vanishes(*_torsion_terms(conn, alg)), "Koszul output has torsion")
+    # torsion: T^k_{ij} = Gamma^k_{ij} - Gamma^k_{ji} - c^k_{ij}
+    require(vanishes((1, gamma), (-1, gamma, (0, 2, 1)), (-1, alg.c)),
+            "Koszul output has torsion")
     require(vanishes((1, covariant_derivative(conn, metric))),
             "Koszul output is not metric-compatible")
     return conn
-
-
-def _torsion_terms(conn: Connection, alg: LieAlgebraModel) -> tuple:
-    if conn.dim != alg.dim:
-        raise ValidationError("connection and algebra dimensions differ")
-    return (1, conn.gamma), (-1, conn.gamma, (0, 2, 1)), (-1, alg.c)
-
-
-def torsion(conn: Connection, alg: LieAlgebraModel) -> TensorDense:
-    """T^k_{ij} = Gamma^k_{ij} - Gamma^k_{ji} - c^k_{ij}."""
-    return lincomb(*_torsion_terms(conn, alg))
 
 
 def covariant_derivative(conn: Connection, t: TensorDense) -> TensorDense:

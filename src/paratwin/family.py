@@ -28,7 +28,7 @@ from .errors import ValidationError, require
 from .manifold import (CheckItem, LieAlgebraModel, ValidationReport, WManifold,
                        require_lie_algebra, validated_frame)
 from .scalar import ZERO, Q, format_rational, rational
-from .tensor import DOWN, UP, TensorDense, apply_endo, lincomb, vanishes
+from .tensor import DOWN, UP, TensorDense, lincomb, vanishes
 from .twin import TwinPack, build_twin_pack, w1_closed_forms
 
 
@@ -391,8 +391,9 @@ def theorem_checks(p: FamilyParams, perturb_curvature: bool = False,
           f"tau = {tp.curv.tau}, twin tau = {tp.curv_twin.tau}")
     check("claim: W0 iff l1 = l2 = 0", (cls.minimal == ClassLabel.W0) == (not l1 and not l2))
     # abelian structure property of P: [Px, Py] = -[x, y]
+    cP = lincomb((1, "mi,kmj->kij", m.P, m.algebra.c))         # [Px, y]
     check("P is an Abelian structure",
-          vanishes((1, apply_endo(apply_endo(m.algebra.c, 1, m.P), 2, m.P)), (1, m.algebra.c)))
+          vanishes((1, "mj,kim->kij", m.P, cP), (1, m.algebra.c)))
 
     # the tables at the point's integer parameters: degree-1 entries are
     # d times their value, degree-2 entries d^2 times

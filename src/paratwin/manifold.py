@@ -179,7 +179,7 @@ def require_lie_algebra(alg: LieAlgebraModel) -> None:
 
 @lru_cache(maxsize=None)
 def _identity(n: int) -> TensorDense:
-    return TensorDense.from_function(n, (UP, DOWN), lambda i, j: int(i == j))
+    return TensorDense.from_entries(n, (UP, DOWN), {i * (n + 1): 1 for i in range(n)})
 
 
 def check_inverse(metric: TensorDense, metric_inv: TensorDense, what: str) -> None:

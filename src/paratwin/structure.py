@@ -17,11 +17,19 @@ from .connection import Connection, covariant_derivative, koszul
 from .errors import require
 from .manifold import WManifold
 from .scalar import ZERO, Q
-from .tensor import TensorDense, apply_endo, lincomb, raise_index, vanishes
+from .tensor import TensorDense, lincomb, vanishes
 
 #: a (0,3) tensor with P substituted into some arguments, keyed by those
 #: arguments: "z" is t(x,y,Pz), "yz" is t(x,Py,Pz), see p_substitutions
 PSubs = dict[str, TensorDense]
+
+#: the product spec that substitutes P, its first operand, into argument
+#: x, y or z of a (0,3) tensor
+_SUBSTITUTE = {"x": "mx,myz->xyz", "y": "my,xmz->xyz", "z": "mz,xym->xyz"}
+
+#: the product specs that raise slot 0, 1 or 2 of a three-slot tensor
+#: with g^-1, their first operand; the slot keeps its position
+_RAISE = ("ia,ajk->ijk", "ja,iak->ijk", "ka,ija->ijk")
 
 
 @dataclass(frozen=True)
@@ -52,7 +60,7 @@ def p_substitutions(t: TensorDense, P: TensorDense, *keys: str) -> PSubs:
     out: PSubs = {}
     for key in keys:
         base = out[key[1:]] if len(key) > 1 else t
-        out[key] = apply_endo(base, "xyz".index(key[0]), P)
+        out[key] = lincomb((1, _SUBSTITUTE[key[0]], P, base))
     return out
 
 
@@ -77,7 +85,7 @@ def lee_forms(m: WManifold, F: TensorDense, F_P: PSubs) -> tuple[TensorDense, Te
     """Lee forms theta(z) = g^{ij} F(e_i,e_j,z), theta*(z) = g^{ij} F(e_i,Pe_j,z)."""
     theta = lincomb((1, "ij,ijz->z", m.g_inv, F))
     theta_star = lincomb((1, "ij,ijz->z", m.g_inv, F_P["y"]))
-    require(vanishes((1, theta_star), (1, apply_endo(theta, 0, m.P))), "theta* != -theta o P")
+    require(vanishes((1, theta_star), (1, "mz,m->z", m.P, theta)), "theta* != -theta o P")
     return theta, theta_star
 
 
@@ -117,21 +125,21 @@ def potential_phi(m: WManifold, F: TensorDense, F_P: PSubs, conn: Connection,
 
     f = lincomb((1, "ij,ijz->z", m.g_inv, Phi))
     f_star = lincomb((1, "ij,ijz->z", m.g_inv, Phi_P["y"]))
-    require(vanishes((1, f), (1, apply_endo(f_star, 0, m.P))), "f != -f* o P")
+    require(vanishes((1, f), (1, "mz,m->z", m.P, f_star)), "f != -f* o P")
     require(vanishes((1, f), (1, theta_star)) and vanishes((1, f_star), (1, theta)),
             "f = -theta*, f* = -theta failed")
 
-    f_sharp = raise_index(f, 0, m.g_inv)
+    f_sharp = lincomb((1, "km,m->k", m.g_inv, f))
     return Phi, Phi_P, Phi_vec, f, f_star, f_sharp
 
 
 def _nijenhuis_form(T: TensorDense, P: TensorDense, parity: int) -> TensorDense:
     """T(Px,Py) + T(x,y) - P T(Px,y) - P T(x,Py) for a (1,2) tensor T with
     T(x,y) = parity * T(y,x), so that P T(x,Py) = parity * P T(Py,x)."""
-    TP = apply_endo(T, 1, P)                    # T(Px, y)
-    PTP = apply_endo(TP, 0, P)                  # P T(Px, y)
-    # the last term is P T(Py, x)
-    return lincomb((1, apply_endo(TP, 2, P)), (1, T), (-1, PTP), (-parity, PTP, (0, 2, 1)))
+    TP = lincomb((1, "mi,kmj->kij", P, T))          # T(Px, y)
+    PTP = lincomb((1, "km,mij->kij", P, TP))        # P T(Px, y)
+    # the first term is T(Px, Py), the last P T(Py, x)
+    return lincomb((1, "mj,kim->kij", P, TP), (1, T), (-1, PTP), (-parity, PTP, (0, 2, 1)))
 
 
 def nijenhuis(m: WManifold, conn: Connection, Phi: TensorDense, Phi_P: PSubs):
@@ -162,8 +170,9 @@ def nijenhuis(m: WManifold, conn: Connection, Phi: TensorDense, Phi_P: PSubs):
 
 def square_norm(m: WManifold, F: TensorDense) -> Fraction:
     """||nabla P|| = g^{ij} g^{kl} g^{st} F_{iks} F_{jlt}."""
-    ginv = m.g_inv
-    raised = raise_index(raise_index(raise_index(F, 0, ginv), 1, ginv), 2, ginv)
+    raised = F
+    for spec in _RAISE:
+        raised = lincomb((1, spec, m.g_inv, raised))
     total = sum(map(mul, F.nums, raised.nums))
     return Q(total, F.den * raised.den) if total else ZERO
 

@@ -5,10 +5,8 @@ numerators, row-major over its index tuple: component p is nums[p] / den.
 The pair is reduced, gcd(den, *nums) == 1, so equal tensors have equal
 storage however they were built; the zero tensor has den 1.  Each slot
 carries a variance flag, "u" (contravariant) or "d" (covariant); tensors
-are built with all contravariant slots first, and raising or lowering
-flips the flag of a slot in place, so a raise followed by a lower of the
-same slot is the exact identity.  All values are immutable after
-construction and safe to share; nums is never mutated.  support lists
+are built with all contravariant slots first.  All values are immutable
+after construction and safe to share; nums is never mutated.  support lists
 the positions of the nonzero numerators, found once at construction, so
 the kernels visit only those.  A tensor that lincomb accumulated in a
 dict (see below) takes the dict's sorted nonzero keys.  Any other is
@@ -20,15 +18,15 @@ Iterating a fresh range instead would create a new int object for
 every position above 256.
 
 Rationals appear only at the edges.  TensorDense(dim, variance, data),
-from_matrix, from_function and from_entries take rationals and convert
-them once; t[idx], item(), column() and data give rationals back, with
-the shared ZERO for each zero.  Everything in between is integer arithmetic.
+from_matrix and from_entries take rationals and convert them once;
+t[idx], item(), column() and data give rationals back, with the shared
+ZERO for each zero.  Everything in between is integer arithmetic.
 
 Every sum of products is a term of lincomb (which builds it) or vanishes
 (which decides that it is zero without forming a rational):
 
     (c, T)                  c T
-    (c, T, perm)            c transpose(T, perm)
+    (c, T, perm)            c T with old slot perm[k] moved to slot k
     (c, spec, A, B)         c times the product of A and B by an einsum
                             spec such as "kxm,myz->kxyz"
 
@@ -47,25 +45,26 @@ output of a dimension-4 tensor (at most 256 components) takes the
 list.  Each coefficient is read once, as an integer ratio.  Where a
 component of a permuted tensor or of a product operand lands, and which
 summed indices it has, is one lookup in a flat table per placement (see
-_placement).  Index raising and lowering, endomorphism insertion, metric
-traces, the Koszul formula, covariant derivatives and curvature are all
-such terms; transpose(T, perm) is the term (1, T, perm).
+_placement).
+
+A map on one slot is a product term written where it is used: P
+substituted into a covariant slot is "mx,myz->xyz" (P, T), P applied to
+a contravariant slot "km,m->k" (P, v), and an index raised with g^-1
+"km,m->k" (g^-1, w).  Each output slot keeps its operand's flag, so P's
+(u, d) and g^-1's (u, u) give each result its variance.  Metric traces,
+the Koszul formula, covariant derivatives and curvature are such terms
+too.
 
 inverse() inverts a metric by fraction-free elimination on its numerators.
-
-The elementwise operators +, -, negation and scale and tensor_equal work
-on rationals.  The engine does not use them; the tests keep them as the
-reference route for lincomb and vanishes.  transpose and lower_index are
-kept for the tests too: the engine writes both as terms.
 """
 
 from __future__ import annotations
 
 from array import array
 from fractions import Fraction
-from itertools import compress, product
+from itertools import compress
 from math import gcd, lcm
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ValidationError
 from .scalar import ZERO, Q, format_rational, rational
@@ -143,12 +142,6 @@ class TensorDense:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_function(cls, dim: int, variance: Sequence[str],
-                      fn: Callable[..., Fraction]) -> "TensorDense":
-        return cls(dim, variance,
-                   [fn(*idx) for idx in product(range(dim), repeat=len(variance))])
-
-    @classmethod
     def from_entries(cls, dim: int, variance: Sequence[str], entries: dict) -> "TensorDense":
         """The tensor with the rational entries[p] at each flat position p
         in entries, zero elsewhere."""
@@ -167,27 +160,7 @@ class TensorDense:
             raise ValidationError("from_matrix needs a square matrix and two slots")
         return cls(dim, variance, [x for row in rows for x in row])
 
-    # -- rational reference algebra ------------------------------------------
-
-    def _check_same_shape(self, other: "TensorDense"):
-        if self.dim != other.dim or self.variance != other.variance:
-            raise ValidationError(
-                f"shape mismatch: dim {self.dim} {self.variance} vs dim {other.dim} {other.variance}")
-
-    def __add__(self, other: "TensorDense") -> "TensorDense":
-        self._check_same_shape(other)
-        return TensorDense(self.dim, self.variance, map(Fraction.__add__, self.data, other.data))
-
-    def __sub__(self, other: "TensorDense") -> "TensorDense":
-        self._check_same_shape(other)
-        return TensorDense(self.dim, self.variance, map(Fraction.__sub__, self.data, other.data))
-
-    def __neg__(self) -> "TensorDense":
-        return TensorDense(self.dim, self.variance, [-a for a in self.data])
-
-    def scale(self, s) -> "TensorDense":
-        s = rational(s)
-        return TensorDense(self.dim, self.variance, [s * a for a in self.data])
+    # -- comparison ----------------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.support
@@ -249,12 +222,6 @@ def _store(t: TensorDense, dim: int, variance: tuple, den: int, nums: list[int],
     put(t, "support", support)
 
 
-def tensor_equal(a: TensorDense, b: TensorDense) -> bool:
-    """Exact componentwise equality of the rationals; rank or dimension
-    mismatch is False."""
-    return a.dim == b.dim and a.variance == b.variance and a.data == b.data
-
-
 # -- placements ----------------------------------------------------------------
 #
 # Where a component lands in an output is linear in its index digits: the
@@ -295,7 +262,7 @@ _PERM_PLANS: dict[tuple, tuple] = {}
 
 
 def _perm_plan(t: TensorDense, perm) -> tuple:
-    """(variance, target) of transpose(t, perm), where old slot perm[k]
+    """(variance, target) of the term (c, t, perm), where old slot perm[k]
     moves to slot k: its variance and placement.  Validated and cached per
     (dim, variance, perm)."""
     perm = tuple(perm)
@@ -311,11 +278,6 @@ def _perm_plan(t: TensorDense, perm) -> tuple:
         plan = _PERM_PLANS[key] = (tuple(t.variance[k] for k in perm),
                                    _placement(t.dim, tuple(weights)))
     return plan
-
-
-def transpose(t: TensorDense, perm: Sequence[int]) -> TensorDense:
-    """Reorder slots by perm: new slot k reads old slot perm[k]."""
-    return lincomb((1, t, perm))
 
 
 # -- products --------------------------------------------------------------------
@@ -555,58 +517,6 @@ def vanishes(*terms) -> Residual:
     rational; the Residual is true when the sum is zero."""
     dim, variance, den, acc = _accumulate(terms)
     return Residual(dim, len(variance), den, acc)
-
-
-# -- one matrix on one slot ----------------------------------------------------
-
-_LETTERS = "abcdefgh"
-
-
-def _on_slot(t: TensorDense, slot: int, mat: TensorDense, transposed: bool,
-             flag: str) -> TensorDense:
-    """t with mat applied to one slot, which gets the variance flag:
-    out[.., i, ..] = sum_m mat[i, m] t[.., m, ..], or mat[m, i] when
-    transposed."""
-    if not (0 <= slot < t.nslots):
-        raise ValidationError(f"slot {slot} out of range")
-    if mat.dim != t.dim or mat.nslots != 2:
-        raise ValidationError("the matrix must be a two-slot tensor of matching dimension")
-    out = _LETTERS[:t.nslots]
-    i = out[slot]
-    src = out[:slot] + "m" + out[slot + 1:]
-    r = lincomb((1, f"{'m' + i if transposed else i + 'm'},{src}->{out}", mat, t))
-    if r.variance[slot] == flag:
-        return r
-    # the flag is the operation's, whatever the variance of mat
-    return TensorDense._of(r.dim, r.variance[:slot] + (flag,) + r.variance[slot + 1:],
-                           r.den, r.nums)
-
-
-def raise_index(t: TensorDense, slot: int, inverse_metric: TensorDense) -> TensorDense:
-    """Raise a covariant slot with the inverse metric; the slot keeps its position."""
-    if t.variance[slot] != DOWN:
-        raise ValidationError(f"slot {slot} is not covariant")
-    return _on_slot(t, slot, inverse_metric, False, UP)
-
-
-def lower_index(t: TensorDense, slot: int, metric: TensorDense) -> TensorDense:
-    """Lower a contravariant slot with the metric; the slot keeps its position."""
-    if t.variance[slot] != UP:
-        raise ValidationError(f"slot {slot} is not contravariant")
-    return _on_slot(t, slot, metric, False, DOWN)
-
-
-def apply_endo(t: TensorDense, slot: int, endo: TensorDense) -> TensorDense:
-    """Plug an endomorphism into one slot of a tensor.
-
-    For a covariant slot this substitutes the argument, t'(.., x, ..) =
-    t(.., Ex, ..); for a contravariant slot it post-composes the output
-    with E.  Variance is unchanged.
-    """
-    if endo.dim != t.dim or endo.variance != (UP, DOWN):
-        raise ValidationError("endomorphism must be a (1,1) tensor of matching dimension")
-    covariant = t.variance[slot:slot + 1] == (DOWN,)
-    return _on_slot(t, slot, endo, covariant, DOWN if covariant else UP)
 
 
 # -- exact matrix inverse ----------------------------------------------------

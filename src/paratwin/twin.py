@@ -20,7 +20,7 @@ from .errors import ValidationError, recording, require
 from .manifold import CheckItem, ValidationReport, WManifold
 from .scalar import Q
 from .structure import StructurePack, build_structure_pack
-from .tensor import TensorDense, apply_endo, lincomb, vanishes
+from .tensor import TensorDense, lincomb, vanishes
 
 HALF = Q(1, 2)
 QUARTER = Q(1, 4)
@@ -150,10 +150,10 @@ def w1_closed_forms(m: WManifold, tp: TwinPack):
         raise ValidationError("closed forms apply only to W1-manifolds")
     conn, sp, P = tp.conn, tp.sp, m.P
     h = Q(1, m.dim)                                     # 1/2n
-    Pfs = apply_endo(sp.f_sharp, 0, P)
+    Pfs = lincomb((1, "km,m->k", P, sp.f_sharp))
     H = lincomb((1, "k,x->kx", sp.f_sharp, sp.f),
-                (-1, "k,x->kx", Pfs, apply_endo(sp.f, 0, P)))
-    HP = apply_endo(H, 1, P)
+                (-1, "k,x->kx", Pfs, lincomb((1, "mx,m->x", P, sp.f))))
+    HP = lincomb((1, "mx,km->kx", P, H))
     S = lincomb((1, covariant_derivative(conn, sp.f_sharp)), (h, H))
     S_star = lincomb((1, covariant_derivative(conn, Pfs)), (h, HP))
 
@@ -219,8 +219,9 @@ def invariance_suite(m: WManifold, pack: TwinPack | None = None) -> ValidationRe
                             (-1, tp.D.gamma))),
         ("N~ = N (vector-valued)", same(spt.N_vec, sp.N_vec)),
         ("N^~ = -N^ (vector-valued)", opposite(spt.Nhat_vec, sp.Nhat_vec)),
-        ("N~(x,y,z) = N(x,y,Pz)", same(spt.N, apply_endo(sp.N, 2, m.P))),
-        ("N^~(x,y,z) = -N^(x,y,Pz)", opposite(spt.Nhat, apply_endo(sp.Nhat, 2, m.P))),
+        ("N~(x,y,z) = N(x,y,Pz)", vanishes((1, spt.N), (-1, "mz,xym->xyz", m.P, sp.N))),
+        ("N^~(x,y,z) = -N^(x,y,Pz)",
+         vanishes((1, spt.Nhat), (1, "mz,xym->xyz", m.P, sp.Nhat))),
 
         ("Q~ = -Q", opposite(Q_t, tp.Q_vec)),
         ("B~ = B", same(B_t, tp.B_vec)),

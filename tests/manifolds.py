@@ -8,7 +8,11 @@ manifold back as a CLI document; family_brackets gives the family's
 commutators as rationals, for the Besse route; zeros, identity,
 derive_vector, rows_of and matrix_inverse are small references;
 fraction_calls counts calls into fractions for the call budgets.  The
-engine itself needs none of them.
+rational reference algebra at the end (from_function, add, sub, neg,
+scale, tensor_equal, transpose, slot_map, raise_index, lower_index and
+torsion) works componentwise on Fractions, the second route for the
+engine's lincomb and vanishes terms.  The engine itself needs none of
+them.
 """
 
 import cProfile
@@ -18,8 +22,8 @@ from itertools import product
 from paratwin.errors import ValidationError
 from paratwin.family import FamilyParams, _brackets
 from paratwin.manifold import LieAlgebraModel, WManifold, build_manifold
-from paratwin.scalar import Q, ZERO, format_rational
-from paratwin.tensor import DOWN, UP, TensorDense
+from paratwin.scalar import Q, ZERO, format_rational, rational
+from paratwin.tensor import DOWN, UP, TensorDense, lincomb
 
 
 def family_brackets(p: FamilyParams) -> dict[tuple[int, int], list]:
@@ -35,7 +39,7 @@ def zeros(dim: int, variance) -> TensorDense:
 
 def identity(dim: int) -> TensorDense:
     """Kronecker delta as a (1,1) tensor."""
-    return TensorDense.from_function(dim, (UP, DOWN), lambda i, j: Q(i == j))
+    return from_function(dim, (UP, DOWN), lambda i, j: Q(i == j))
 
 
 def rows_of(t: TensorDense) -> list[list]:
@@ -76,10 +80,10 @@ def abelian_manifold(dim: int = 4, name: str = "abelian") -> WManifold:
     """Flat reference manifold: Abelian algebra, pair-swap P, g = diag(1,..,-1,..)."""
     labels = tuple(f"X{i + 1}" for i in range(dim))
     alg = LieAlgebraModel(dim, labels, zeros(dim, (UP, DOWN, DOWN)))
-    P = TensorDense.from_function(dim, (UP, DOWN),
+    P = from_function(dim, (UP, DOWN),
                                   lambda i, j: Q(i == j + 1 and j % 2 == 0 or j == i + 1 and i % 2 == 0))
     half = dim // 2
-    g = TensorDense.from_function(dim, (DOWN, DOWN),
+    g = from_function(dim, (DOWN, DOWN),
                                   lambda i, j: Q(0) if i != j else (Q(1) if i < half else Q(-1)))
     return build_manifold(alg, P, g, name=name)
 
@@ -101,7 +105,7 @@ def direct_sum(m1: WManifold, m2: WManifold, name: str | None = None) -> WManifo
             if all(i >= n1 for i in idx):
                 return t2[tuple(i - n1 for i in idx)]
             return ZERO
-        return TensorDense.from_function(n, t1.variance, fn)
+        return from_function(n, t1.variance, fn)
 
     alg = LieAlgebraModel(n, labels, block(m1.algebra.c, m2.algebra.c))
     return build_manifold(alg, block(m1.P, m2.P), block(m1.g, m2.g),
@@ -233,7 +237,7 @@ def nonabelian2() -> WManifold:
 
     Unlike the family, its B = Phi(x, Phi(y, .)) - Phi(y, Phi(x, .)) is nonzero.
     """
-    c = TensorDense.from_function(2, (UP, DOWN, DOWN),
+    c = from_function(2, (UP, DOWN, DOWN),
                                   lambda k, i, j: Q((1, 2)[k] * ((i, j) == (0, 1))
                                                     - (1, 2)[k] * ((i, j) == (1, 0))))
     return build_manifold(LieAlgebraModel(2, ("X1", "X2"), c),
@@ -247,7 +251,7 @@ def pulled_back(m: WManifold, basis: TensorDense) -> WManifold:
     M = rows_of(basis)
     Minv = matrix_inverse(M)
     c = m.algebra.c
-    alg = LieAlgebraModel(n, m.algebra.basis_labels, TensorDense.from_function(
+    alg = LieAlgebraModel(n, m.algebra.basis_labels, from_function(
         n, (UP, DOWN, DOWN),
         lambda k, i, j: sum(Minv[k][s] * c[s, a, b] * M[a][i] * M[b][j]
                             for s, a, b in product(range(n), repeat=3))))
@@ -273,3 +277,89 @@ def fraction_calls(fn, *args):
         profile.disable()
     return sum(entry.callcount for entry in profile.getstats()
                if getattr(entry.code, "co_filename", None) == fractions.__file__)
+
+
+# -- the rational reference algebra ------------------------------------------
+#
+# The engine forms every sum as lincomb or vanishes terms over integer
+# numerators.  These operations read each component through t[...] and
+# compute with Fractions, one component at a time.
+
+def from_function(dim: int, variance, fn) -> TensorDense:
+    """The tensor whose component at each index tuple idx is fn(*idx)."""
+    return TensorDense(dim, variance,
+                       [fn(*idx) for idx in product(range(dim), repeat=len(variance))])
+
+
+def _same_shape(a: TensorDense, b: TensorDense) -> None:
+    if a.dim != b.dim or a.variance != b.variance:
+        raise ValidationError(
+            f"shape mismatch: dim {a.dim} {a.variance} vs dim {b.dim} {b.variance}")
+
+
+def add(a: TensorDense, b: TensorDense) -> TensorDense:
+    _same_shape(a, b)
+    return TensorDense(a.dim, a.variance, [x + y for x, y in zip(a.data, b.data)])
+
+
+def sub(a: TensorDense, b: TensorDense) -> TensorDense:
+    _same_shape(a, b)
+    return TensorDense(a.dim, a.variance, [x - y for x, y in zip(a.data, b.data)])
+
+
+def neg(t: TensorDense) -> TensorDense:
+    return TensorDense(t.dim, t.variance, [-x for x in t.data])
+
+
+def scale(t: TensorDense, s) -> TensorDense:
+    """s t, for any s that rational() takes."""
+    s = rational(s)
+    return TensorDense(t.dim, t.variance, [s * x for x in t.data])
+
+
+def tensor_equal(a: TensorDense, b: TensorDense) -> bool:
+    """Exact componentwise equality of the rationals; rank or dimension
+    mismatch is False."""
+    return a.dim == b.dim and a.variance == b.variance and a.data == b.data
+
+
+def transpose(t: TensorDense, perm) -> TensorDense:
+    """Reorder slots by perm: new slot k reads old slot perm[k]."""
+    def component(*idx):
+        old = [0] * t.nslots
+        for k, p in enumerate(perm):
+            old[p] = idx[k]
+        return t[tuple(old)]
+    return from_function(t.dim, tuple(t.variance[p] for p in perm), component)
+
+
+def slot_map(t: TensorDense, slot: int, mat: TensorDense, transposed: bool = False,
+             flag: str | None = None) -> TensorDense:
+    """t with mat on one slot: out[.., i, ..] = sum_j mat[i, j] t[.., j, ..],
+    or mat[j, i] when transposed.  The slot gets the variance flag, by
+    default the one it had.  P substituted into a covariant slot,
+    t(.., Px, ..), is slot_map(t, slot, P, True); P applied to a
+    contravariant one is slot_map(t, slot, P)."""
+    weight = (lambda i, j: mat[j, i]) if transposed else (lambda i, j: mat[i, j])
+
+    def component(*idx):
+        return sum((weight(idx[slot], j) * t[idx[:slot] + (j,) + idx[slot + 1:]]
+                    for j in range(t.dim)), ZERO)
+    variance = list(t.variance)
+    variance[slot] = flag or variance[slot]
+    return from_function(t.dim, variance, component)
+
+
+def raise_index(t: TensorDense, slot: int, inverse_metric: TensorDense) -> TensorDense:
+    """Raise a slot with the inverse metric; the slot keeps its position."""
+    return slot_map(t, slot, inverse_metric, flag=UP)
+
+
+def lower_index(t: TensorDense, slot: int, metric: TensorDense) -> TensorDense:
+    """Lower a slot with the metric; the slot keeps its position."""
+    return slot_map(t, slot, metric, flag=DOWN)
+
+
+def torsion(conn, alg: LieAlgebraModel) -> TensorDense:
+    """T^k_{ij} = Gamma^k_{ij} - Gamma^k_{ji} - c^k_{ij}."""
+    return lincomb((1, conn.gamma), (-1, conn.gamma, (0, 2, 1)), (-1, alg.c))

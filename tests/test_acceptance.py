@@ -28,10 +28,11 @@ from paratwin.family import (FamilyParams, build_family, family_pack, grid_point
                              grid_verification)
 from paratwin.manifold import LieAlgebraModel, build_manifold
 from paratwin.scalar import Q
-from paratwin.tensor import DOWN, UP, TensorDense, tensor_equal
+from paratwin.tensor import DOWN, UP, TensorDense
 from paratwin.twin import build_twin_pack, invariance_suite
 
-from manifolds import abelian_manifold, direct_sum, family_brackets, rows_of, zeros
+from manifolds import (abelian_manifold, add, direct_sum, family_brackets, from_function, rows_of,
+                       scale, sub, tensor_equal, zeros)
 
 
 def announce(capfd, number: int, title: str, ok: bool, reason: str = "") -> None:
@@ -88,7 +89,7 @@ def twin_curvature_correction(g, g_twin, epsilon):
         pi3 = (-g[y, z] * g_twin[x, w] + g[x, z] * g_twin[y, w]
                - g_twin[y, z] * g[x, w] + g_twin[x, z] * g[y, w])
         return pi3 - epsilon * (pi1 + pi2)
-    return TensorDense.from_function(g.dim, (DOWN,) * 4, component)
+    return from_function(g.dim, (DOWN,) * 4, component)
 
 
 @pytest.fixture(scope="module")
@@ -175,9 +176,9 @@ def test_criterion_5_structural_cross_checks(corpus, capfd):
     for name, m, tp in corpus:
         if not classify(m, tp.sp).agreement:
             failed.append(f"{name}: classify_f != classify_phi")
-        if not tensor_equal(tp.curv_twin.R_vec, tp.curv.R_vec + tp.Q_vec):
+        if not tensor_equal(tp.curv_twin.R_vec, add(tp.curv.R_vec, tp.Q_vec)):
             failed.append(f"{name}: R~ != R + Q")
-        if not tensor_equal(tp.K_vec, tp.A_vec - tp.B_vec.scale(Q(1, 4))):
+        if not tensor_equal(tp.K_vec, sub(tp.A_vec, scale(tp.B_vec, Q(1, 4)))):
             failed.append(f"{name}: K != A - B/4")
     announce(capfd, 5, title, not failed, "; ".join(failed[:4]))
     assert not failed, failed
@@ -193,10 +194,10 @@ def test_criterion_6_family_identities(full_grid_report, capfd):
     bad = vanishing = 0
     for p in grid_points():
         m, tp = family_pack(p)
-        correction = twin_curvature_correction(m.g, m.g_twin, p.epsilon).scale(
-            tp.curv.tau / 12)
+        correction = scale(twin_curvature_correction(m.g, m.g_twin, p.epsilon),
+                           tp.curv.tau / 12)
         if not tensor_equal(tp.curv_twin.R,
-                            tp.curv.R.scale(p.epsilon) + correction):
+                            add(scale(tp.curv.R, p.epsilon), correction)):
             bad += 1
         if p.lambda1 not in (p.lambda2, -p.lambda2) and correction.is_zero():
             vanishing += 1

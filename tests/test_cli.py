@@ -15,9 +15,9 @@ from paratwin import cli, manifold
 from paratwin.family import FamilyParams, build_family
 from paratwin.manifold import build_manifold
 from paratwin.scalar import Q, ZERO, rational
-from paratwin.tensor import DOWN, UP, TensorDense, tensor_equal
+from paratwin.tensor import DOWN, UP, TensorDense
 
-from manifolds import abelian_manifold, direct_sum, document_of
+from manifolds import abelian_manifold, direct_sum, document_of, tensor_equal
 
 FIXTURE = Path(__file__).parent / "fixtures" / "family-1-2-1.json"
 #: stdout of `paratwin theorem --grid=1,-2/3,3/2`, then "[exit <code>]"
@@ -334,6 +334,33 @@ def test_duplicate_bracket_rejected(tmp_path):
     code, _, err = run(["validate", _write(tmp_path, doc)])
     assert code == cli.EXIT_PARSE
     assert "already given" in err
+
+
+def test_one_coefficient_spelled_twice_rejected(tmp_path):
+    """"1" and "01" both name X1 in a bracket's coeffs; naming both is a
+    parse error, not a silent last write."""
+    doc = {"dim": 2, "basis": ["X1", "X2"],
+           "brackets": [{"i": 1, "j": 2, "coeffs": {"1": "2", "01": "3"}}],
+           "metric": [["1", "0"], ["0", "-1"]], "P": [["0", "1"], ["1", "0"]]}
+    for command in ("validate", "report"):
+        code, out, err = run([command, _write(tmp_path, doc)])
+        assert (code, out) == (cli.EXIT_PARSE, "")
+        assert "brackets[0].coeffs: keys '1' and '01' both name X_1" in err
+
+
+def test_repeated_json_key_rejected(tmp_path):
+    """A key given twice in one JSON object is a parse error, in a bracket's
+    coeffs and at the top level alike; json.load alone keeps the last."""
+    doc = json.dumps(json.loads(FIXTURE.read_text()))
+    path = tmp_path / "doc.json"
+    for text in (doc.replace('"coeffs": {', '"coeffs": {"1": "2", ', 1),
+                 doc.replace('{"dim": 4,', '{"dim": 4, "dim": 4,', 1)):
+        assert text != doc
+        path.write_text(text)
+        for command in ("validate", "report"):
+            code, out, err = run([command, str(path)])
+            assert (code, out) == (cli.EXIT_PARSE, "")
+            assert "is repeated in one object" in err
 
 
 def test_oversized_dim_rejected_before_allocation(tmp_path):

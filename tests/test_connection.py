@@ -6,14 +6,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from paratwin.connection import (Connection, covariant_derivative,
-                                 curvature_operator, koszul, torsion)
+from paratwin.connection import Connection, covariant_derivative, curvature_operator, koszul
 from paratwin.errors import ValidationError
 from paratwin.manifold import LieAlgebraModel
 from paratwin.scalar import Q, ZERO
-from paratwin.tensor import DOWN, UP, TensorDense, tensor_equal, transpose
+from paratwin.tensor import DOWN, UP, TensorDense
 
-from manifolds import abelian_manifold, matrix_inverse, zeros
+from manifolds import abelian_manifold, matrix_inverse, tensor_equal, torsion, transpose, zeros
 from strategies import V3, antisymmetrized, dense_tensors, matrices, mixed_rationals, tensor_pairs
 
 

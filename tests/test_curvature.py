@@ -9,9 +9,8 @@ from paratwin.connection import koszul
 from paratwin.errors import ConsistencyError
 from paratwin.family import FamilyParams, family_pack
 from paratwin.scalar import Q, ZERO
-from paratwin.tensor import lower_index, tensor_equal, transpose
 
-from manifolds import abelian_manifold, rows_of
+from manifolds import abelian_manifold, lower_index, rows_of, tensor_equal, transpose
 
 
 def test_curvature_like_symmetries(family121):

@@ -20,9 +20,10 @@ from paratwin.family import (DEFAULT_GRID, FamilyParams, build_family, family_pa
                              grid_points, grid_verification, theorem_checks)
 from paratwin.manifold import LieAlgebraModel, build_manifold, validate_lie_algebra
 from paratwin.scalar import Q, format_rational
-from paratwin.tensor import DOWN, UP, TensorDense, lower_index, transpose
+from paratwin.tensor import DOWN, UP, TensorDense
 
-from manifolds import family_brackets, fraction_calls, rows_of
+from manifolds import (family_brackets, fraction_calls, from_function, lower_index, rows_of,
+                       transpose)
 
 #: stdout of `paratwin theorem --grid=1,-2/3,3/2`, then "[exit <code>]"
 GOLDEN = Path(__file__).parent / "fixtures" / "theorem-golden.txt"
@@ -94,7 +95,7 @@ def test_family_frame_matches_the_reference_route(point):
         return -brackets[j, i][k] if (j, i) in brackets else Q(0)
 
     alg = LieAlgebraModel(4, ("X1", "X2", "X3", "X4"),
-                          TensorDense.from_function(4, (UP, DOWN, DOWN), c))
+                          from_function(4, (UP, DOWN, DOWN), c))
     reference = build_manifold(alg, family._P, family._G, name=p.label())
     m = build_family(p)
     for f in dataclasses.fields(reference):

@@ -3,7 +3,9 @@
 The integer tensor format is built in tensor.py alone and read only by
 the modules in STORAGE_READERS, the reference tables are integers, and
 every public function or method in src has a caller in src or is a CLI
-entry point, so dead code shows up as soon as it appears.
+entry point, so dead code shows up as soon as it appears.  tensor.py
+exports only the kernel (TENSOR_PUBLIC): a map on one slot is a product
+term written where it is used, not a wrapper.
 """
 
 import ast
@@ -13,14 +15,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "paratwin"
 
-#: public names with no caller in src, each kept for one reason
-UNCALLED = {
-    "scale": "with +, - and negation, the tests' rational reference for lincomb",
-    "tensor_equal": "the tests' rational reference for == on the integer storage",
-    "torsion": "the tests' torsion tensor; koszul checks the same terms with vanishes",
-    "transpose": "the tests' reference helper; src moves slots with (c, T, perm) terms",
-    "lower_index": "the tests' reference helper; src lowers with a product term",
-}
+#: the public names of tensor.py: constructors and storage, the two ways
+#: to sum terms, the residual one of them returns, and the metric inverse
+TENSOR_PUBLIC = {"TensorDense", "Residual", "lincomb", "vanishes", "inverse", "UP", "DOWN"}
 
 
 #: the src modules that read a tensor's integer storage
@@ -156,7 +153,21 @@ def test_every_public_function_has_a_caller():
     names |= {target.rpartition(":")[2] for target in scripts.values()}
     uncalled = {name for tree in trees.values() for name, method in public_definitions(tree)
                 if name not in (attributes if method else names | module_attributes)}
-    assert uncalled == set(UNCALLED)
+    assert uncalled == set()
+
+
+def test_tensor_exports_only_the_kernel():
+    """Every public module-level name that tensor.py defines, so that a
+    one-slot wrapper cannot come back unnoticed."""
+    tree = ast.parse((SRC / "tensor.py").read_text())
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined |= {t.id for t in targets if isinstance(t, ast.Name)}
+    assert {name for name in defined if not name.startswith("_")} == TENSOR_PUBLIC
 
 
 def test_reference_tables_are_integers():

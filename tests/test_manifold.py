@@ -12,11 +12,11 @@ from paratwin.family import FamilyParams, build_family
 from paratwin.manifold import (LISTED_FAILURES, LieAlgebraModel, build_manifold, check_inverse,
                                validate_lie_algebra)
 from paratwin.scalar import Q, ZERO
-from paratwin.tensor import DOWN, UP, TensorDense, inverse, lincomb, tensor_equal
+from paratwin.tensor import DOWN, UP, TensorDense, inverse, lincomb
 
 from manifolds import (abelian_manifold, change_basis_bilinear, change_basis_endo,
-                       eigenbasis, identity, matrix_inverse, metric_signature, rows_of,
-                       zeros)
+                       eigenbasis, from_function, identity, matrix_inverse, metric_signature,
+                       rows_of, tensor_equal, zeros)
 from strategies import V3, any_tensors
 
 P4 = TensorDense.from_matrix([[0, 1, 0, 0], [1, 0, 0, 0],
@@ -239,7 +239,7 @@ def _algebra_of(n, constants):
     """The algebra whose c^k_{ij} is constants[k, i, j] (0-based), zero
     elsewhere; built directly, since a document always gives both halves
     of a bracket."""
-    c = TensorDense.from_function(n, V3, lambda k, i, j: constants.get((k, i, j), ZERO))
+    c = from_function(n, V3, lambda k, i, j: constants.get((k, i, j), ZERO))
     return LieAlgebraModel(n, tuple(f"X{i + 1}" for i in range(n)), c)
 
 

@@ -10,10 +10,10 @@ from paratwin.errors import ValidationError
 from paratwin.manifold import LieAlgebraModel, assemble_manifold
 from paratwin.scalar import Q, ZERO
 from paratwin.structure import build_structure_pack, fundamental_F, square_norm
-from paratwin.tensor import (DOWN, UP, TensorDense, apply_endo, lower_index, raise_index,
-                             tensor_equal, transpose)
+from paratwin.tensor import DOWN, UP, TensorDense
 
-from manifolds import matrix_inverse, rows_of
+from manifolds import (add, lower_index, matrix_inverse, neg, raise_index, rows_of, scale,
+                       slot_map, tensor_equal, transpose)
 from strategies import V3, antisymmetrized, dense_tensors, matrices, mixed_rationals
 
 
@@ -21,7 +21,7 @@ def test_F_symmetries(family121):
     m, tp = family121
     F = tp.sp.F
     assert tensor_equal(F, transpose(F, (0, 2, 1)))
-    assert tensor_equal(F, -apply_endo(apply_endo(F, 1, m.P), 2, m.P))
+    assert tensor_equal(F, neg(slot_map(slot_map(F, 1, m.P, True), 2, m.P, True)))
 
 
 def test_spot_values_at_reference_point(family121):
@@ -36,9 +36,9 @@ def test_spot_values_at_reference_point(family121):
 def test_one_form_relations(family121):
     m, tp = family121
     sp = tp.sp
-    assert tensor_equal(sp.theta_star, -apply_endo(sp.theta, 0, m.P))
-    assert tensor_equal(sp.f, -sp.theta_star)
-    assert tensor_equal(sp.f_star, -sp.theta)
+    assert tensor_equal(sp.theta_star, neg(slot_map(sp.theta, 0, m.P, True)))
+    assert tensor_equal(sp.f, neg(sp.theta_star))
+    assert tensor_equal(sp.f_star, neg(sp.theta))
 
 
 def test_f_sharp_is_metric_dual(family121):
@@ -53,14 +53,14 @@ def test_f_sharp_is_metric_dual(family121):
 def test_nijenhuis_vanishes_on_the_family(family121):
     _, tp = family121
     assert tp.sp.N_vec.is_zero()
-    assert tensor_equal(tp.sp.Nhat_vec, tp.sp.Phi_vec.scale(Q(-4)))
+    assert tensor_equal(tp.sp.Nhat_vec, scale(tp.sp.Phi_vec, -4))
 
 
 def test_phi_reconstructs_F(family121):
     m, tp = family121
     sp = tp.sp
-    rebuilt = (apply_endo(sp.Phi, 2, m.P)
-               + transpose(apply_endo(sp.Phi, 2, m.P), (0, 2, 1)))
+    phi_pz = slot_map(sp.Phi, 2, m.P, True)         # Phi(x, y, Pz)
+    rebuilt = add(phi_pz, transpose(phi_pz, (0, 2, 1)))
     assert tensor_equal(rebuilt, sp.F)
 
 

@@ -6,22 +6,22 @@ import random
 from contextlib import contextmanager
 from itertools import permutations, product
 from math import gcd, inf
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paratwin import cli, family
+from paratwin import cli, family, structure
 from paratwin import tensor as tensor_module
 from paratwin.errors import ConsistencyError, ValidationError, require
 from paratwin.scalar import Q, ZERO, format_rational, rational
-from paratwin.tensor import (DOWN, UP, TensorDense, apply_endo, inverse, lincomb,
-                             lower_index, raise_index, tensor_equal, transpose,
-                             vanishes)
+from paratwin.tensor import DOWN, UP, TensorDense, inverse, lincomb, vanishes
 
-from manifolds import (DENSE_BASIS, abelian_manifold, direct_sum, document_of,
-                       fraction_calls, identity, matrix_inverse, pulled_back, rows_of,
-                       symmetric_signature, zeros)
+from manifolds import (DENSE_BASIS, abelian_manifold, add, direct_sum, document_of,
+                       fraction_calls, identity, lower_index, matrix_inverse, neg,
+                       pulled_back, raise_index, rows_of, scale, slot_map, sub,
+                       symmetric_signature, tensor_equal, transpose, zeros)
 from strategies import (V3, V4, any_tensors, block_tensors, dense_tensors,
                         mixed_rationals, rationals, tensor_pairs)
 
@@ -36,6 +36,8 @@ def tensors(dim=2, nslots=3):
 #: a fixed non-degenerate indefinite metric in dimension 2
 G2 = TensorDense.from_matrix([[1, 2], [2, -1]], (DOWN, DOWN))
 G2_INV = TensorDense.from_matrix(matrix_inverse(rows_of(G2)), (UP, UP))
+
+SRC = Path(tensor_module.__file__).parent
 
 
 def test_shape_validation():
@@ -55,21 +57,23 @@ def test_immutability():
 
 @given(tensors(), tensors())
 def test_addition_componentwise(a, b):
-    s = a + b
+    s = lincomb((1, a), (1, b))
     assert all(s.data[i] == a.data[i] + b.data[i] for i in range(len(s.data)))
-    assert tensor_equal(s - b, a)
+    assert tensor_equal(lincomb((1, s), (-1, b)), a)
 
 
 @given(tensors(), rationals, rationals)
 def test_scale_is_linear(t, r, s):
-    assert tensor_equal(t.scale(r) + t.scale(s), t.scale(r + s))
+    assert tensor_equal(lincomb((r, t), (s, t)), scale(t, r + s))
 
 
 @given(tensors())
 @settings(max_examples=30)
 def test_raise_lower_round_trip(t):
+    """Raising slot 1 or 2 of a (1,2) tensor with the square norm's spec,
+    then lowering it with the reference, gives the tensor back."""
     for slot in range(1, t.nslots):
-        up = raise_index(t, slot, G2_INV)
+        up = lincomb((1, structure._RAISE[slot], G2_INV, t))
         assert up.variance[slot] == UP
         assert tensor_equal(lower_index(up, slot, G2), t)
 
@@ -77,17 +81,19 @@ def test_raise_lower_round_trip(t):
 @given(tensors())
 @settings(max_examples=30)
 def test_transpose_composition(t):
+    """Two permuted terms in a row are the term of the composed permutation."""
     for p in permutations(range(t.nslots)):
         for q in permutations(range(t.nslots)):
-            once = transpose(transpose(t, p), q)
+            once = lincomb((1, lincomb((1, t, p)), q))
             composed = tuple(p[k] for k in q)
+            assert tensor_equal(once, lincomb((1, t, composed)))
             assert tensor_equal(once, transpose(t, composed))
 
 
 @given(tensors())
 def test_transpose_semantics(t):
     p = (1, 2, 0)
-    tt = transpose(t, p)
+    tt = lincomb((1, t, p))
     for idx in product(range(t.dim), repeat=3):
         old = [0] * 3
         for k in range(3):
@@ -109,17 +115,10 @@ def test_contract_identity_gives_dimension():
         assert trace(identity(n), 0, 1).item() == Q(n)
 
 
-@given(tensors())
-def test_apply_identity_endo_is_identity(t):
-    e = identity(t.dim)
-    for slot in range(t.nslots):
-        assert tensor_equal(apply_endo(t, slot, e), t)
-
-
 @given(tensors(), tensors())
 @settings(max_examples=30)
 def test_contract_is_additive(a, b):
-    assert tensor_equal(trace(a + b, 0, 1), trace(a, 0, 1) + trace(b, 0, 1))
+    assert tensor_equal(trace(lincomb((1, a), (1, b)), 0, 1), add(trace(a, 0, 1), trace(b, 0, 1)))
 
 
 def test_matrix_inverse_and_determinant():
@@ -185,19 +184,6 @@ def naive_elementwise(a, b, op):
     return [op(x, y) for x, y in zip(a.data, b.data)]
 
 
-def naive_slot_map(t, slot, weight):
-    """out[.., i, ..] = sum_j weight(i, j) t[.., j, ..]."""
-    n = t.dim
-    out = []
-    for idx in product(range(n), repeat=t.nslots):
-        total = Q(0)
-        for j in range(n):
-            src = idx[:slot] + (j,) + idx[slot + 1:]
-            total += weight(idx[slot], j) * t[src]
-        out.append(total)
-    return out
-
-
 def naive_contract(t, slot_a, slot_b):
     n = t.dim
     keep = [k for k in range(t.nslots) if k not in (slot_a, slot_b)]
@@ -217,35 +203,96 @@ def naive_contract(t, slot_a, slot_b):
 @given(tensor_pairs(V3, V3), rationals)
 @settings(max_examples=60)
 def test_elementwise_ops_match_naive(pair, s):
+    """Sums, differences, negation and scaling as lincomb terms, and the
+    tests' Fraction reference for each."""
     a, b = pair
-    assert list((a + b).data) == naive_elementwise(a, b, lambda x, y: x + y)
-    assert list((a - b).data) == naive_elementwise(a, b, lambda x, y: x - y)
-    assert list((-a).data) == [-x for x in a.data]
-    assert list(a.scale(s).data) == [s * x for x in a.data]
-    assert (a - a).is_zero() and a.scale(0).is_zero()
+    for plus, minus, negated, scaled in [
+            (lincomb((1, a), (1, b)), lincomb((1, a), (-1, b)), lincomb((-1, a)), lincomb((s, a))),
+            (add(a, b), sub(a, b), neg(a), scale(a, s))]:
+        assert list(plus.data) == naive_elementwise(a, b, lambda x, y: x + y)
+        assert list(minus.data) == naive_elementwise(a, b, lambda x, y: x - y)
+        assert list(negated.data) == [-x for x in a.data]
+        assert list(scaled.data) == [s * x for x in a.data]
+    assert lincomb((1, a), (-1, a)).is_zero() and lincomb((0, a)).is_zero()
+    assert sub(a, a).is_zero() and scale(a, 0).is_zero()
 
 
-@given(tensor_pairs(V3, (UP, DOWN)))
+# -- one-slot maps: the product terms src writes, against plain sums ----------
+#
+# src writes each map on one slot as a product term with the matrix first:
+# (variance of the tensor, slot, spec, variance of the matrix).  P keeps
+# the slot's variance; g^-1 raises it.
+
+P_VARIANCE = (UP, DOWN)
+#: P substituted into or applied to one slot
+ENDOMORPHISM_MAPS = [
+    *(((DOWN,) * 3, "xyz".index(key), spec, P_VARIANCE)
+      for key, spec in structure._SUBSTITUTE.items()),  # p_substitutions, N(x, y, Pz)
+    (V3, 1, "mi,kmj->kij", P_VARIANCE),         # T(Px, y) in _nijenhuis_form, [Px, y]
+    (V3, 0, "km,mij->kij", P_VARIANCE),         # P T(Px, y)
+    (V3, 2, "mj,kim->kij", P_VARIANCE),         # T(Px, Py), [Px, Py]
+    ((DOWN,), 0, "mz,m->z", P_VARIANCE),        # theta o P, f* o P
+    ((DOWN,), 0, "mx,m->x", P_VARIANCE),        # f o P in w1_closed_forms
+    ((UP,), 0, "km,m->k", P_VARIANCE),          # P f#
+    ((UP, DOWN), 1, "mx,km->kx", P_VARIANCE),   # H P
+]
+#: an index raised with g^-1
+RAISES = [
+    *(((UP,) * slot + (DOWN,) * (3 - slot), slot, spec, (UP, UP))
+      for slot, spec in enumerate(structure._RAISE)),  # square_norm
+    ((DOWN,), 0, "km,m->k", (UP, UP)),          # f# = g^-1 f
+]
+#: an index lowered with g and moved last: (variance, spec, permutation)
+LOWERS = [(V3, "lm,mij->ijl", (1, 2, 0)),          # N, N^
+          (V4, "lm,mijk->ijkl", (1, 2, 3, 0))]     # R, and A in theorem_checks
+
+
+def is_transposed(spec):
+    """Whether a product reads its first operand, the matrix, transposed:
+    its summed letter comes first."""
+    matrix, operand = spec.split("->")[0].split(",")
+    return matrix[0] in operand
+
+
+@st.composite
+def slot_map_cases(draw, maps):
+    variance, slot, spec, matrix_variance = draw(st.sampled_from(maps))
+    t, e = draw(tensor_pairs(variance, matrix_variance))
+    return slot, spec, t, e
+
+
+@given(slot_map_cases(ENDOMORPHISM_MAPS))
+@settings(max_examples=60)
+def test_endomorphism_terms_match_naive(case):
+    """Values and variance: the slot keeps its own."""
+    slot, spec, t, e = case
+    assert lincomb((1, spec, e, t)) == slot_map(t, slot, e, is_transposed(spec))
+
+
+@given(slot_map_cases(ENDOMORPHISM_MAPS))
+@settings(max_examples=30)
+def test_identity_endomorphism_terms_are_identity(case):
+    slot, spec, t, _ = case
+    assert lincomb((1, spec, identity(t.dim), t)) == t
+
+
+@given(slot_map_cases(RAISES), st.sampled_from(LOWERS).flatmap(
+    lambda case: st.tuples(st.just(case), tensor_pairs(case[0], (DOWN, DOWN)))))
 @settings(max_examples=40)
-def test_apply_endo_matches_naive(pair):
-    t, e = pair
-    for slot in range(t.nslots):
-        if t.variance[slot] == DOWN:
-            want = naive_slot_map(t, slot, lambda i, m: e[m, i])
-        else:
-            want = naive_slot_map(t, slot, lambda i, m: e[i, m])
-        assert list(apply_endo(t, slot, e).data) == want
+def test_raise_lower_match_naive(raise_case, lower_case):
+    slot, spec, t, ginv = raise_case
+    raised = lincomb((1, spec, ginv, t))
+    assert raised.variance[slot] == UP
+    assert raised == raise_index(t, slot, ginv)
+    (_, spec, perm), (t, g) = lower_case
+    assert lincomb((1, spec, g, t)) == transpose(lower_index(t, 0, g), perm)
 
 
-@given(tensor_pairs(V3, (DOWN, DOWN)))
-@settings(max_examples=40)
-def test_raise_lower_match_naive(pair):
-    t, g = pair
-    for slot in range(1, t.nslots):
-        raised = raise_index(t, slot, g)
-        assert raised.variance[slot] == UP
-        assert list(raised.data) == naive_slot_map(t, slot, lambda i, j: g[i, j])
-    assert list(lower_index(t, 0, g).data) == naive_slot_map(t, 0, lambda i, j: g[i, j])
+def test_slot_map_specs_are_the_ones_src_uses():
+    """Each spec above is written in src, so the tests follow src's terms."""
+    src = "".join(path.read_text() for path in SRC.glob("*.py"))
+    specs = {case[2] for case in ENDOMORPHISM_MAPS + RAISES} | {spec for _, spec, _ in LOWERS}
+    assert [spec for spec in sorted(specs) if f'"{spec}"' not in src] == []
 
 
 #: up and down slots in several orders, so that the trace meets every
@@ -292,13 +339,13 @@ def test_contract_matches_naive(t):
 # -- one-pass linear combinations against the Fraction operators -------------
 #
 # lincomb and vanishes sum in ints over one common denominator; the
-# reference composes the Fraction operators transpose, scale and +.
+# reference composes the Fraction operations transpose, scale and add.
 
 def reference_combination(terms):
     total = None
     for c, t, *perm in terms:
-        x = (transpose(t, perm[0]) if perm else t).scale(c)
-        total = x if total is None else total + x
+        x = scale(transpose(t, perm[0]) if perm else t, c)
+        total = x if total is None else add(total, x)
     return total
 
 
@@ -413,17 +460,6 @@ def naive_product(spec, a, b):
     return total
 
 
-def naive_transpose(t, perm):
-    """Components of transpose(t, perm) read through t[...]."""
-    out = []
-    for idx in product(range(t.dim), repeat=t.nslots):
-        old = [0] * t.nslots
-        for k, p in enumerate(perm):
-            old[p] = idx[k]
-        out.append(t[tuple(old)])
-    return out
-
-
 @st.composite
 def product_terms(draw):
     """Terms of one shape around a product (c, spec, A, B): A and B dense
@@ -483,7 +519,7 @@ def test_product_terms_match_a_naive_einsum(case):
         if isinstance(rest[0], str):
             part = naive_product(*rest)
         elif len(rest) == 2:
-            part = naive_transpose(*rest)
+            part = list(transpose(*rest).data)
         else:
             part = list(rest[0].data)
         want = [w + rational(c) * x for w, x in zip(want, part)]
@@ -572,7 +608,7 @@ def test_placements_reach_the_last_position(dim):
     t, u = sparse_rank4(dim, rng), sparse_rank4(dim, rng)
     for perm in [(1, 2, 3, 0), (1, 0, 2, 3)]:               # a 4-cycle and a swap
         got = lincomb((Q(-2, 3), t, perm))
-        assert got.data == tuple(naive_transpose(lincomb((Q(-2, 3), t)), perm))
+        assert got.data == transpose(lincomb((Q(-2, 3), t)), perm).data
         # two terms on one placement merge, and cancel against got
         assert vanishes((1, t, perm), (2, t, perm), (Q(9, 2), got))
     g = TensorDense(dim, (DOWN, DOWN), [Q(rng.randint(-3, 3)) if i % (dim + 1) == 0
@@ -594,7 +630,7 @@ def test_coefficients_are_ints_fractions_or_rationals():
     t = TensorDense(2, (UP, DOWN), [1, Q(1, 2), 0, -3])
     for c, want in [(True, 1), (False, 0), (3, 3), (Q(-5, 6), Q(-5, 6)),
                     ("10/4", Q(5, 2)), (" -3/9 ", Q(-1, 3)), ("0", 0)]:
-        assert lincomb((c, t)) == t.scale(want), c
+        assert lincomb((c, t)) == scale(t, want), c
         assert lincomb((c, "ij,jk->ik", t, t), (c, t, (0, 1))) == lincomb(
             (want, "ij,jk->ik", t, t), (want, t)), c
         assert vanishes((c, t), (-want, t))
@@ -628,11 +664,11 @@ def test_storage_is_reduced_and_canonical(t, s):
     assert t.support == [p for p, v in enumerate(t.nums) if v]
     assert t.is_zero() == (t.den == 1 and not any(t.nums))
     # the same values built in other ways give an equal tensor and hash
+    swap = (0, 2, 1) + tuple(range(3, t.nslots))
     same = [TensorDense(t.dim, t.variance, [format_rational(v) for v in t.data]),
             lincomb((Q(1, 3), t), (Q(2, 3), t)),
             lincomb((1, t, tuple(range(t.nslots)))),
-            transpose(transpose(t, (0, 2, 1) + tuple(range(3, t.nslots))),
-                      (0, 2, 1) + tuple(range(3, t.nslots)))]
+            lincomb((1, lincomb((1, t, swap)), swap))]
     if s:
         same.append(lincomb((1 / s, lincomb((s, t)))))
     for u in same:

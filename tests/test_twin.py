@@ -1,6 +1,8 @@
 """Twin interchange: tilde objects, D, Q, B, A, K, and the invariance suite."""
 
 import dataclasses
+import inspect
+import re
 from itertools import product
 
 import pytest
@@ -13,12 +15,14 @@ from paratwin.errors import ConsistencyError, recording
 from paratwin.family import FamilyParams, build_family, family_pack
 from paratwin.manifold import build_manifold
 from paratwin.scalar import Q, ZERO
-from paratwin.tensor import DOWN, UP, TensorDense, lincomb, tensor_equal
-from paratwin.twin import (_w1_assemble, build_twin_pack, invariance_suite, tensor_B,
-                           tensor_K, tensor_Q, w1_closed_forms)
+from paratwin.structure import StructurePack
+from paratwin.tensor import DOWN, UP, TensorDense, lincomb
+from paratwin.twin import (TwinPack, _w1_assemble, build_twin_pack, invariance_suite,
+                           tensor_B, tensor_K, tensor_Q, w1_closed_forms)
 
-from manifolds import (DENSE_BASIS, derive_vector, direct_sum, document_of, nonabelian2,
-                       pulled_back, rows_of, zeros)
+from manifolds import (DENSE_BASIS, add, derive_vector, direct_sum, document_of, neg,
+                       nonabelian2, pulled_back, rows_of, scale, sub, tensor_equal,
+                       transpose)
 from strategies import V3, V4, any_tensors, dense_tensors, mixed_rationals, rationals
 
 #: every route cross-check that one report runs; taken from the version
@@ -56,21 +60,20 @@ def test_twin_connection_is_koszul_of_twin_metric(family121):
     m, tp = family121
     independent = koszul(m.algebra, m.g_twin, m.g_twin_inv)
     assert tensor_equal(tp.conn_twin.gamma, independent.gamma)
-    assert tensor_equal(tp.conn_twin.gamma - tp.conn.gamma, tp.sp.Phi_vec)
+    assert tensor_equal(sub(tp.conn_twin.gamma, tp.conn.gamma), tp.sp.Phi_vec)
 
 
 def test_curvature_correction(family121):
     _, tp = family121
-    assert tensor_equal(tp.curv_twin.R_vec, tp.curv.R_vec + tp.Q_vec)
-    assert tensor_equal(tp.A_vec, (tp.curv.R_vec + tp.curv_twin.R_vec).scale(Q(1, 2)))
-    assert tensor_equal(tp.K_vec, tp.A_vec - tp.B_vec.scale(Q(1, 4)))
+    assert tensor_equal(tp.curv_twin.R_vec, add(tp.curv.R_vec, tp.Q_vec))
+    assert tensor_equal(tp.A_vec, scale(add(tp.curv.R_vec, tp.curv_twin.R_vec), Q(1, 2)))
+    assert tensor_equal(tp.K_vec, sub(tp.A_vec, scale(tp.B_vec, Q(1, 4))))
 
 
 def test_Q_antisymmetry(family121):
     _, tp = family121
-    from paratwin.tensor import transpose
-    assert tensor_equal(tp.Q_vec, -transpose(tp.Q_vec, (0, 2, 1, 3)))
-    assert tensor_equal(tp.B_vec, -transpose(tp.B_vec, (0, 2, 1, 3)))
+    assert tensor_equal(tp.Q_vec, neg(transpose(tp.Q_vec, (0, 2, 1, 3))))
+    assert tensor_equal(tp.B_vec, neg(transpose(tp.B_vec, (0, 2, 1, 3))))
 
 
 def test_suite_on_family_points():
@@ -112,7 +115,7 @@ def test_direct_Q_and_B_on_twin_side(family121):
     m, tp = family121
     _, _, tQ = tensor_Q(tp.conn_twin, tp.sp_twin.Phi_vec)
     tB = tensor_B(tp.sp_twin.Phi_vec)
-    assert tensor_equal(tQ, -tp.Q_vec)
+    assert tensor_equal(tQ, neg(tp.Q_vec))
     assert tensor_equal(tB, tp.B_vec)
 
 
@@ -121,8 +124,54 @@ def test_pack_of_twin_view(family121):
     tp2 = build_twin_pack(m.twin_view())
     assert tensor_equal(tp2.conn.gamma, tp.conn_twin.gamma)
     assert tensor_equal(tp2.curv.R_vec, tp.curv_twin.R_vec)
-    assert tensor_equal(tp2.Q_vec, -tp.Q_vec)
+    assert tensor_equal(tp2.Q_vec, neg(tp.Q_vec))
     assert tensor_equal(tp2.D.gamma, tp.D.gamma)
+
+
+def stated_variances(cls) -> dict:
+    """{field: variance} from the "# (r,s)" comment on each tensor field of
+    a pack dataclass; a PSubs field's comment names its keys, each a (0,3)
+    tensor.  Every tensor field must have such a comment."""
+    stated = {}
+    for line in inspect.getsource(cls).splitlines():
+        match = re.match(r"\s+(\w+): (TensorDense|PSubs)\s+# (.*)", line)
+        if match is None:
+            continue
+        name, kind, comment = match.groups()
+        if kind == "PSubs":
+            stated[name] = {key: (DOWN,) * 3 for key in re.findall(r'"(\w+)"', comment)}
+        else:
+            r, s = map(int, re.match(r"\((\d),(\d)\)", comment).groups())
+            stated[name] = (UP,) * r + (DOWN,) * s
+    tensor_fields = {f.name for f in dataclasses.fields(cls) if f.type in ("TensorDense", "PSubs")}
+    assert set(stated) == tensor_fields, cls
+    return stated
+
+
+def assert_stated_variances(pack) -> None:
+    """Each tensor field of pack, and of the packs it holds, has the
+    variance its dataclass comment states."""
+    for name, want in stated_variances(type(pack)).items():
+        value = getattr(pack, name)
+        if isinstance(want, dict):
+            assert {key: t.variance for key, t in value.items()} == want, name
+        else:
+            assert value.variance == want, name
+    for f in dataclasses.fields(pack):
+        if f.type in ("StructurePack", "CurvaturePack"):
+            assert_stated_variances(getattr(pack, f.name))
+
+
+def test_pack_fields_have_their_stated_variance(family121, dense_and_b_nonzero):
+    """The slot maps carry no variance check of their own: P's (u, d) and
+    g^-1's (u, u) give each result its flags, and this pins them, e.g.
+    F_P["x"] (d, d, d), f_sharp (u,) and Q_vec (u, d, d, d)."""
+    stated = stated_variances(StructurePack)
+    assert stated["F_P"]["x"] == (DOWN,) * 3 and set(stated["Phi_P"]) == {"y", "z", "yz", "xy"}
+    assert stated["f_sharp"] == (UP,)
+    assert stated_variances(TwinPack)["Q_vec"] == (UP, DOWN, DOWN, DOWN)
+    for _, tp in [family121, *dense_and_b_nonzero]:
+        assert_stated_variances(tp)
 
 
 def test_report_runs_every_route_check(family121, dsum8):
@@ -174,24 +223,27 @@ def test_failed_route_check_names_the_component_that_differs(family121):
 
 
 def test_report_forms_no_intermediate_tensors(family121, monkeypatch):
-    """The report path builds every relation in one integer pass: the
-    Fraction operators +, -, negation and scale stay the tests' reference."""
+    """The report path builds every relation in one integer pass: it
+    converts no list of rationals into a tensor, and tensors have no
+    Fraction operators; add, sub, neg and scale are the tests' reference
+    in manifolds.py."""
+    assert not any(hasattr(TensorDense, name)
+                   for name in ("__add__", "__sub__", "__neg__", "scale"))
     calls = []
-    for name in ("__add__", "__sub__", "__neg__", "scale"):
-        original = getattr(TensorDense, name)
+    original = TensorDense.__init__
 
-        def counted(*args, _original=original, _name=name):
-            calls.append(_name)
-            return _original(*args)
+    def counted(self, *args):
+        calls.append(args[:2])
+        original(self, *args)
 
-        monkeypatch.setattr(TensorDense, name, counted)
     dense = document_of(pulled_back(family121[0], DENSE_BASIS))
     alg, P, g, name = parse_document(dense)
     assert all(P.data) and all(g.data)
+    monkeypatch.setattr(TensorDense, "__init__", counted)
     for m in (family121[0], build_manifold(alg, P, g, name=name)):
         build_report(m)
-    zeros(2, V3) + zeros(2, V3)     # the counter works
-    assert calls == ["__add__"]
+    TensorDense(2, V3, [ZERO] * 8)      # the counter works
+    assert calls == [(2, V3)]
 
 
 def reference_w1_qb(gm, tm, Sm, Ssm, Hm, HP, F, Pfs):
