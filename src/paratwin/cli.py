@@ -148,6 +148,10 @@ def load_document(path: str) -> dict:
             return json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"{path} is not UTF-8 text: {exc}") from exc
+    except RecursionError as exc:
+        raise DocumentError(f"{path} is nested too deeply to read") from exc
     except (json.JSONDecodeError, DocumentError) as exc:
         raise DocumentError(f"{path} is not valid JSON: {exc}") from exc
 

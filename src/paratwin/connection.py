@@ -5,42 +5,21 @@ the Koszul formula collapses to the three bracket terms:
 
     2 g(nabla_{X_i} X_j, X_k) = g([X_i,X_j],X_k) + g([X_k,X_i],X_j) + g([X_k,X_j],X_i)
 
-and connection coefficients are constants.
+and connection coefficients are constants.  A connection is its (1,2)
+coefficient tensor Gamma, indexed [k, i, j]: nabla_{X_i} X_j = Gamma^k_{ij} X_k.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ValidationError, require
 from .manifold import LieAlgebraModel
 from .scalar import Q
-from .tensor import DOWN, UP, TensorDense, lincomb, vanishes
+from .tensor import UP, TensorDense, lincomb, vanishes
 
 
-@dataclass(frozen=True)
-class Connection:
-    """Connection coefficients: nabla_{X_i} X_j = Gamma^k_{ij} X_k.
-
-    gamma is a (1,2) tensor indexed [k, i, j].
-    """
-    dim: int
-    gamma: TensorDense
-
-    def __post_init__(self):
-        if self.gamma.dim != self.dim or self.gamma.variance != (UP, DOWN, DOWN):
-            raise ValidationError("connection coefficients must form a (1,2) tensor")
-
-    def average(self, other: "Connection") -> "Connection":
-        """(self + other)/2."""
-        if self.dim != other.dim:
-            raise ValidationError("connection dimensions differ")
-        half = Q(1, 2)
-        return Connection(self.dim, lincomb((half, self.gamma), (half, other.gamma)))
-
-
-def koszul(alg: LieAlgebraModel, metric: TensorDense, metric_inv: TensorDense) -> Connection:
-    """Levi-Civita connection of an invariant metric via the Koszul formula.
+def koszul(alg: LieAlgebraModel, metric: TensorDense, metric_inv: TensorDense) -> TensorDense:
+    """Levi-Civita connection of an invariant metric via the Koszul formula,
+    as its coefficients Gamma[k, i, j].
 
     Post-checks zero torsion and nabla(metric) = 0 exactly; a failure here
     means the inputs are inconsistent and raises ConsistencyError.
@@ -51,18 +30,18 @@ def koszul(alg: LieAlgebraModel, metric: TensorDense, metric_inv: TensorDense) -
     half = Q(1, 2)
     gamma = lincomb((half, "lk,ijk->lij", metric_inv, L), (half, "lk,kij->lij", metric_inv, L),
                     (half, "lk,kji->lij", metric_inv, L))
-    conn = Connection(alg.dim, gamma)
 
     # torsion: T^k_{ij} = Gamma^k_{ij} - Gamma^k_{ji} - c^k_{ij}
     require(vanishes((1, gamma), (-1, gamma, (0, 2, 1)), (-1, alg.c)),
             "Koszul output has torsion")
-    require(vanishes((1, covariant_derivative(conn, metric))),
+    require(vanishes((1, covariant_derivative(gamma, metric))),
             "Koszul output is not metric-compatible")
-    return conn
+    return gamma
 
 
-def covariant_derivative(conn: Connection, t: TensorDense) -> TensorDense:
-    """Covariant derivative of an invariant tensor; differentiation slot last.
+def covariant_derivative(gamma: TensorDense, t: TensorDense) -> TensorDense:
+    """Covariant derivative of an invariant tensor by the connection with
+    coefficients gamma; differentiation slot last.
 
     On left-invariant components the scalar derivative term is zero, so
     only the connection action on each slot remains: + Gamma^a_{im}
@@ -71,7 +50,7 @@ def covariant_derivative(conn: Connection, t: TensorDense) -> TensorDense:
     """
     if t.nslots == 0:
         raise ValidationError("covariant derivative of a scalar is not defined here")
-    if t.dim != conn.dim:
+    if t.dim != gamma.dim:
         raise ValidationError("connection and tensor dimensions differ")
     letters = "abcdefgh"[:t.nslots]
     terms = []
@@ -79,20 +58,20 @@ def covariant_derivative(conn: Connection, t: TensorDense) -> TensorDense:
         a = letters[s]
         src = letters[:s] + "m" + letters[s + 1:]
         if var == UP:
-            terms.append((1, f"{a}im,{src}->{letters}i", conn.gamma, t))
+            terms.append((1, f"{a}im,{src}->{letters}i", gamma, t))
         else:
-            terms.append((-1, f"mi{a},{src}->{letters}i", conn.gamma, t))
+            terms.append((-1, f"mi{a},{src}->{letters}i", gamma, t))
     return lincomb(*terms)
 
 
-def curvature_operator(conn: Connection, alg: LieAlgebraModel) -> TensorDense:
-    """(1,3) curvature of an invariant connection, indexed [l, i, j, k]:
+def curvature_operator(gamma: TensorDense, alg: LieAlgebraModel) -> TensorDense:
+    """(1,3) curvature of the invariant connection with coefficients gamma,
+    indexed [l, i, j, k]:
 
         R(X_i, X_j) X_k = R^l_{ijk} X_l
                         = nabla_i nabla_j X_k - nabla_j nabla_i X_k - nabla_{[X_i,X_j]} X_k
                         = Gamma^l_{im} Gamma^m_{jk} - Gamma^l_{jm} Gamma^m_{ik}
                           - c^m_{ij} Gamma^l_{mk}.
     """
-    G = conn.gamma
-    return lincomb((1, "lim,mjk->lijk", G, G), (-1, "ljm,mik->lijk", G, G),
-                   (-1, "mij,lmk->lijk", alg.c, G))
+    return lincomb((1, "lim,mjk->lijk", gamma, gamma), (-1, "ljm,mik->lijk", gamma, gamma),
+                   (-1, "mij,lmk->lijk", alg.c, gamma))

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .connection import Connection, curvature_operator
+from .connection import curvature_operator
 from .errors import require
 from .manifold import WManifold
 from .tensor import TensorDense, lincomb, vanishes
@@ -33,10 +33,10 @@ def check_curvature_like(R: TensorDense):
             "first Bianchi identity fails")
 
 
-def riemann(m: WManifold, conn: Connection) -> CurvaturePack:
-    """Curvature pack of conn, the Levi-Civita connection of m's metric g,
-    lowered and traced with g.  The twin side is riemann(m.twin_view(),
-    conn_twin).
+def riemann(m: WManifold, conn: TensorDense) -> CurvaturePack:
+    """Curvature pack of conn, the coefficients of the Levi-Civita
+    connection of m's metric g, lowered and traced with g.  The twin side
+    is riemann(m.twin_view(), conn_twin).
 
     The Ricci trace is rho(y,z) = g^{ij} R(e_i, y, z, e_j), and tau =
     g^{ij} rho(e_i, e_j).

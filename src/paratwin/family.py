@@ -22,8 +22,7 @@ from math import lcm
 from operator import mul
 
 from . import tables
-from .classify import (ClassificationResult, ClassLabel, classify, classify_phi,
-                       lee_forms_closed)
+from .classify import ClassificationResult, ClassLabel, classify, lee_forms_closed
 from .errors import ValidationError, require
 from .manifold import (CheckItem, LieAlgebraModel, ValidationReport, WManifold,
                        require_lie_algebra, validated_frame)
@@ -130,14 +129,30 @@ def family_pack(p: FamilyParams):
 # -- the pack as binary forms ----------------------------------------------------
 #
 # At fixed e every field T of the twin pack is a binary form in (l1, l2), of
-# the degree tables.PACK_DEGREES gives.  With T10, T01 and T11 its values at
-# the nodes (l1, l2) = (1, 0), (0, 1) and (1, 1) of that sign,
+# the degree PACK_DEGREES gives: c is linear in (l1, l2) and g, P are
+# constant.  With T10, T01 and T11 its values at the nodes (l1, l2) = (1, 0),
+# (0, 1) and (1, 1) of that sign,
 #
 #     T = l1 T10 + l2 T01                                  (degree 1)
 #     T = l1^2 T10 + l2^2 T01 + l1 l2 (T11 - T10 - T01)    (degree 2)
 
 #: the nodes (l1, l2) of each sign, in the order of the weights
 NODES = ((1, 0), (0, 1), (1, 1))
+
+#: degree in (l1, l2), at fixed e, of each field of a family twin pack
+#: (twin.TwinPack and the structure and curvature packs in it), by field
+#: name; the P-substitutions F_P and Phi_P have the degree of F and Phi.
+#: Degree 0 marks what is the same at every point of a sign: the names of
+#: the route checks.  The classes, cls, are decided anew at each point,
+#: not blended, so they have no entry.
+PACK_DEGREES = {
+    "checks": 0,
+    **dict.fromkeys(("conn", "conn_twin", "D", "F", "F_P", "Phi", "Phi_P", "Phi_vec",
+                     "theta", "theta_star", "f", "f_star", "f_sharp", "N_vec", "Nhat_vec",
+                     "N", "Nhat"), 1),
+    **dict.fromkeys(("snorm", "R_vec", "R", "ricci", "tau", "curl", "Q_vec", "B_vec",
+                     "A_vec", "K_vec"), 2),
+}
 
 
 def _blend(values: list, weights: dict, name: str):
@@ -147,7 +162,7 @@ def _blend(values: list, weights: dict, name: str):
     first = values[0]
     if is_dataclass(first) or isinstance(first, dict):
         return _Blend(values, weights, name)
-    degree = tables.PACK_DEGREES[name]
+    degree = PACK_DEGREES[name]
     if degree == 0:
         return first
     if isinstance(first, TensorDense):
@@ -179,7 +194,7 @@ class _Blend:
 class _BlendedTwinPack(_Blend):
     """The twin pack of the family manifold m at p, blended from the node
     packs of p's sign; its classes are decided on m and the blended
-    structure packs, as build_twin_pack decides them."""
+    structure pack, as build_twin_pack decides them."""
 
     def __init__(self, m: WManifold, p: FamilyParams, packs: list):
         l1, l2 = p.lambda1, p.lambda2
@@ -191,10 +206,6 @@ class _BlendedTwinPack(_Blend):
     def cls(self) -> ClassificationResult:
         return classify(self._m, self.sp)
 
-    @cached_property
-    def classes_twin(self) -> frozenset[ClassLabel]:
-        return frozenset(classify_phi(self._m.twin_view(), self.sp_twin))
-
 
 def _require_interpolation(p: FamilyParams, packs: list) -> None:
     """The check that the twin pack blended at p from the node packs equals
@@ -205,19 +216,19 @@ def _require_interpolation(p: FamilyParams, packs: list) -> None:
             + ("" if diff is None else f" at {p.label()}: {diff}"))
 
 
-#: the TwinPack fields that classify decides from sp and sp_twin on the
-#: same manifold: _difference compares those packs first, so once they
-#: agree these do too, and they are not decided again just to compare them
-_DECIDED = frozenset(("cls", "classes_twin"))
+#: the TwinPack field that classify decides from sp on the same manifold:
+#: _difference compares sp first, so once it agrees cls does too, and it
+#: is not decided again just to compare it
+_DECIDED = "cls"
 
 
 def _difference(a, b, path: str = "pack") -> str | None:
     """Where a, a pack or a _Blend of one, first differs from the pack b,
-    field by field, and how, the _DECIDED fields aside; None if they are
+    field by field, and how, the _DECIDED field aside; None if they are
     equal."""
     if is_dataclass(b):
         parts = ((getattr(a, f.name), getattr(b, f.name), f"{path}.{f.name}")
-                 for f in fields(b) if f.name not in _DECIDED)
+                 for f in fields(b) if f.name != _DECIDED)
     elif isinstance(b, dict):
         parts = ((a[key], b[key], f"{path}[{key}]") for key in b)
     elif a == b:
@@ -402,9 +413,9 @@ def theorem_checks(p: FamilyParams, perturb_curvature: bool = False,
 
     # connection components
     nabla_t, nabla_twin_t = tables.connection_tables(*at)
-    table("table: connection", _tensor_mismatch("nabla", ",", tp.conn.gamma, nabla_t, d, True))
+    table("table: connection", _tensor_mismatch("nabla", ",", tp.conn, nabla_t, d, True))
     table("table: twin connection", _tensor_mismatch(
-        "twin nabla", ",", tp.conn_twin.gamma, nabla_twin_t, d, True))
+        "twin nabla", ",", tp.conn_twin, nabla_twin_t, d, True))
 
     # potential and its 1-forms
     phi_t, f_t, f_star_t, f_sharp_t = tables.potential_table(*at)
@@ -456,7 +467,7 @@ def theorem_checks(p: FamilyParams, perturb_curvature: bool = False,
     A_low = lincomb((1, "lm,mijk->ijkl", m.g, tp.A_vec))
     table("table: average curvature", _tensor_mismatch("A", "", A_low, tables.a_table(*at), d2))
     table("table: average connection", _tensor_mismatch(
-        "D", ",", tp.D.gamma, tables.average_connection_table(*at), d, True))
+        "D", ",", tp.D, tables.average_connection_table(*at), d, True))
 
     # family identities
     check("identity: B = 0", vanishes((1, tp.B_vec)))

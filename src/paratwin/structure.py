@@ -4,19 +4,20 @@ Covers the fundamental tensor F = g((nabla P)., .), the potential Phi of
 the twin connection, the Lee forms theta/theta*, the 1-forms f/f* with the
 dual vector f#, both Nijenhuis tensors, and the square norm of nabla P.
 Every quantity that admits two derivations is computed both ways and the
-results must agree exactly; a mismatch raises ConsistencyError.
+results must agree exactly; a mismatch raises ConsistencyError.  The
+connection nabla is its (1,2) coefficient tensor, as connection.koszul
+returns it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 
-from .connection import Connection, covariant_derivative, koszul
+from .connection import covariant_derivative, koszul
 from .errors import require
 from .manifold import WManifold
-from .scalar import ZERO, Q
+from .scalar import Q
 from .tensor import TensorDense, lincomb, vanishes
 
 #: a (0,3) tensor with P substituted into some arguments, keyed by those
@@ -64,7 +65,7 @@ def p_substitutions(t: TensorDense, P: TensorDense, *keys: str) -> PSubs:
     return out
 
 
-def fundamental_F(m: WManifold, conn: Connection) -> tuple[TensorDense, PSubs]:
+def fundamental_F(m: WManifold, conn: TensorDense) -> tuple[TensorDense, PSubs]:
     """F(x,y,z) = g((nabla_x P) y, z), post-checked against its symmetries.
 
     Returns F and its P-substitutions "x", "y", "z" and "yz".
@@ -89,7 +90,7 @@ def lee_forms(m: WManifold, F: TensorDense, F_P: PSubs) -> tuple[TensorDense, Te
     return theta, theta_star
 
 
-def potential_phi(m: WManifold, F: TensorDense, F_P: PSubs, conn: Connection,
+def potential_phi(m: WManifold, F: TensorDense, F_P: PSubs, conn: TensorDense,
                   theta: TensorDense, theta_star: TensorDense):
     """Potential of the twin connection, from F.
 
@@ -120,7 +121,7 @@ def potential_phi(m: WManifold, F: TensorDense, F_P: PSubs, conn: Connection,
 
     # independent route: Phi = nabla~ - nabla, on [k, i, j]
     conn_twin = koszul(m.algebra, m.g_twin, m.g_twin_inv)
-    require(vanishes((1, Phi_vec), (-1, conn_twin.gamma), (1, conn.gamma)),
+    require(vanishes((1, Phi_vec), (-1, conn_twin), (1, conn)),
             "Phi from F disagrees with (nabla~ - nabla)")
 
     f = lincomb((1, "ij,ijz->z", m.g_inv, Phi))
@@ -142,7 +143,7 @@ def _nijenhuis_form(T: TensorDense, P: TensorDense, parity: int) -> TensorDense:
     return lincomb((1, "mj,kim->kij", P, TP), (1, T), (-1, PTP), (-parity, PTP, (0, 2, 1)))
 
 
-def nijenhuis(m: WManifold, conn: Connection, Phi: TensorDense, Phi_P: PSubs):
+def nijenhuis(m: WManifold, conn: TensorDense, Phi: TensorDense, Phi_P: PSubs):
     """Nijenhuis tensor N and associated tensor N^ of P.
 
     N uses Lie brackets, N^ the symmetric braces {x,y} = nabla_x y +
@@ -151,7 +152,7 @@ def nijenhuis(m: WManifold, conn: Connection, Phi: TensorDense, Phi_P: PSubs):
     P-substitutions Phi_P.
     Returns (N_vec, Nhat_vec, N, Nhat).
     """
-    braces = lincomb((1, conn.gamma), (1, conn.gamma, (0, 2, 1)))     # {X_i, X_j}^k
+    braces = lincomb((1, conn), (1, conn, (0, 2, 1)))     # {X_i, X_j}^k
     N_vec = _nijenhuis_form(m.algebra.c, m.P, -1)
     Nhat_vec = _nijenhuis_form(braces, m.P, 1)
 
@@ -173,11 +174,10 @@ def square_norm(m: WManifold, F: TensorDense) -> Fraction:
     raised = F
     for spec in _RAISE:
         raised = lincomb((1, spec, m.g_inv, raised))
-    total = sum(map(mul, F.nums, raised.nums))
-    return Q(total, F.den * raised.den) if total else ZERO
+    return lincomb((1, "ijk,ijk->", F, raised)).item()
 
 
-def build_structure_pack(m: WManifold, conn: Connection) -> StructurePack:
+def build_structure_pack(m: WManifold, conn: TensorDense) -> StructurePack:
     """Compute every structure tensor of (m, conn) with all cross-checks."""
     F, F_P = fundamental_F(m, conn)
     theta, theta_star = lee_forms(m, F, F_P)

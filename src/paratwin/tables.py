@@ -17,11 +17,6 @@ rationals only to word a mismatch.  Each entry is polynomial of degree at
 most two per parameter, so agreement on a seven-point grid per parameter
 proves the identity.
 
-At fixed e the engine's own twin pack has the same degrees: c is linear
-in (l1, l2) and g, P are constant.  PACK_DEGREES gives the degree of each
-pack field, and family.grid_verification blends the pack by it from its
-values at the nodes (l1, l2) = (1, 0), (0, 1) and (1, 1).
-
 Below, l1 and l2 name a1 and a2.  Indices here are 0-based; the
 docstring component names use the 1-based basis labels X1..X4.
 """
@@ -31,21 +26,6 @@ from __future__ import annotations
 from .errors import ConsistencyError
 
 Vec = tuple[int, int, int, int]
-
-#: degree in (l1, l2), at fixed e, of each field of a family twin pack
-#: (twin.TwinPack and the structure, curvature and connection packs in
-#: it), by field name; the P-substitutions F_P and Phi_P have the degree
-#: of F and Phi.  Degree 0 marks what is the same at every point of a
-#: sign: the dimension and the names of the route checks.  The classes,
-#: cls and classes_twin, are decided anew at each point, not blended, so
-#: they have no entry.
-PACK_DEGREES = {
-    **dict.fromkeys(("dim", "checks"), 0),
-    **dict.fromkeys(("gamma", "F", "F_P", "Phi", "Phi_P", "Phi_vec", "theta", "theta_star",
-                     "f", "f_star", "f_sharp", "N_vec", "Nhat_vec", "N", "Nhat"), 1),
-    **dict.fromkeys(("snorm", "R_vec", "R", "ricci", "tau", "curl", "Q_vec", "B_vec",
-                     "A_vec", "K_vec"), 2),
-}
 
 
 def _scale(c: int, v: Vec) -> Vec:

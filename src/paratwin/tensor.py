@@ -440,9 +440,14 @@ def _add_product(acc: list[int] | dict[int, int], s: int, nrows: int, operands,
     """acc += s times the product of the numerators of a and b."""
     (akey, aout), (bkey, bout) = operands
     bnums = b.nums
-    rows: list[list[tuple[int, int]]] = [[] for _ in range(nrows)]
+    # a list only for each row b occupies: a product summed over several
+    # letters, as "ijk,ijk->" is, has dim^3 rows, nearly all empty
+    rows: list[list[tuple[int, int]] | None] = [None] * nrows
     for p in b.support:
-        rows[bkey[p]].append((bout[p], bnums[p]))
+        k = bkey[p]
+        if rows[k] is None:
+            rows[k] = []
+        rows[k].append((bout[p], bnums[p]))
     anums = a.nums
     if type(acc) is dict:
         get = acc.get

@@ -70,10 +70,11 @@ def matrix_inverse(rows):
     return inv
 
 
-def derive_vector(conn, i: int, y: list) -> list:
-    """nabla_{X_i} y for a constant coefficient vector y, by plain sums."""
-    n = conn.dim
-    return [sum((conn.gamma[k, i, j] * y[j] for j in range(n)), ZERO) for k in range(n)]
+def derive_vector(gamma: TensorDense, i: int, y: list) -> list:
+    """nabla_{X_i} y for a constant coefficient vector y, by plain sums,
+    with gamma the connection's coefficients."""
+    n = gamma.dim
+    return [sum((gamma[k, i, j] * y[j] for j in range(n)), ZERO) for k in range(n)]
 
 
 def abelian_manifold(dim: int = 4, name: str = "abelian") -> WManifold:
@@ -360,6 +361,6 @@ def lower_index(t: TensorDense, slot: int, metric: TensorDense) -> TensorDense:
     return slot_map(t, slot, metric, flag=DOWN)
 
 
-def torsion(conn, alg: LieAlgebraModel) -> TensorDense:
+def torsion(gamma: TensorDense, alg: LieAlgebraModel) -> TensorDense:
     """T^k_{ij} = Gamma^k_{ij} - Gamma^k_{ji} - c^k_{ij}."""
-    return lincomb((1, conn.gamma), (-1, conn.gamma, (0, 2, 1)), (-1, alg.c))
+    return lincomb((1, gamma), (-1, gamma, (0, 2, 1)), (-1, alg.c))

@@ -363,6 +363,21 @@ def test_repeated_json_key_rejected(tmp_path):
             assert "is repeated in one object" in err
 
 
+@pytest.mark.parametrize("content, message", [
+    (b"\xff", "is not UTF-8 text: 'utf-8' codec can't decode byte 0xff"),
+    (b"[" * 1000 + b"]" * 1000, "is nested too deeply to read"),
+], ids=["not-utf8", "nested-1000-deep"])
+def test_unreadable_document_is_a_parse_error(tmp_path, content, message):
+    """A file that is not UTF-8, or JSON nested deeper than the parser can
+    follow, is a parse error, not a traceback."""
+    path = tmp_path / "doc.json"
+    path.write_bytes(content)
+    for command in ("validate", "report"):
+        code, out, err = run([command, str(path)])
+        assert (code, out) == (cli.EXIT_PARSE, "")
+        assert err.startswith("parse error: ") and message in err, err
+
+
 def test_oversized_dim_rejected_before_allocation(tmp_path):
     """A few bytes claiming dim = 10^6 (10^18 bracket slots) fail fast."""
     doc = {"dim": 10 ** 6, "basis": [], "brackets": [], "metric": [], "P": []}

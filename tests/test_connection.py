@@ -2,17 +2,15 @@
 
 from itertools import product
 
-import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from paratwin.connection import Connection, covariant_derivative, curvature_operator, koszul
-from paratwin.errors import ValidationError
+from paratwin.connection import covariant_derivative, curvature_operator, koszul
 from paratwin.manifold import LieAlgebraModel
 from paratwin.scalar import Q, ZERO
 from paratwin.tensor import DOWN, UP, TensorDense
 
-from manifolds import abelian_manifold, matrix_inverse, tensor_equal, torsion, transpose, zeros
+from manifolds import abelian_manifold, matrix_inverse, tensor_equal, torsion, transpose
 from strategies import V3, antisymmetrized, dense_tensors, matrices, mixed_rationals, tensor_pairs
 
 
@@ -21,7 +19,7 @@ def test_koszul_is_torsion_free_and_metric(family121):
     conn = koszul(m.algebra, m.g, m.g_inv)
     assert torsion(conn, m.algebra).is_zero()
     assert covariant_derivative(conn, m.g).is_zero()
-    assert tensor_equal(conn.gamma, tp.conn.gamma)
+    assert tensor_equal(conn, tp.conn)
 
 
 def test_twin_metric_not_parallel_for_nabla(family121):
@@ -35,8 +33,8 @@ def test_twin_metric_not_parallel_for_nabla(family121):
 def test_koszul_against_hand_computation(family121):
     """nabla_{X1} X1 at (1,2,1) from the three-bracket Koszul sum by hand."""
     _, tp = family121
-    assert tp.conn.gamma.column(0, 0) == [Q(0), Q(-4), Q(-1), Q(1)]
-    assert tp.conn.gamma.column(0, 1) == [Q(4), Q(0), Q(-1), Q(1)]
+    assert tp.conn.column(0, 0) == [Q(0), Q(-4), Q(-1), Q(1)]
+    assert tp.conn.column(0, 1) == [Q(4), Q(0), Q(-1), Q(1)]
 
 
 def test_derive_vector_is_linear(family121):
@@ -45,7 +43,7 @@ def test_derive_vector_is_linear(family121):
     y = [Q(1), Q(-2), Q(3), Q(1, 2)]
     dy = covariant_derivative(tp.conn, TensorDense(4, (UP,), y))     # [k, i]
     for i in range(4):
-        expect = [sum(tp.conn.gamma[k, i, j] * y[j] for j in range(4)) for k in range(4)]
+        expect = [sum(tp.conn[k, i, j] * y[j] for j in range(4)) for k in range(4)]
         assert [dy[k, i] for k in range(4)] == expect
 
 
@@ -55,28 +53,16 @@ def test_covariant_derivative_slot_rule(family121):
     n = m.dim
     d = covariant_derivative(tp.conn, m.P)
     for a, b, i in product(range(n), repeat=3):
-        want = sum(tp.conn.gamma[a, i, mm] * m.P[mm, b]
-                   - tp.conn.gamma[mm, i, b] * m.P[a, mm] for mm in range(n))
+        want = sum(tp.conn[a, i, mm] * m.P[mm, b]
+                   - tp.conn[mm, i, b] * m.P[a, mm] for mm in range(n))
         assert d[a, b, i] == want
 
 
 def test_abelian_connection_is_flat():
     m = abelian_manifold(4)
     conn = koszul(m.algebra, m.g, m.g_inv)
-    assert conn.gamma.is_zero()
+    assert conn.is_zero()
     assert curvature_operator(conn, m.algebra).is_zero()
-
-
-def test_connection_shape_validation():
-    with pytest.raises(ValidationError):
-        Connection(4, zeros(4, (UP, UP, DOWN)))
-    with pytest.raises(ValidationError):
-        Connection(4, zeros(2, (UP, DOWN, DOWN)))
-
-
-def test_average_of_connection_with_itself(family121):
-    _, tp = family121
-    assert tensor_equal(tp.conn.average(tp.conn).gamma, tp.conn.gamma)
 
 
 # -- zero-aware kernels against naive loops ----------------------------------
@@ -117,7 +103,7 @@ def test_curvature_operator_matches_naive(pair):
     gamma, raw = pair
     n = gamma.dim
     alg = LieAlgebraModel(n, tuple(f"X{i + 1}" for i in range(n)), antisymmetrized(raw))
-    R = curvature_operator(Connection(n, gamma), alg)
+    R = curvature_operator(gamma, alg)
     assert list(R.data) == naive_curvature(gamma, alg.c)
 
 
@@ -128,7 +114,7 @@ TENSOR_VARIANCES = st.sampled_from(((UP, DOWN), (DOWN, DOWN), V3, (DOWN, DOWN, D
 @settings(max_examples=40)
 def test_covariant_derivative_matches_naive(pair):
     gamma, t = pair
-    d = covariant_derivative(Connection(gamma.dim, gamma), t)
+    d = covariant_derivative(gamma, t)
     assert d.variance == t.variance + (DOWN,)
     assert list(d.data) == naive_covariant_derivative(gamma, t)
 
@@ -168,5 +154,5 @@ def test_koszul_matches_reference(inputs):
     flat = lambda rows: [v for row in rows for v in row]      # noqa: E731
     conn = koszul(alg, TensorDense(n, (DOWN, DOWN), flat(g)),
                   TensorDense(n, (UP, UP), flat(ginv)))
-    assert list(conn.gamma.data) == naive_koszul(c, g, ginv)
-    assert all(v is ZERO for v in conn.gamma.data if not v)
+    assert list(conn.data) == naive_koszul(c, g, ginv)
+    assert all(v is ZERO for v in conn.data if not v)

@@ -14,13 +14,16 @@ from pathlib import Path
 
 import pytest
 
-from paratwin import cli, family, tables
+from paratwin import classify, cli, family, tables
+from paratwin.curvature import CurvaturePack
 from paratwin.errors import ValidationError
 from paratwin.family import (DEFAULT_GRID, FamilyParams, build_family, family_pack,
                              grid_points, grid_verification, theorem_checks)
 from paratwin.manifold import LieAlgebraModel, build_manifold, validate_lie_algebra
 from paratwin.scalar import Q, format_rational
+from paratwin.structure import StructurePack
 from paratwin.tensor import DOWN, UP, TensorDense
+from paratwin.twin import TwinPack
 
 from manifolds import (family_brackets, fraction_calls, from_function, lower_index, rows_of,
                        transpose)
@@ -256,12 +259,12 @@ def test_wrong_degree_fails_the_interpolation_check(spec, monkeypatch):
     read as linear would come out right.  Only the fields that vanish on
     the family go unnoticed."""
     argv = ["theorem"] + ([f"--grid={spec}"] if spec else [])
-    flipped = [name for name, degree in tables.PACK_DEGREES.items() if degree]
-    assert set(VANISHING) <= set(flipped) and len(flipped) == 25
+    flipped = [name for name, degree in family.PACK_DEGREES.items() if degree]
+    assert set(VANISHING) <= set(flipped) and len(flipped) == 27
     caught = set()
     for name in flipped:
         with monkeypatch.context() as mp:
-            mp.setitem(tables.PACK_DEGREES, name, 3 - tables.PACK_DEGREES[name])
+            mp.setitem(family.PACK_DEGREES, name, 3 - family.PACK_DEGREES[name])
             out, err = io.StringIO(), io.StringIO()
             code = cli.main(argv, out=out, err=err)
         if code == 4 and out.getvalue() == "":
@@ -269,6 +272,17 @@ def test_wrong_degree_fails_the_interpolation_check(spec, monkeypatch):
                 "error: interpolated family pack = direct pack at "), (name, err.getvalue())
             caught.add(name)
     assert caught == set(flipped) - set(VANISHING)
+
+
+def test_every_pack_field_has_a_degree():
+    """PACK_DEGREES names exactly the leaf fields of the twin pack and the
+    structure and curvature packs in it: the classes, cls, are decided at
+    each point, and the nested packs are blended field by field."""
+    nested = {"sp", "sp_twin", "curv", "curv_twin"}
+    leaves = {f.name for pack in (TwinPack, StructurePack, CurvaturePack)
+              for f in dataclasses.fields(pack)} - nested - {"cls"}
+    assert {f.name for f in dataclasses.fields(TwinPack)} >= nested | {"cls"}
+    assert set(family.PACK_DEGREES) == leaves
 
 
 @pytest.mark.parametrize("values, all_direct", [((2,), True), ((0, 1), True),
@@ -293,15 +307,17 @@ def test_grid_forms_one_detail_per_failing_check(monkeypatch):
     """On the golden grid each failing check formats its detail once, at
     its first failing point, and the output stays byte-identical; the
     interpolation checks, which compare the blended structure packs that
-    classify reads, decide no class (two checks per sign).  The details
-    are counted by cProfile as the benchmark counts calls."""
+    classify reads, decide no class (two checks per sign): neither
+    family.classify nor the classify_phi that classify calls through its
+    module runs inside them.  The details are counted by cProfile as the
+    benchmark counts calls."""
     classified, inside, interpolated = [], [], []
-    for name in ("classify", "classify_phi"):
-        def counted(*args, _fn=getattr(family, name)):
+    for module, name in ((family, "classify"), (classify, "classify_phi")):
+        def counted(*args, _fn=getattr(module, name)):
             if inside:
                 classified.append(_fn.__name__)
             return _fn(*args)
-        monkeypatch.setattr(family, name, counted)
+        monkeypatch.setattr(module, name, counted)
     interpolation = family._require_interpolation
 
     def checked(p, packs):

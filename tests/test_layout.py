@@ -21,7 +21,7 @@ TENSOR_PUBLIC = {"TensorDense", "Residual", "lincomb", "vanishes", "inverse", "U
 
 
 #: the src modules that read a tensor's integer storage
-STORAGE_READERS = {"tensor", "manifold", "family", "structure"}
+STORAGE_READERS = {"tensor", "manifold", "family"}
 
 #: the attributes of that storage: TensorDense's den, nums and support, and
 #: a Residual's acc

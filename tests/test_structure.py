@@ -142,7 +142,7 @@ def naive_square_norm(F, ginv):
 def test_fundamental_F_matches_reference(structure):
     m, conn = structure
     F, _ = fundamental_F(m, conn)
-    assert list(F.data) == naive_F(conn.gamma, m.P, m.g)
+    assert list(F.data) == naive_F(conn, m.P, m.g)
     assert all(v is ZERO for v in F.data if not v)
 
 

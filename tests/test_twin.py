@@ -59,8 +59,8 @@ REPORT_CHECKS = frozenset({
 def test_twin_connection_is_koszul_of_twin_metric(family121):
     m, tp = family121
     independent = koszul(m.algebra, m.g_twin, m.g_twin_inv)
-    assert tensor_equal(tp.conn_twin.gamma, independent.gamma)
-    assert tensor_equal(sub(tp.conn_twin.gamma, tp.conn.gamma), tp.sp.Phi_vec)
+    assert tensor_equal(tp.conn_twin, independent)
+    assert tensor_equal(sub(tp.conn_twin, tp.conn), tp.sp.Phi_vec)
 
 
 def test_curvature_correction(family121):
@@ -98,6 +98,19 @@ def test_suite_accepts_prebuilt_pack(family121):
     assert invariance_suite(m, tp).valid
 
 
+def test_class_set_check_reads_the_twin_structure_pack(family121, abelian4):
+    """"class set invariant" classifies the twin structure pack it is
+    given: abelian4's pack, whose Phi = 0 puts it in every class, fails it.
+    Phi_vec is kept, since the suite rebuilds the tilde side from it."""
+    m, tp = family121
+    flat = build_twin_pack(abelian4).sp
+    sp_twin = dataclasses.replace(flat, Phi_vec=tp.sp_twin.Phi_vec)
+    failures = {c.name for c in invariance_suite(m, tp).failures()}
+    swapped = {c.name for c in invariance_suite(
+        m, dataclasses.replace(tp, sp_twin=sp_twin)).failures()}
+    assert "class set invariant" not in failures and "class set invariant" in swapped
+
+
 def test_w1_closed_forms(family121):
     m, tp = family121
     S, S_star, H, Q_rebuilt, B_rebuilt = w1_closed_forms(m, tp)
@@ -122,10 +135,10 @@ def test_direct_Q_and_B_on_twin_side(family121):
 def test_pack_of_twin_view(family121):
     m, tp = family121
     tp2 = build_twin_pack(m.twin_view())
-    assert tensor_equal(tp2.conn.gamma, tp.conn_twin.gamma)
+    assert tensor_equal(tp2.conn, tp.conn_twin)
     assert tensor_equal(tp2.curv.R_vec, tp.curv_twin.R_vec)
     assert tensor_equal(tp2.Q_vec, neg(tp.Q_vec))
-    assert tensor_equal(tp2.D.gamma, tp.D.gamma)
+    assert tensor_equal(tp2.D, tp.D)
 
 
 def stated_variances(cls) -> dict:
@@ -260,7 +273,7 @@ def reference_w1_qb(gm, tm, Sm, Ssm, Hm, HP, F, Pfs):
     return TensorDense(n, V4, q_out), TensorDense(n, V4, b_out)
 
 
-def reference_w1_closed_forms(m, conn, sp):
+def reference_w1_closed_forms(m, gamma, sp):
     """(S, S*, H, Q, B) of w1_closed_forms from plain per-index loops."""
     n = m.dim
     n2 = Q(n)
@@ -273,7 +286,7 @@ def reference_w1_closed_forms(m, conn, sp):
     HP = [[sum(Hm[k][a] * Pm[a][x] for a in range(n)) for x in range(n)] for k in range(n)]
 
     def nabla(x, y):                    # nabla_{X_x} y for a constant vector y
-        return [sum(conn.gamma[k, x, j] * y[j] for j in range(n)) for k in range(n)]
+        return [sum(gamma[k, x, j] * y[j] for j in range(n)) for k in range(n)]
 
     Sm = [[nabla(x, fs)[k] + Hm[k][x] / n2 for x in range(n)] for k in range(n)]
     Ssm = [[nabla(x, Pfs)[k] + HP[k][x] / n2 for x in range(n)] for k in range(n)]
