@@ -19,8 +19,9 @@ import argparse
 import json
 import re
 import sys
+from collections import Counter
 
-from .errors import ParatwinError, ValidationError
+from .errors import ParatwinError, ValidationError, clipped
 from .family import (DEFAULT_GRID, FamilyParams, build_family, grid_points,
                      grid_verification)
 from .manifold import (CheckItem, LieAlgebraModel, WManifold, assemble_manifold,
@@ -50,7 +51,7 @@ class DocumentError(ValueError):
 
 def _rational_field(value, where: str):
     if isinstance(value, bool):
-        raise DocumentError(f"{where}: expected a rational string, got {value!r}")
+        raise DocumentError(f"{where}: expected a rational string, got {clipped(repr(value))}")
     try:
         return rational(value)
     except (ValueError, TypeError) as exc:
@@ -59,7 +60,8 @@ def _rational_field(value, where: str):
 
 def _index_field(value, n: int, where: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool) or not 1 <= value <= n:
-        raise DocumentError(f"{where}: expected a 1-based index in 1..{n}, got {value!r}")
+        raise DocumentError(
+            f"{where}: expected a 1-based index in 1..{n}, got {clipped(repr(value))}")
     return value - 1
 
 
@@ -85,9 +87,9 @@ def parse_document(doc, name: str = "manifold") -> tuple[LieAlgebraModel, Tensor
         raise DocumentError("document must be a JSON object")
     n = doc.get("dim")
     if not isinstance(n, int) or isinstance(n, bool) or n <= 0:
-        raise DocumentError(f"dim: expected a positive integer, got {n!r}")
+        raise DocumentError(f"dim: expected a positive integer, got {clipped(repr(n))}")
     if n > MAX_DIM:
-        raise DocumentError(f"dim: {n} exceeds the maximum dimension {MAX_DIM}")
+        raise DocumentError(f"dim: {clipped(repr(n))} exceeds the maximum dimension {MAX_DIM}")
     basis = doc.get("basis")
     if not isinstance(basis, list) or len(basis) != n or any(
             not isinstance(b, str) for b in basis):
@@ -117,12 +119,12 @@ def parse_document(doc, name: str = "manifold") -> tuple[LieAlgebraModel, Tensor
             try:
                 k = _index_field(int(key), n, f"{where}.coeffs key")
             except (ValueError, TypeError) as exc:
-                raise DocumentError(f"{where}.coeffs: bad key {key!r}") from exc
+                raise DocumentError(f"{where}.coeffs: bad key {clipped(repr(key))}") from exc
             other = spelled.setdefault(k, key)
             if other != key:
-                raise DocumentError(f"{where}.coeffs: keys {other!r} and {key!r} "
-                                    f"both name X_{k + 1}")
-            v = _rational_field(value, f"{where}.coeffs[{key}]")
+                raise DocumentError(f"{where}.coeffs: keys {clipped(repr(other))} and "
+                                    f"{clipped(repr(key))} both name X_{k + 1}")
+            v = _rational_field(value, f"{where}.coeffs[{clipped(key)}]")
             c[(k * n + i) * n + j] = v
             c[(k * n + j) * n + i] = -v
     alg = LieAlgebraModel(n, tuple(basis), TensorDense.from_entries(n, (UP, DOWN, DOWN), c))
@@ -136,9 +138,9 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     would keep silently, is an error."""
     obj = dict(pairs)
     if len(obj) < len(pairs):
-        keys = [key for key, _ in pairs]
-        repeated = next(key for key in keys if keys.count(key) > 1)
-        raise DocumentError(f"key {repeated!r} is repeated in one object")
+        count = Counter(key for key, _ in pairs)
+        repeated = next(key for key, _ in pairs if count[key] > 1)
+        raise DocumentError(f"key {clipped(repr(repeated))} is repeated in one object")
     return obj
 
 
@@ -152,7 +154,9 @@ def load_document(path: str) -> dict:
         raise DocumentError(f"{path} is not UTF-8 text: {exc}") from exc
     except RecursionError as exc:
         raise DocumentError(f"{path} is nested too deeply to read") from exc
-    except (json.JSONDecodeError, DocumentError) as exc:
+    except ValueError as exc:
+        # a JSONDecodeError, a DocumentError from _unique_keys, or the plain
+        # ValueError of an integer literal beyond Python's digit limit
         raise DocumentError(f"{path} is not valid JSON: {exc}") from exc
 
 

@@ -1,4 +1,5 @@
-"""Exception types shared across the engine, and the route cross-check."""
+"""Exception types shared across the engine, the route cross-check, and
+the clipping of input values echoed in error messages."""
 
 from __future__ import annotations
 
@@ -18,6 +19,17 @@ class ValidationError(ParatwinError):
 class ConsistencyError(ParatwinError):
     """Two independent computation routes disagree; the engine is unsound
     for this input and results must not be trusted."""
+
+
+#: the longest echo of an input value in an error message
+ECHO_LIMIT = 80
+
+
+def clipped(text: str) -> str:
+    """text whole if it has at most ECHO_LIMIT characters, else its start
+    and "...", ECHO_LIMIT characters in all: a hostile input value is not
+    copied into its error message whole."""
+    return text if len(text) <= ECHO_LIMIT else text[:ECHO_LIMIT - 3] + "..."
 
 
 #: the records of the open recording() blocks, innermost last

@@ -10,12 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, islice, product
-from typing import Iterator
 
 from .errors import ValidationError, failure_detail, require
-from .scalar import Q
-from .tensor import DOWN, UP, TensorDense, inverse, lincomb, vanishes
+from .tensor import DOWN, UP, Residual, TensorDense, inverse, lincomb, vanishes
 
 
 @dataclass(frozen=True)
@@ -67,14 +64,18 @@ class ValidationReport:
 LISTED_FAILURES = 20
 
 
-def _failure_items(name: str, failures: Iterator[tuple], describe) -> list[CheckItem]:
-    """A failed CheckItem for each of the first LISTED_FAILURES failures,
-    with describe(*failure) as its detail, and one counting the rest; a
-    passed one if there are none."""
-    items = [CheckItem(name, False, describe(*f)) for f in islice(failures, LISTED_FAILURES)]
-    rest = sum(1 for _ in failures)
-    if rest:
-        items.append(CheckItem(name, False, f"and {rest} more failing components"))
+def _failure_items(name: str, residual: Residual, describe) -> list[CheckItem]:
+    """A failed CheckItem for each of the first LISTED_FAILURES nonzero
+    components of residual, with describe(*index, value) as its detail, and
+    one counting the rest; a passed one if there are none."""
+    nonzero = residual.nonzero()
+    items = []
+    for p in nonzero[:LISTED_FAILURES]:
+        index, value = residual.component(p)
+        items.append(CheckItem(name, False, describe(*index, value)))
+    if len(nonzero) > LISTED_FAILURES:
+        items.append(CheckItem(
+            name, False, f"and {len(nonzero) - LISTED_FAILURES} more failing components"))
     return items or [CheckItem(name, True)]
 
 
@@ -82,56 +83,22 @@ def validate_lie_algebra(alg: LieAlgebraModel) -> ValidationReport:
     """Check antisymmetry and the Jacobi identity over all basis triples.
 
     Violations become report entries, not exceptions, so a caller can show
-    the first LISTED_FAILURES offending index combinations of each at once.
+    the first LISTED_FAILURES offending index combinations of each at once,
+    in row-major order of the residual's indices.
     """
-    n = alg.dim
-    den, cd = alg.c.den, alg.c.nums
-
-    # pairs[a][b] lists the nonzero (s, c^s_{ab} * den); a nonzero c^k_{ij}
-    # not cancelled by c^k_{ji} breaks antisymmetry at (i, j, k) and (j, i, k)
-    pairs = [[[] for _ in range(n)] for _ in range(n)]
-    broken = set()
-    for p in alg.c.support:
-        k, i, j = p // (n * n), p // n % n, p % n
-        pairs[i][j].append((k, cd[p]))
-        if cd[p] != -cd[(k * n + j) * n + i]:
-            broken |= {(i, j, k), (j, i, k)}
-    items = _failure_items(
-        "antisymmetry", iter(sorted(broken)),
-        lambda i, j, k: f"c^{k + 1}_{{{i + 1},{j + 1}}} != -c^{k + 1}_{{{j + 1},{i + 1}}}")
-    anti_ok = items[0].passed
-
-    def cyclic_sum(i: int, j: int, l: int) -> list[tuple[int, int]]:
-        """Nonzero components, by index and times den^2, of [[X_i,X_j],X_l]
-        + [[X_j,X_l],X_i] + [[X_l,X_i],X_j]."""
-        total: dict[int, int] = {}
-        for a, b, c_ in ((i, j, l), (j, l, i), (l, i, j)):
-            for s, v in pairs[a][b]:
-                for m, w in pairs[s][c_]:
-                    total[m] = total.get(m, 0) + v * w
-        return [(m, total[m]) for m in sorted(total) if total[m]]
-
-    if anti_ok:
-        # the cyclic sum is then alternating in (i, j, l): it vanishes on a
-        # repeated index and changes sign under a transposition, so it is
-        # computed on i < j < l only
-        sums = {t: comps for t in combinations(range(n), 3) if (comps := cyclic_sum(*t))}
-        triples = product(range(n), repeat=3) if sums else ()
-
-        def failing(i: int, j: int, l: int) -> list[tuple[int, int]]:
-            comps = sums.get(tuple(sorted((i, j, l))), [])
-            if (i < j) + (j < l) + (l < i) == 2:     # an even permutation
-                return comps
-            return [(m, -v) for m, v in comps]
-    else:
-        triples, failing = product(range(n), repeat=3), cyclic_sum
-
-    jacobi_failures = ((i, j, l, m, v) for i, j, l in triples for m, v in failing(i, j, l))
-    items += _failure_items(
-        "jacobi", jacobi_failures,
-        lambda i, j, l, m, v: f"cyclic sum for (X_{i + 1}, X_{j + 1}, X_{l + 1}) has nonzero "
-                              f"X_{m + 1} component {Q(v, den * den)}")
-    return ValidationReport(tuple(items))
+    c = alg.c
+    # c^k_{ij} + c^k_{ji} at [i, j, k]
+    anti = vanishes((1, c, (1, 2, 0)), (1, c, (2, 1, 0)))
+    # [[X_i, X_j], X_l] at [i, j, l, m], and its cyclic sum over (i, j, l)
+    cc = lincomb((1, "sij,msl->ijlm", c, c))
+    jacobi = vanishes((1, cc), (1, cc, (2, 0, 1, 3)), (1, cc, (1, 2, 0, 3)))
+    return ValidationReport(tuple(
+        _failure_items("antisymmetry", anti,
+                       lambda i, j, k, _: f"c^{k + 1}_{{{i + 1},{j + 1}}} != "
+                                          f"-c^{k + 1}_{{{j + 1},{i + 1}}}")
+        + _failure_items("jacobi", jacobi,
+                         lambda i, j, l, m, v: f"cyclic sum for (X_{i + 1}, X_{j + 1}, "
+                                               f"X_{l + 1}) has nonzero X_{m + 1} component {v}")))
 
 
 @dataclass(frozen=True)
@@ -211,7 +178,7 @@ def validated_frame(n: int, P: TensorDense, g: TensorDense) -> tuple[TensorDense
 
     if not vanishes((1, "im,mj->ij", P, P), (-1, _identity(n))):
         raise ValidationError("P^2 is not the identity")
-    if sum(P.nums[::n + 1]):
+    if not vanishes((1, "ij,ji->", P, _identity(n))):
         raise ValidationError("trace of P is not zero")
     if not vanishes((1, g), (-1, g, (1, 0))):
         raise ValidationError("metric is not symmetric")
@@ -222,7 +189,7 @@ def validated_frame(n: int, P: TensorDense, g: TensorDense) -> tuple[TensorDense
     g_twin = lincomb((1, "im,mj->ij", g, P))
     compatible = vanishes((1, "ai,aj->ij", P, g_twin), (-1, g))
     if not compatible:
-        i, j = divmod(compatible.first_nonzero()[0], n)
+        (i, j), _ = compatible.component(compatible.nonzero()[0])
         raise ValidationError(
             f"metric is not P-compatible: g(PX_{i + 1},PX_{j + 1}) != g(X_{i + 1},X_{j + 1})")
     g_twin_inv = lincomb((1, "im,mj->ij", P, g_inv))

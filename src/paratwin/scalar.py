@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import clipped
+
 Q = Fraction
 
 ZERO = Q(0)
@@ -30,13 +32,13 @@ def rational(value) -> Fraction:
     elif isinstance(value, str):
         text = value.strip()
         if "." in text or "e" in text or "E" in text:
-            raise ValueError(f"decimal notation is not accepted: {value!r}")
+            raise ValueError(f"decimal notation is not accepted: {clipped(repr(value))}")
         try:
             q = Q(text)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not a rational: {value!r}") from exc
+            raise ValueError(f"not a rational: {clipped(repr(value))}") from exc
     else:
-        raise TypeError(f"cannot interpret {value!r} as an exact rational")
+        raise TypeError(f"cannot interpret {clipped(repr(value))} as an exact rational")
     return q if q else ZERO             # one shared zero
 
 

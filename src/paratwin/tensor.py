@@ -485,9 +485,11 @@ def lincomb(*terms) -> TensorDense:
 class Residual:
     """What vanishes() found: true exactly when the combination is zero.
 
-    str() of a nonzero residual names its first nonzero component by
-    1-based index tuple, gives its value and counts the nonzero
-    components; nothing is formatted until it is asked for.
+    nonzero() lists the nonzero components by row-major flat position and
+    component(p) gives one's index tuple and value, whichever accumulator
+    the residual holds.  str() of a nonzero residual names its first
+    nonzero component by 1-based index tuple, gives its value and counts
+    the nonzero components; nothing is formatted until it is asked for.
     """
 
     __slots__ = ("dim", "nslots", "den", "acc")
@@ -501,20 +503,24 @@ class Residual:
         # count() beats any() on the all-zero acc of every passing check
         return self.acc.count(0) == len(self.acc)
 
-    def first_nonzero(self) -> tuple[int, int]:
-        """(p, count) of a nonzero residual: the row-major flat position p
-        of its first nonzero component and the number of nonzero ones."""
+    def nonzero(self) -> list[int]:
+        """The row-major flat positions of the nonzero components."""
         acc = self.acc
-        nonzero = _sparse_nonzero(acc) if type(acc) is dict else _nonzero_positions(acc)
-        return nonzero[0], len(nonzero)
+        return _sparse_nonzero(acc) if type(acc) is dict else _nonzero_positions(acc)
+
+    def component(self, p: int) -> tuple[tuple[int, ...], Fraction]:
+        """(index, value) of a position p from nonzero(): its 0-based
+        index tuple and the rational component there."""
+        n = self.dim
+        return (tuple(p // n ** k % n for k in reversed(range(self.nslots))),
+                Q(self.acc[p], self.den))
 
     def __str__(self) -> str:
-        p, count = self.first_nonzero()
-        index = ", ".join(str(p // self.dim ** k % self.dim + 1)
-                          for k in reversed(range(self.nslots)))
-        return (f"first nonzero residual at ({index}) is "
-                f"{format_rational(Q(self.acc[p], self.den))}; "
-                f"{count} of {self.dim ** self.nslots} components differ")
+        nonzero = self.nonzero()
+        index, value = self.component(nonzero[0])
+        return (f"first nonzero residual at ({', '.join(str(i + 1) for i in index)}) is "
+                f"{format_rational(value)}; "
+                f"{len(nonzero)} of {self.dim ** self.nslots} components differ")
 
 
 def vanishes(*terms) -> Residual:

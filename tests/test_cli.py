@@ -6,12 +6,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from paratwin import cli, manifold
+from paratwin.errors import ECHO_LIMIT
 from paratwin.family import FamilyParams, build_family
 from paratwin.manifold import build_manifold
 from paratwin.scalar import Q, ZERO, rational
@@ -376,6 +378,80 @@ def test_unreadable_document_is_a_parse_error(tmp_path, content, message):
         code, out, err = run([command, str(path)])
         assert (code, out) == (cli.EXIT_PARSE, "")
         assert err.startswith("parse error: ") and message in err, err
+
+
+def test_integer_beyond_the_digit_limit_is_a_parse_error(tmp_path):
+    """A JSON integer of more digits than Python converts (4,300 by
+    default) is not valid JSON to the engine, not a traceback."""
+    path = tmp_path / "doc.json"
+    path.write_text('{"dim": ' + "1" * 5000 + "}")
+    for command in ("validate", "report"):
+        code, out, err = run([command, str(path)])
+        assert (code, out) == (cli.EXIT_PARSE, "")
+        assert err.startswith(f"parse error: {path} is not valid JSON: "), err
+        assert len(err) < 1000
+
+
+def test_repeated_key_among_many_is_found_quickly(tmp_path):
+    """The first key in document order that repeats is named, and finding
+    it among 100,000 keys, when only the last one repeats, takes well
+    under a second."""
+    keys = [f"k{i}" for i in range(100_000)]
+    path = tmp_path / "doc.json"
+    for extra, repeated in [(["k99999"], "k99999"), (["k9", "k3"], "k3")]:
+        path.write_text("{" + ", ".join(f'"{k}": 0' for k in keys + extra) + "}")
+        start = time.perf_counter()
+        code, out, err = run(["validate", str(path)])
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (cli.EXIT_PARSE, "")
+        assert err == (f"parse error: {path} is not valid JSON: "
+                       f"key {repeated!r} is repeated in one object\n")
+
+
+MEGABYTE = "7" * 1_000_000
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc.update(dim=MEGABYTE),
+    lambda doc: doc.update(dim=[MEGABYTE]),
+    lambda doc: doc["brackets"][0]["coeffs"].update({"1": "x" + MEGABYTE}),
+    lambda doc: doc["brackets"][0]["coeffs"].update({"1": [MEGABYTE]}),
+    lambda doc: doc["brackets"][0]["coeffs"].update({MEGABYTE: "1"}),
+    lambda doc: doc["brackets"][0]["coeffs"].update({"1" + " " * 1_000_000: "x"}),
+    lambda doc: doc["brackets"][0]["coeffs"].update({" " * 1_000_000 + "1": "2"}),
+    lambda doc: doc["brackets"][0].update(i=MEGABYTE),
+    lambda doc: doc["P"][0].__setitem__(0, "0." + MEGABYTE),
+], ids=["dim", "dim-list", "coefficient", "coefficient-list", "coeffs-key",
+        "padded-key-bad-value", "padded-key-twice", "index", "decimal"])
+def test_a_huge_value_is_not_echoed_whole(tmp_path, edit):
+    """A parse error quotes at most ECHO_LIMIT characters of the value it
+    rejects, so a 1 MB payload gives a short message."""
+    doc = json.loads(FIXTURE.read_text())
+    edit(doc)
+    code, out, err = run(["validate", _write(tmp_path, doc)])
+    assert (code, out) == (cli.EXIT_PARSE, "")
+    assert err.startswith("parse error: ") and len(err.encode()) < 1000, err[:2000]
+
+
+def test_a_huge_repeated_key_is_not_echoed_whole(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text(f'{{"{MEGABYTE}": 1, "{MEGABYTE}": 2}}')
+    code, out, err = run(["validate", str(path)])
+    assert (code, out) == (cli.EXIT_PARSE, "")
+    assert len(err.encode()) < 1000
+    assert err.endswith(f"key '{MEGABYTE[:76]}... is repeated in one object\n")
+
+
+def test_a_short_value_is_echoed_whole(tmp_path):
+    """A value whose repr fits in ECHO_LIMIT characters is quoted as it
+    is; one character more and it is cut to ECHO_LIMIT with "..."."""
+    for text, shown in [("x" * 78, "'" + "x" * 78 + "'"),
+                        ("x" * 79, "'" + "x" * 76 + "...")]:
+        doc = {**json.loads(FIXTURE.read_text()), "dim": text}
+        code, _, err = run(["validate", _write(tmp_path, doc)])
+        assert code == cli.EXIT_PARSE
+        assert err == f"parse error: dim: expected a positive integer, got {shown}\n"
+        assert len(shown) <= ECHO_LIMIT
 
 
 def test_oversized_dim_rejected_before_allocation(tmp_path):

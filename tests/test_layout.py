@@ -1,9 +1,12 @@
 """Layout guards on the source tree.
 
 The integer tensor format is built in tensor.py alone and read only by
-the modules in STORAGE_READERS, the reference tables are integers, and
-every public function or method in src has a caller in src or is a CLI
-entry point, so dead code shows up as soon as it appears.  tensor.py
+the modules in STORAGE_READERS: tensor itself, and family, whose
+reference tables compare by cross-multiplying integers.  Every other
+module asks the kernel (lincomb, vanishes, a Residual's nonzero() and
+component()).  The reference tables are integers, and every public
+function or method in src has a caller in src or is a CLI entry point,
+so dead code shows up as soon as it appears.  tensor.py
 exports only the kernel (TENSOR_PUBLIC): a map on one slot is a product
 term written where it is used, not a wrapper.
 """
@@ -21,7 +24,7 @@ TENSOR_PUBLIC = {"TensorDense", "Residual", "lincomb", "vanishes", "inverse", "U
 
 
 #: the src modules that read a tensor's integer storage
-STORAGE_READERS = {"tensor", "manifold", "family"}
+STORAGE_READERS = {"tensor", "family"}
 
 #: the attributes of that storage: TensorDense's den, nums and support, and
 #: a Residual's acc
@@ -55,7 +58,7 @@ def test_only_the_listed_modules_read_integer_storage():
 
 def test_only_tensor_reads_a_residuals_accumulator():
     """A Residual's acc is a list or a dict; other modules ask it for
-    first_nonzero() instead of reading either form."""
+    nonzero() and component() instead of reading either form."""
     readers = {path.stem for path, tree in modules(SRC) for node in ast.walk(tree)
                if isinstance(node, ast.Attribute) and node.attr == "acc"}
     assert readers == {"tensor"}

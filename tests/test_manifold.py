@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paratwin import manifold
+from paratwin import tensor as tensor_module
 from paratwin.errors import ConsistencyError, ValidationError
 from paratwin.family import FamilyParams, build_family
 from paratwin.manifold import (LISTED_FAILURES, LieAlgebraModel, build_manifold, check_inverse,
@@ -253,8 +254,8 @@ def _algebra_of(n, constants):
          for i in range(6) for j in range(i + 1, 6)}, 90),
 ])
 def test_antisymmetry_from_the_support_matches_the_full_scan(n, constants, broken):
-    """The check over c's nonzero entries and their mirrors lists what the
-    scan over all n^3 triples lists, in its order, and counts the rest."""
+    """The antisymmetry residual lists what the scan over all n^3 triples
+    lists, in its order, and counts the rest."""
     alg = _algebra_of(n, constants)
     items = [(it.name, it.passed, it.detail) for it in validate_lie_algebra(alg).checks]
     assert items == reference_validation(alg)
@@ -268,8 +269,8 @@ def test_antisymmetry_from_the_support_matches_the_full_scan(n, constants, broke
 
 def test_validation_items_match_reference_in_dim_6():
     """Every Jacobi triple of a dense antisymmetric dim-6 algebra fails, in
-    the reference's order and with its values, through the i < j < l path;
-    the first LISTED_FAILURES are listed and the rest counted."""
+    the reference's order and with its values; the first LISTED_FAILURES
+    are listed and the rest counted."""
     n = 6
     vals = [Q((7 * p) % 11 - 5, 1 + p % 3) for p in range(n ** 3)]
     c = _antisymmetrized(TensorDense(n, V3, vals))
@@ -279,3 +280,32 @@ def test_validation_items_match_reference_in_dim_6():
     full = reference_validation(alg, limit=None)
     assert len(full) > n ** 3
     assert items[-1][2] == f"and {len(full) - 1 - LISTED_FAILURES} more failing components"
+
+
+def test_sparse_dim_8_validation_matches_reference(monkeypatch):
+    """A sparse dim-8 algebra breaking both axioms gets the reference's
+    items, in its order and with its values.  Its cyclic sums have 8^4 =
+    4,096 components and few nonzeros, so they accumulate in a dict."""
+    constants = {}
+    for i, j, k, v, mirrored in [(1, 2, 3, 1, True), (1, 3, 1, 1, True),
+                                 (7, 8, 8, Q(2, 3), True), (7, 8, 2, -2, True),
+                                 (2, 8, 4, 1, True), (3, 8, 6, Q(5, 7), True),
+                                 (2, 7, 5, 1, True), (4, 5, 6, 3, False),
+                                 (6, 6, 4, Q(1, 2), False)]:
+        constants[k - 1, i - 1, j - 1] = Q(v)
+        if mirrored:
+            constants[k - 1, j - 1, i - 1] = -Q(v)
+    alg = _algebra_of(8, constants)
+    kinds = []
+
+    def recorded(terms, _real=tensor_module._accumulate):
+        out = _real(terms)
+        kinds.append((out[0] ** len(out[1]), type(out[3])))
+        return out
+
+    monkeypatch.setattr(tensor_module, "_accumulate", recorded)
+    items = [(it.name, it.passed, it.detail) for it in validate_lie_algebra(alg).checks]
+    assert kinds[-1] == (8 ** 4, dict)
+    assert items == reference_validation(alg)
+    assert [it[0] for it in items].count("antisymmetry") == 3
+    assert items[-1] == ("jacobi", False, "and 28 more failing components")

@@ -818,6 +818,24 @@ def test_list_and_dict_accumulators_agree(dim, monkeypatch):
     assert sum(1 for r in natural if len(r) == 2 and not r[0]) >= 4
 
 
+@pytest.mark.parametrize("dim, nslots, count, kind", [(4, 3, 20, list), (12, 4, 40, dict)])
+def test_residual_lists_its_nonzero_components(dim, nslots, count, kind, monkeypatch):
+    """nonzero() and component() agree with the componentwise difference
+    taken over every index tuple, from a list accumulator (64 components)
+    and from a dict one (20,736)."""
+    rng = random.Random(dim)
+    a, b = (sparse_tensor(dim, nslots, count, rng) for _ in range(2))
+    with accumulators(monkeypatch) as seen:
+        residual = vanishes((1, a), (-1, b, tuple(reversed(range(nslots)))))
+    assert seen == [(dim ** nslots, kind)]
+    want = [(idx, a[idx] - b[idx[::-1]])
+            for idx in product(range(dim), repeat=nslots) if a[idx] != b[idx[::-1]]]
+    nonzero = residual.nonzero()
+    assert [residual.component(p) for p in nonzero] == want and len(want) > count
+    assert nonzero == [a.flat(idx) for idx, _ in want]
+    assert not residual
+
+
 def test_only_large_sparse_outputs_take_the_dict(tmp_path, monkeypatch):
     """A dense dimension-4 report and a theorem op accumulate every output
     in a list; a dimension-12 block report accumulates rank-4 outputs in
