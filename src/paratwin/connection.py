@@ -25,11 +25,10 @@ def koszul(alg: LieAlgebraModel, metric: TensorDense, metric_inv: TensorDense) -
     means the inputs are inconsistent and raises ConsistencyError.
     """
     # L_{ijk} = g([X_i, X_j], X_k), and Gamma^l_{ij} is g^{lk}/2 times
-    # g([X_i,X_j],X_k) + g([X_k,X_i],X_j) + g([X_k,X_j],X_i)
+    # M_{ijk} = g([X_i,X_j],X_k) + g([X_k,X_i],X_j) + g([X_k,X_j],X_i)
     L = lincomb((1, "mij,mk->ijk", alg.c, metric))
-    half = Q(1, 2)
-    gamma = lincomb((half, "lk,ijk->lij", metric_inv, L), (half, "lk,kij->lij", metric_inv, L),
-                    (half, "lk,kji->lij", metric_inv, L))
+    M = lincomb((1, L), (1, L, (1, 2, 0)), (1, L, (2, 1, 0)))
+    gamma = lincomb((Q(1, 2), "lk,ijk->lij", metric_inv, M))
 
     # torsion: T^k_{ij} = Gamma^k_{ij} - Gamma^k_{ji} - c^k_{ij}
     require(vanishes((1, gamma), (-1, gamma, (0, 2, 1)), (-1, alg.c)),

@@ -100,11 +100,14 @@ _G = TensorDense.from_matrix([[1, 0, 0, 0],
 _FRAME = validated_frame(DIM, _P, _G)
 
 
-def build_family(p: FamilyParams) -> WManifold:
-    """Build the family manifold on _FRAME, its Lie algebra validated.
+def _family_manifold(p: FamilyParams) -> WManifold:
+    """The family manifold at p on _FRAME, its Lie algebra not validated.
 
-    The structure constants are built in integers at the integer
-    parameters D l1, D l2 and divided by D once.
+    At fixed e the brackets are linear and homogeneous in (l1, l2), so the
+    antisymmetry residual is a linear form and the Jacobi residual a
+    quadratic one: both vanish on a whole sign once they vanish at its
+    three nodes.  The structure constants are built in integers at the
+    integer parameters D l1, D l2 and divided by D once.
     """
     d, a1, a2, e = p.integer_parameters()
     entries = {}
@@ -115,8 +118,14 @@ def build_family(p: FamilyParams) -> WManifold:
                 entries[(k * DIM + j) * DIM + i] = -x
     c = lincomb((Q(1, d), TensorDense.from_entries(DIM, (UP, DOWN, DOWN), entries)))
     alg = LieAlgebraModel(DIM, ("X1", "X2", "X3", "X4"), c)
-    require_lie_algebra(alg)
     return WManifold(alg, *_FRAME, name=p.label())
+
+
+def build_family(p: FamilyParams) -> WManifold:
+    """The family manifold at p on _FRAME, its Lie algebra validated."""
+    m = _family_manifold(p)
+    require_lie_algebra(m.algebra)
+    return m
 
 
 @lru_cache(maxsize=512)
@@ -197,9 +206,7 @@ class _BlendedTwinPack(_Blend):
     structure pack, as build_twin_pack decides them."""
 
     def __init__(self, m: WManifold, p: FamilyParams, packs: list):
-        l1, l2 = p.lambda1, p.lambda2
-        cross = l1 * l2
-        super().__init__(packs, {1: (l1, l2, 0), 2: (l1 * l1 - cross, l2 * l2 - cross, cross)})
+        super().__init__(packs, _weights(p))
         self._m = m
 
     @cached_property
@@ -207,11 +214,25 @@ class _BlendedTwinPack(_Blend):
         return classify(self._m, self.sp)
 
 
+def _weights(p: FamilyParams) -> dict:
+    """The weights of the node values at p, by degree."""
+    l1, l2 = p.lambda1, p.lambda2
+    cross = l1 * l2
+    return {1: (l1, l2, 0), 2: (l1 * l1 - cross, l2 * l2 - cross, cross)}
+
+
 def _require_interpolation(p: FamilyParams, packs: list) -> None:
     """The check that the twin pack blended at p from the node packs equals
-    p's direct pack; a failure names the first field that differs."""
-    m, tp = family_pack(p)
-    diff = _difference(_BlendedTwinPack(m, p, packs), tp)
+    p's direct pack; a failure names the first field that differs.
+
+    At the node (1, 1) the degree-2 weights are (0, 0, 1): a degree-2
+    blend there is the node's own field, so only the fields of degree 0
+    and 1 are compared.
+    """
+    weights = _weights(p)
+    if (p.lambda1, p.lambda2) == NODES[2]:
+        del weights[2]
+    diff = _difference(packs, weights, family_pack(p)[1])
     require(diff is None, "interpolated family pack = direct pack"
             + ("" if diff is None else f" at {p.label()}: {diff}"))
 
@@ -222,22 +243,29 @@ def _require_interpolation(p: FamilyParams, packs: list) -> None:
 _DECIDED = "cls"
 
 
-def _difference(a, b, path: str = "pack") -> str | None:
-    """Where a, a pack or a _Blend of one, first differs from the pack b,
-    field by field, and how, the _DECIDED field aside; None if they are
-    equal."""
+def _difference(values: list, weights: dict, b, path: str = "pack",
+                name: str = "") -> str | None:
+    """Where the blend of values, the node values of the pack field name,
+    first differs from b, that field of a direct pack, and how; None if
+    they are equal.  Packs, the _DECIDED field aside, and dicts are walked
+    field by field, a tensor field is one residual, blend - b, and a field
+    of a degree that weights lacks is skipped."""
     if is_dataclass(b):
-        parts = ((getattr(a, f.name), getattr(b, f.name), f"{path}.{f.name}")
-                 for f in fields(b) if f.name != _DECIDED)
+        parts = (([getattr(v, f.name) for v in values], getattr(b, f.name),
+                  f"{path}.{f.name}", f.name) for f in fields(b) if f.name != _DECIDED)
     elif isinstance(b, dict):
-        parts = ((a[key], b[key], f"{path}[{key}]") for key in b)
-    elif a == b:
-        return None
-    elif isinstance(b, TensorDense):
-        return f"{path}: {vanishes((1, a), (-1, b))}"
+        parts = (([v[key] for v in values], b[key], f"{path}[{key}]", name) for key in b)
     else:
-        return f"{path}: {a} != {b}"
-    return next(filter(None, (_difference(*part) for part in parts)), None)
+        degree = PACK_DEGREES[name]
+        if degree and degree not in weights:
+            return None
+        if isinstance(b, TensorDense):
+            residual = vanishes(*zip(weights[degree], values), (-1, b))
+            return None if residual else f"{path}: {residual}"
+        a = _blend(values, weights, name)
+        return None if a == b else f"{path}: {a} != {b}"
+    return next(filter(None, (_difference(vs, weights, *rest) for vs, *rest in parts)),
+                None)
 
 
 def _grid_packs(points: list[FamilyParams]):
@@ -246,8 +274,9 @@ def _grid_packs(points: list[FamilyParams]):
     Per sign, the first generic grid point, with a1, a2 != 0, a1 != +-a2
     and a1 + a2 != D in the integer parameters, is the check point.  It
     and the nodes get the direct family_pack, with all its route checks.
-    Every other point of that sign gets its manifold built and validated
-    as usual, and a _BlendedTwinPack of the node packs.  A sign with no
+    Every other point of that sign gets its manifold from
+    _family_manifold, without the validation that the nodes give its
+    whole sign, and a _BlendedTwinPack of the node packs.  A sign with no
     generic point gets direct packs only.
 
     Before the sweep, the direct pack must equal its blend at the check
@@ -275,7 +304,7 @@ def _grid_packs(points: list[FamilyParams]):
         if p == check or (p.lambda1, p.lambda2) in NODES:
             yield family_pack(p)
         else:
-            m = build_family(p)
+            m = _family_manifold(p)
             yield m, _BlendedTwinPack(m, p, packs)
 
 

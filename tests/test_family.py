@@ -166,7 +166,7 @@ def test_interpolated_packs_equal_direct_packs(values):
     for p, (m, tp) in zip(points, packs):
         m_direct, direct = family_pack(p)
         assert m == m_direct
-        assert materialised(tp, direct) == direct, family._difference(tp, direct)
+        assert materialised(tp, direct) == direct, p.label()
 
 
 @pytest.mark.parametrize("points, misses", [
@@ -210,14 +210,18 @@ def perturbed_pack(tp, part, name):
     return dataclasses.replace(tp, **{part: bad})
 
 
-@pytest.mark.parametrize("part, name, where", [("curv", "R_vec", "1, l2=-2/3"),
-                                               ("sp", "Phi_vec", "1, l2=1")])
-def test_wrong_node_fails_the_interpolation_check(part, name, where, monkeypatch):
-    """A node (1, 0) wrong in one field makes an interpolation differ from
-    the direct pack: theorem exits 4 and names the check, the point and
-    the field.  A degree-1 field is caught at the node (1, 1); a degree-2
-    field, which (1, 1) gives back as it is, at the check point (1, -2/3)."""
-    node = FamilyParams(1, 0, 1)
+@pytest.mark.parametrize("node, part, name, where", [
+    pytest.param((1, 0), "curv", "R_vec", "1, l2=-2/3", id="curv-R_vec-1, l2=-2/3"),
+    pytest.param((1, 0), "sp", "Phi_vec", "1, l2=1", id="sp-Phi_vec-1, l2=1"),
+    pytest.param((1, 1), "curv", "R_vec", "1, l2=-2/3", id="node11-curv-R_vec-1, l2=-2/3"),
+    pytest.param((1, 1), "sp", "Phi_vec", "1, l2=1", id="node11-sp-Phi_vec-1, l2=1")])
+def test_wrong_node_fails_the_interpolation_check(node, part, name, where, monkeypatch):
+    """A node (1, 0) or (1, 1) wrong in one field makes an interpolation
+    differ from the direct pack: theorem exits 4 and names the check, the
+    point and the field.  A degree-1 field is caught at the node (1, 1); a
+    degree-2 field, which (1, 1) gives back as it is, at the check point
+    (1, -2/3)."""
+    node = FamilyParams(*node, 1)
     direct = family.family_pack
 
     def pack(p):
@@ -231,6 +235,74 @@ def test_wrong_node_fails_the_interpolation_check(part, name, where, monkeypatch
     assert err.getvalue().startswith(
         f"error: interpolated family pack = direct pack at family(l1={where}, e=1): "
         f"pack.{part}.{name}: first nonzero residual at ")
+
+
+def test_interpolation_check_blends_nothing(monkeypatch):
+    """The interpolation checks decide each field as one residual against
+    the direct pack: no _Blend field or key is read inside them, while the
+    sweep after them still blends.  A scalar field of the wrong degree
+    still names both values."""
+    inside, blended = [], []
+    for name in ("__getattr__", "__getitem__"):
+        def counted(view, key, _fn=getattr(family._Blend, name)):
+            blended.append(bool(inside))
+            return _fn(view, key)
+        monkeypatch.setattr(family._Blend, name, counted)
+    interpolation = family._require_interpolation
+
+    def checked(p, packs):
+        inside.append(p)
+        try:
+            interpolation(p, packs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(family, "_require_interpolation", checked)
+    out, err = io.StringIO(), io.StringIO()
+    assert cli.main(["theorem", "--grid=1,-2/3,3/2"], out=out, err=err) == 4
+    assert blended and not any(blended)
+    monkeypatch.setitem(family.PACK_DEGREES, "snorm", 1)
+    out, err = io.StringIO(), io.StringIO()
+    assert cli.main(["theorem", "--grid=1,-2/3,3/2"], out=out, err=err) == 4
+    assert out.getvalue() == ""
+    assert err.getvalue() == ("error: interpolated family pack = direct pack at "
+                              "family(l1=1, l2=-2/3, e=1): pack.sp.snorm: -640/3 != -640/9\n")
+
+
+def test_lie_algebra_is_validated_at_direct_points_only(monkeypatch):
+    """On the golden grid the Lie algebra is validated once per direct
+    pack, at the three nodes and the check point of each sign; a blended
+    point's algebra is not validated again, and is a Lie algebra.  The
+    direct points, family_pack and report --family still validate."""
+    validated = []
+
+    def counted(alg, _fn=family.require_lie_algebra):
+        validated.append(alg)
+        return _fn(alg)
+
+    monkeypatch.setattr(family, "require_lie_algebra", counted)
+    family_pack.cache_clear()
+    points = grid(1, "-2/3", "3/2")
+    grid_verification(points)
+    assert len(validated) == family_pack.cache_info().misses == 8
+    blended = [m for m, tp in family._grid_packs(points)
+               if isinstance(tp, family._BlendedTwinPack)]
+    assert len(blended) == 14 and len(validated) == 8
+    assert all(validate_lie_algebra(m.algebra).valid for m in blended)
+
+    def broken(alg):
+        raise ValidationError("invalid Lie algebra: broken")
+
+    monkeypatch.setattr(family, "require_lie_algebra", broken)
+    family_pack.cache_clear()
+    with pytest.raises(ValidationError, match="broken"):
+        family_pack(FamilyParams(1, 2, 1))
+    for argv in (["report", "--family", "1", "2", "1"], ["theorem", "--grid=1,-2/3,3/2"],
+                 ["theorem", "--grid=2"]):
+        out, err = io.StringIO(), io.StringIO()
+        assert cli.main(argv, out=out, err=err) == 3, argv
+        assert "invalid Lie algebra: broken" in err.getvalue(), argv
+    family_pack.cache_clear()
 
 
 #: the pack fields that vanish on the whole family, so that their values
